@@ -222,10 +222,10 @@ Result<std::vector<std::size_t>> FactionStrategy::SelectBatch(
     Workspace& ws = *workspace_;
     Matrix* cand_z =
         ws.MatrixFor("faction.cand_z", n, context.model->feature_dim());
-    context.model->ExtractFeaturesInto(candidates, &ws, cand_z);
     Matrix* proba =
         ws.MatrixFor("faction.cand_proba", n, context.model->num_classes());
-    context.model->PredictProbaInto(candidates, &ws, proba);
+    context.model->ExtractFeaturesAndProbaInto(candidates, &ws, cand_z,
+                                               proba);
     // Scores the whole candidate pool in one batched, parallel pass (see
     // core/fair_score.cc); bitwise deterministic for any thread count.
     FACTION_RETURN_IF_ERROR(ComputeFactionScoresInto(

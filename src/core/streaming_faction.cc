@@ -99,16 +99,15 @@ double StreamingFaction::ScoreSample(const std::vector<double>& x) {
   Matrix* x_row = ws.MatrixFor("streaming.x_row", 1, x.size());
   std::copy(x.begin(), x.end(), x_row->row_data(0));
   Matrix* z = ws.MatrixFor("streaming.z_row", 1, model_->feature_dim());
-  model_->ExtractFeaturesInto(*x_row, &ws, z);
+  Matrix* proba =
+      ws.MatrixFor("streaming.proba", 1, model_->num_classes());
+  model_->ExtractFeaturesAndProbaInto(*x_row, &ws, z, proba);
   const double* zv = z->row_data(0);
   std::vector<double>* solve_scratch =
       ws.DoublesFor("streaming.solve_scratch", estimator_->dim());
   const double log_density =
       estimator_->LogMarginalDensity(zv, solve_scratch->data());
   // log sum_c p_c * Delta g_c(z).
-  Matrix* proba =
-      ws.MatrixFor("streaming.proba", 1, model_->num_classes());
-  model_->PredictProbaInto(*x_row, &ws, proba);
   std::array<double, FairDensityEstimator::kNumClasses> terms;
   std::size_t nt = 0;
   for (int c = 0; c < FairDensityEstimator::kNumClasses; ++c) {

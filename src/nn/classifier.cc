@@ -23,6 +23,14 @@ void FeatureClassifier::ExtractFeaturesInto(const Matrix& x,
   *out = ExtractFeatures(x);
 }
 
+void FeatureClassifier::ExtractFeaturesAndProbaInto(const Matrix& x,
+                                                    Workspace* ws,
+                                                    Matrix* features,
+                                                    Matrix* proba) const {
+  ExtractFeaturesInto(x, ws, features);
+  PredictProbaInto(x, ws, proba);
+}
+
 void FeatureClassifier::PredictProbaInto(const Matrix& x, Workspace* ws,
                                          Matrix* out) const {
   Matrix* logits =

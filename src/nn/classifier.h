@@ -53,6 +53,15 @@ class FeatureClassifier {
   virtual void ExtractFeaturesInto(const Matrix& x, Workspace* ws,
                                    Matrix* out) const;
 
+  /// Features and class probabilities of the same rows in one call:
+  /// *features as ExtractFeaturesInto, *proba as PredictProbaInto, each
+  /// bitwise-identical to its single call. The default makes exactly
+  /// those two calls; a backbone whose head reads the feature layer
+  /// overrides it to run the shared trunk once.
+  virtual void ExtractFeaturesAndProbaInto(const Matrix& x, Workspace* ws,
+                                           Matrix* features,
+                                           Matrix* proba) const;
+
   /// Backpropagates dL/dlogits from the last Forward.
   virtual void Backward(const Matrix& dlogits) = 0;
 

@@ -89,6 +89,17 @@ void MlpClassifier::ExtractFeaturesInto(const Matrix& x, Workspace* ws,
   }
 }
 
+void MlpClassifier::ExtractFeaturesAndProbaInto(const Matrix& x,
+                                                Workspace* ws,
+                                                Matrix* features,
+                                                Matrix* proba) const {
+  ExtractFeaturesInto(x, ws, features);
+  Matrix* logits =
+      ws->MatrixFor("classifier.proba_logits", x.rows(), num_classes());
+  head_->ForwardInferenceInto(*features, logits);
+  SoftmaxRowsInto(*logits, proba);
+}
+
 void MlpClassifier::Backward(const Matrix& dlogits) {
   head_->BackwardInto(dlogits, &dbuf_);
   for (std::size_t ii = hidden_.size(); ii > 0; --ii) {

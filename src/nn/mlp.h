@@ -76,6 +76,14 @@ class MlpClassifier : public FeatureClassifier {
   void ExtractFeaturesInto(const Matrix& x, Workspace* ws,
                            Matrix* out) const override;
 
+  /// Runs the hidden trunk once into *features, then the head and a
+  /// row softmax into *proba (logits in the Workspace buffer
+  /// "classifier.proba_logits"). Bitwise-identical to the two-call
+  /// default, which would run the trunk twice.
+  void ExtractFeaturesAndProbaInto(const Matrix& x, Workspace* ws,
+                                   Matrix* features,
+                                   Matrix* proba) const override;
+
   /// The cached feature activations from the last training Forward.
   const Matrix& last_features() const { return last_features_; }
 

@@ -1,7 +1,6 @@
 #include "tensor/simd.h"
 
 #include <atomic>
-#include <mutex>
 #include <cstdlib>
 #include <string>
 
@@ -32,9 +31,7 @@ namespace {
 
 std::atomic<const SimdKernels*> g_active{nullptr};
 
-bool CpuSupports(SimdLevel level);
-
-const SimdKernels* BaseTableFor(SimdLevel level) {
+const SimdKernels* TableFor(SimdLevel level) {
   switch (level) {
     case SimdLevel::kGeneric:
       return &simd_generic::Kernels();
@@ -52,97 +49,6 @@ const SimdKernels* BaseTableFor(SimdLevel level) {
 #endif
   }
   return nullptr;
-}
-
-// Per-kernel dispatch for the blocked log-pdf solve. The triangular
-// solves run at the model dimension (d=16 doubles): one column of the
-// solve fills barely two zmm registers' worth of work, so 512-bit width
-// buys nothing there while 512-bit instruction use can license-downclock
-// the core around it. Measured on the fleet host, the avx512 table with
-// avx2's solve wins pool scoring by ~1.2x over the all-avx512 table
-// (BENCH_PR5 recorded the same ratio), so by default the avx512 tier
-// borrows the avx2 solve kernel; GEMM-bound kernels keep their 512-bit
-// versions, which still win. FACTION_SIMD_LOGPDF_LEVEL ("generic" |
-// "avx2" | "avx512", read once at first dispatch) pins the solve kernel
-// of EVERY tier's table instead — "avx512" restores the uniform table on
-// hosts that do not downclock. Every tier is bitwise-identical by
-// contract (simd_kernels.inc), so borrowing a kernel across tiers can
-// never change an output — only its speed.
-//
-// Deliberately avoids ParseSimdLevel/SimdLevelSupported here: both call
-// back into TableFor, which would re-enter this magic static while it
-// is still initializing.
-struct LogPdfOverride {
-  bool active = false;
-  SimdLevel level = SimdLevel::kGeneric;
-};
-
-const LogPdfOverride& GetLogPdfOverride() {
-  static const LogPdfOverride resolved = [] {
-    LogPdfOverride o;
-    const char* env = std::getenv("FACTION_SIMD_LOGPDF_LEVEL");
-    if (env == nullptr || *env == '\0') return o;
-    const std::string value(env);
-    SimdLevel level;
-    if (value == "generic") {
-      level = SimdLevel::kGeneric;
-    } else if (value == "avx2") {
-      level = SimdLevel::kAvx2;
-    } else if (value == "avx512") {
-      level = SimdLevel::kAvx512;
-    } else {
-      FACTION_LOG(kWarning) << "FACTION_SIMD_LOGPDF_LEVEL=" << value
-                            << " not recognized; using per-tier kernels";
-      return o;
-    }
-    if (BaseTableFor(level) == nullptr || !CpuSupports(level)) {
-      FACTION_LOG(kWarning) << "FACTION_SIMD_LOGPDF_LEVEL=" << value
-                            << " not supported on this host; using "
-                            << "per-tier kernels";
-      return o;
-    }
-    o.active = true;
-    o.level = level;
-    return o;
-  }();
-  return resolved;
-}
-
-// Tier whose logpdf_block the `level` table should carry: the pinned
-// tier when FACTION_SIMD_LOGPDF_LEVEL is set, otherwise avx2 for the
-// avx512 table (the measured-fastest default above) and the tier's own
-// kernel everywhere else.
-SimdLevel LogPdfLevelFor(SimdLevel level) {
-  const LogPdfOverride& pinned = GetLogPdfOverride();
-  if (pinned.active) return pinned.level;
-  if (level == SimdLevel::kAvx512 &&
-      BaseTableFor(SimdLevel::kAvx2) != nullptr &&
-      CpuSupports(SimdLevel::kAvx2)) {
-    return SimdLevel::kAvx2;
-  }
-  return level;
-}
-
-const SimdKernels* TableFor(SimdLevel level) {
-  const SimdKernels* base = BaseTableFor(level);
-  if (base == nullptr) return nullptr;
-  const SimdLevel solve_level = LogPdfLevelFor(level);
-  if (solve_level == level) return base;
-  // One patched copy per tier, built on first use. The name/level fields
-  // keep the host tier's identity: the table still *is* that dispatch
-  // tier, with one kernel borrowed.
-  static SimdKernels patched[3];
-  static std::once_flag once[3];
-  const int idx = static_cast<int>(level);
-  std::call_once(once[idx], [base, solve_level, idx] {
-    patched[idx] = *base;
-    // The two triangular-solve kernels travel together: both run at the
-    // model dimension, so whatever tier wins (or is pinned) for the
-    // log-pdf solve is right for the downdate guard solve too.
-    patched[idx].logpdf_block = BaseTableFor(solve_level)->logpdf_block;
-    patched[idx].downdate_solve = BaseTableFor(solve_level)->downdate_solve;
-  });
-  return &patched[idx];
 }
 
 bool CpuSupports(SimdLevel level) {

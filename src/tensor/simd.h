@@ -76,17 +76,6 @@ struct SimdKernels {
   /// dim-major block ys (d x width): in-place L y = c per sample column,
   /// then out[t] = -0.5 * (base + sum_j ys[j][t]^2). Per sample this is
   /// the exact operation order of Gaussian::ForwardSolve.
-  ///
-  /// This slot dispatches per kernel, not per table. The solve runs at
-  /// the model dimension (d=16), where 512-bit width buys nothing and
-  /// license-downclocking can tax everything nearby, so by default the
-  /// avx512 table borrows the avx2 tier's solve (measured ~1.2x faster
-  /// pool scoring) while keeping its own GEMM kernels. Setting
-  /// FACTION_SIMD_LOGPDF_LEVEL ("generic" | "avx2" | "avx512", read
-  /// once at first dispatch) pins every table's solve to that tier
-  /// instead — "avx512" restores the uniform avx512 table. Either way
-  /// the choice is bitwise-neutral by the cross-tier parity contract —
-  /// it changes speed, never results.
   void (*logpdf_block)(const double* chol, std::size_t d, double* ys,
                        std::size_t width, double base, double* out);
   /// Blocked lower-triangular forward solve + squared norm for a dim-major
@@ -95,10 +84,6 @@ struct SimdKernels {
   /// rank-1 Cholesky downdate: the norm drives the positive-definiteness
   /// guard (Gaussian::DowndateOne), so the cross-tier bitwise contract is
   /// load-bearing — the guard's *branch* must be identical at every tier.
-  /// Shares logpdf_block's per-kernel dispatch (the same triangular-solve
-  /// shape at the model dimension): by default the avx512 table borrows
-  /// the avx2 kernel, and FACTION_SIMD_LOGPDF_LEVEL pins both solve slots
-  /// together.
   void (*downdate_solve)(const double* chol, std::size_t d, double* vs,
                          std::size_t width, double* pnorm2);
 };

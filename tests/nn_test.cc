@@ -1,4 +1,6 @@
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "common/rng.h"
 #include "data/streams.h"
@@ -167,6 +169,74 @@ TEST(ReluTest, InferenceMatchesForward) {
   EXPECT_LT(MaxAbsDiff(relu.Forward(x), Relu::ForwardInference(x)), 1e-15);
 }
 
+// Edge values cycled through a matrix wide enough that every ReLU loop
+// runs both a vectorized body and a scalar tail over each of them.
+const double kReluEdges[] = {
+    std::numeric_limits<double>::quiet_NaN(),
+    0.0,
+    -0.0,
+    std::numeric_limits<double>::infinity(),
+    -std::numeric_limits<double>::infinity(),
+    std::numeric_limits<double>::denorm_min(),
+    -std::numeric_limits<double>::denorm_min(),
+    1.5,
+    -2.5,
+};
+constexpr std::size_t kNumReluEdges = sizeof(kReluEdges) / sizeof(double);
+
+Matrix ReluEdgeMatrix() {
+  Matrix x(3, 13);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x.data()[i] = kReluEdges[i % kNumReluEdges];
+  }
+  return x;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Pins today's ReLU semantics bit for bit, so a vectorized loop can never
+// change them: training maps NaN, -0.0 and every negative to +0.0 with a
+// zero mask; inference keeps NaN and -0.0; backward is dy * mask.
+TEST(ReluTest, EdgeValuesBitwise) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double sub = std::numeric_limits<double>::denorm_min();
+  // Per kReluEdges entry: training output, mask, inference output.
+  const double train[] = {0.0, 0.0, 0.0, inf, 0.0, sub, 0.0, 1.5, 0.0};
+  const double mask[] = {0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0};
+  const double infer[] = {kReluEdges[0], 0.0, -0.0, inf, 0.0,
+                          sub,           0.0, 1.5,  0.0};
+
+  Relu relu;
+  Matrix x = ReluEdgeMatrix();
+  relu.ForwardInPlace(&x);
+  Matrix y = ReluEdgeMatrix();
+  Relu::ForwardInferenceInPlace(&y);
+  // dy cycles through finite, -0.0-producing and NaN-producing gradients.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double grads[] = {2.0, -3.0, inf, nan};
+  Matrix dy(x.rows(), x.cols());
+  for (std::size_t i = 0; i < dy.size(); ++i) dy.data()[i] = grads[i % 4];
+  Matrix dx = dy;
+  relu.BackwardInPlace(&dx);
+
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const std::size_t e = i % kNumReluEdges;
+    EXPECT_TRUE(SameBits(x.data()[i], train[e])) << "train, edge " << e;
+    EXPECT_TRUE(SameBits(y.data()[i], infer[e])) << "inference, edge " << e;
+    const double g = dy.data()[i];
+    if (mask[e] == 1.0) {
+      EXPECT_TRUE(SameBits(dx.data()[i], g)) << "backward, edge " << e;
+    } else if (std::isfinite(g)) {
+      EXPECT_TRUE(SameBits(dx.data()[i], std::copysign(0.0, g)))
+          << "backward, edge " << e;
+    } else {
+      EXPECT_TRUE(std::isnan(dx.data()[i])) << "backward, edge " << e;
+    }
+  }
+}
+
 // ------------------------------------------------------------------- MLP
 
 MlpConfig SmallConfig() {
@@ -250,6 +320,36 @@ TEST(MlpTest, FullGradientCheck) {
       EXPECT_NEAR(grads[p]->data()[k], numeric, 1e-4)
           << "param " << p << " entry " << k;
     }
+  }
+}
+
+// The one-trunk-pass override must equal the base class's two calls
+// (ExtractFeaturesInto + PredictProbaInto) bit for bit, with and without
+// hidden layers.
+TEST(MlpTest, FeaturesAndProbaMatchTwoCallsBitwise) {
+  MlpConfig linear = SmallConfig();
+  linear.hidden_dims = {};
+  for (const MlpConfig& config : {SmallConfig(), linear}) {
+    Rng rng(15);
+    MlpClassifier model(config, &rng);
+    Matrix x(37, config.input_dim);
+    for (std::size_t i = 0; i < x.size(); ++i) x.data()[i] = rng.Gaussian();
+    Workspace ws_one, ws_two;
+    Matrix z_one, p_one, z_two, p_two;
+    model.ExtractFeaturesAndProbaInto(x, &ws_one, &z_one, &p_one);
+    model.FeatureClassifier::ExtractFeaturesAndProbaInto(x, &ws_two, &z_two,
+                                                         &p_two);
+    ASSERT_EQ(z_one.rows(), x.rows());
+    ASSERT_EQ(z_one.cols(), model.feature_dim());
+    ASSERT_EQ(p_one.cols(), model.num_classes());
+    ASSERT_EQ(z_two.size(), z_one.size());
+    ASSERT_EQ(p_two.size(), p_one.size());
+    EXPECT_EQ(std::memcmp(z_one.data(), z_two.data(),
+                          z_one.size() * sizeof(double)),
+              0);
+    EXPECT_EQ(std::memcmp(p_one.data(), p_two.data(),
+                          p_one.size() * sizeof(double)),
+              0);
   }
 }
 

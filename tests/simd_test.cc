@@ -99,29 +99,6 @@ TEST(SimdDispatch, HonorsEnvironmentOnFirstResolve) {
   EXPECT_EQ(ActiveSimdLevel(), want.value());
 }
 
-TEST(SimdDispatch, Avx512TableBorrowsAvx2LogPdfByDefault) {
-  if (std::getenv("FACTION_SIMD_LOGPDF_LEVEL") != nullptr) {
-    GTEST_SKIP() << "FACTION_SIMD_LOGPDF_LEVEL pins the solve kernel";
-  }
-  if (!SimdLevelSupported(SimdLevel::kAvx512) ||
-      !SimdLevelSupported(SimdLevel::kAvx2)) {
-    GTEST_SKIP() << "needs both wide tiers";
-  }
-  ScopedSimdLevel avx2(SimdLevel::kAvx2);
-  const SimdKernels& avx2_table = ActiveSimd();
-  ScopedSimdLevel avx512(SimdLevel::kAvx512);
-  const SimdKernels& avx512_table = ActiveSimd();
-  // The d=16 solve borrows the avx2 kernel (license-downclock hazard at
-  // 512-bit width, see simd.h); the GEMM slots stay the tier's own. The
-  // two triangular-solve kernels travel together: the downdate guard
-  // solve borrows whenever the log-pdf solve does.
-  EXPECT_EQ(avx512_table.logpdf_block, avx2_table.logpdf_block);
-  EXPECT_EQ(avx512_table.downdate_solve, avx2_table.downdate_solve);
-  EXPECT_NE(avx512_table.matmul_rows, avx2_table.matmul_rows);
-  EXPECT_EQ(avx512_table.level, SimdLevel::kAvx512);
-  EXPECT_STREQ(avx512_table.name, "avx512");
-}
-
 TEST(SimdDispatch, GenericAlwaysSupported) {
   EXPECT_TRUE(SimdLevelSupported(SimdLevel::kGeneric));
   EXPECT_FALSE(SupportedLevels().empty());
@@ -336,27 +313,31 @@ TEST(SimdDensity, LogPdfBatchBitwiseParityAcrossLevels) {
     Result<Gaussian> fitted = Gaussian::Fit(samples, CovarianceConfig{});
     ASSERT_TRUE(fitted.ok());
     const Gaussian& g = fitted.value();
-    // 131 rows: exercises both the vector body and the scalar tail of the
-    // 64-wide sample tiles.
-    const Matrix zs = TrickyMatrix(131, d, &rng);
-    std::vector<double> per_sample(zs.rows());
-    std::vector<double> z(d);
-    for (std::size_t i = 0; i < zs.rows(); ++i) {
-      std::copy(zs.row_data(i), zs.row_data(i) + d, z.begin());
-      per_sample[i] = g.LogPdf(z);
-    }
-    for (SimdLevel level : SupportedLevels()) {
-      ScopedSimdLevel guard(level);
-      ThreadCountGuard threads;
-      for (int nthreads : {1, 8}) {
-        SetParallelThreadCount(nthreads);
-        std::vector<double> batch(zs.rows(), -1.0);
-        g.LogPdfBatch(zs, batch.data());
-        ASSERT_EQ(std::memcmp(per_sample.data(), batch.data(),
-                              batch.size() * sizeof(double)),
-                  0)
-            << "d=" << d << " at " << SimdLevelName(level) << " threads "
-            << nthreads;
+    // Row counts chosen so that, at every lane width (2, 4, 8), the
+    // 256-wide sample blocks reach the 4-vector solve body, the
+    // single-vector loop and the scalar tail: 600 = 256 + 256 + 88 and
+    // 293 = 256 + 37 also cover full and ragged blocks.
+    for (const std::size_t rows : {1u, 7u, 33u, 131u, 293u, 600u}) {
+      const Matrix zs = TrickyMatrix(rows, d, &rng);
+      std::vector<double> per_sample(zs.rows());
+      std::vector<double> z(d);
+      for (std::size_t i = 0; i < zs.rows(); ++i) {
+        std::copy(zs.row_data(i), zs.row_data(i) + d, z.begin());
+        per_sample[i] = g.LogPdf(z);
+      }
+      for (SimdLevel level : SupportedLevels()) {
+        ScopedSimdLevel guard(level);
+        ThreadCountGuard threads;
+        for (int nthreads : {1, 8}) {
+          SetParallelThreadCount(nthreads);
+          std::vector<double> batch(zs.rows(), -1.0);
+          g.LogPdfBatch(zs, batch.data());
+          ASSERT_EQ(std::memcmp(per_sample.data(), batch.data(),
+                                batch.size() * sizeof(double)),
+                    0)
+              << "d=" << d << " rows=" << rows << " at "
+              << SimdLevelName(level) << " threads " << nthreads;
+        }
       }
     }
   }

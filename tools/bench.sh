@@ -57,13 +57,11 @@
 # longer emitted: the generic train-step tier measures faster than the
 # retired pre-SIMD scalar step (0.865x, parity reached — the 4-row GEMM
 # tile was re-measured against a 2-row tile and a 16-row cache block and
-# kept as the optimum), and the avx512 table now borrows the avx2 tier's
-# d=16 log-pdf solve by default (tensor/simd.cc per-kernel dispatch;
-# FACTION_SIMD_LOGPDF_LEVEL pins it), which removes the 1.195x
-# pool-scoring deficit while keeping 512-bit GEMM. The avx2 tier TU is
-# also pinned -mno-avx256-split-unaligned-{load,store}: without it GCC's
-# generic tuning splits every unaligned 256-bit access and the avx2
-# kernels ran ~5x slower in non-native-arch builds.
+# kept as the optimum), and the avx512 pool-scoring deficit is gone now
+# that tier loads no longer go through memcpy (DESIGN.md §12). The avx2
+# tier TU is also pinned -mno-avx256-split-unaligned-{load,store}:
+# without it GCC's generic tuning splits every unaligned 256-bit access
+# and the avx2 kernels ran ~5x slower in non-native-arch builds.
 #
 # Usage: tools/bench.sh [--min-time SECONDS] [--binary PATH]
 #                       [--loadgen-binary PATH] [--skip-serve]
