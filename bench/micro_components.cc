@@ -338,14 +338,15 @@ void BM_Conv2dIm2col(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dIm2col);
 
-// One full training pass with the persistent Workspace the online learner
-// uses: steady-state iterations reuse every batch/gradient buffer.
-void BM_TrainStep(benchmark::State& state) {
+// One full training pass over an 800-row pool of `input_dim` features with
+// the persistent Workspace the online learner uses: steady-state
+// iterations reuse every batch/gradient buffer.
+void RunTrainStep(benchmark::State& state, std::size_t input_dim) {
   const std::size_t n = 800;
-  const Dataset pool = MakePool(n, 16, 5);
+  const Dataset pool = MakePool(n, input_dim, 5);
   Rng rng(7);
   MlpConfig mconfig;
-  mconfig.input_dim = 16;
+  mconfig.input_dim = input_dim;
   mconfig.hidden_dims = {48, 16};
   mconfig.spectral.enabled = true;
   TrainConfig tconfig;
@@ -362,7 +363,13 @@ void BM_TrainStep(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<long>(n));
 }
-BENCHMARK(BM_TrainStep);
+
+// Arg: input_dim. 12 is NYSF's feature count, narrower than the avx2 and
+// avx512 GEMM panels; 16 is a whole panel at every tier.
+void BM_TrainStep(benchmark::State& state) {
+  RunTrainStep(state, static_cast<std::size_t>(state.range(0)));
+}
+BENCHMARK(BM_TrainStep)->Arg(12)->Arg(16);
 
 // Full batch refit of the GDA estimator on a pool of `n` rows — the cost
 // FACTION used to pay every acquisition round.
@@ -484,6 +491,7 @@ BENCHMARK(BM_PoolScoringSimd)->Arg(0)->Arg(1)->Arg(2);
 
 // BM_TrainStep with the dispatch tier pinned: the MLP training pass is
 // GEMM-bound, so this measures the micro-kernel end to end.
+// Args: SIMD level, input_dim.
 void BM_TrainStepSimd(benchmark::State& state) {
   const SimdLevel level = static_cast<SimdLevel>(state.range(0));
   ScopedSimdLevel guard(level);
@@ -491,29 +499,10 @@ void BM_TrainStepSimd(benchmark::State& state) {
     state.SkipWithError("SIMD level unsupported on this host");
     return;
   }
-  const std::size_t n = 800;
-  const Dataset pool = MakePool(n, 16, 5);
-  Rng rng(7);
-  MlpConfig mconfig;
-  mconfig.input_dim = 16;
-  mconfig.hidden_dims = {48, 16};
-  mconfig.spectral.enabled = true;
-  TrainConfig tconfig;
-  tconfig.epochs = 1;
-  Workspace workspace;
-  for (auto _ : state) {
-    state.PauseTiming();
-    Rng model_rng(11);
-    MlpClassifier model(mconfig, &model_rng);
-    state.ResumeTiming();
-    Result<TrainReport> report =
-        TrainClassifier(&model, pool, tconfig, &rng, &workspace);
-    benchmark::DoNotOptimize(report);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<long>(n));
+  RunTrainStep(state, static_cast<std::size_t>(state.range(1)));
   state.SetLabel(SimdLevelName(level));
 }
-BENCHMARK(BM_TrainStepSimd)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_TrainStepSimd)->ArgsProduct({{0, 1, 2}, {12, 16}});
 
 // ---------------- sliding-window density forgetting (PR 8)
 

@@ -61,6 +61,10 @@ class Linear {
 
   /// Allocation-free variant of Backward: writes dL/dx into *dx (must not
   /// alias dy). Gradient temporaries live in persistent member scratch.
+  /// A null dx accumulates the weight and bias gradients only, skipping
+  /// the dy * W product: for a network's first layer, whose input
+  /// gradient nobody reads. The accumulated gradients are bitwise those
+  /// of a call with a dx buffer.
   void BackwardInto(const Matrix& dy, Matrix* dx);
 
   /// Clears accumulated gradients.

@@ -101,11 +101,12 @@ void MlpClassifier::ExtractFeaturesAndProbaInto(const Matrix& x,
 }
 
 void MlpClassifier::Backward(const Matrix& dlogits) {
-  head_->BackwardInto(dlogits, &dbuf_);
+  // The first layer's dL/dx has no reader, so it gets a null dx.
+  head_->BackwardInto(dlogits, hidden_.empty() ? nullptr : &dbuf_);
   for (std::size_t ii = hidden_.size(); ii > 0; --ii) {
     const std::size_t i = ii - 1;
     relus_[i].BackwardInPlace(&dbuf_);
-    hidden_[i]->BackwardInto(dbuf_, &dbuf_swap_);
+    hidden_[i]->BackwardInto(dbuf_, i == 0 ? nullptr : &dbuf_swap_);
     std::swap(dbuf_, dbuf_swap_);
   }
 }

@@ -44,6 +44,19 @@ std::vector<double>& PackScratch() {
   return scratch;
 }
 
+// Packs a GEMM's b operand into the scratch with `pack` (kern.pack_b or
+// kern.pack_bt, kk x n panels) and counts the call.
+template <typename Pack>
+const double* PackForGemm(const SimdKernels& kern, std::size_t kk,
+                          std::size_t n, Pack pack) {
+  std::vector<double>& bp = PackScratch();
+  bp.resize(SimdPackedCount(kern, kk, n));
+  pack(bp.data());
+  TelemetryCount("simd.gemm_calls");
+  TelemetryCount("simd.packed_bytes", bp.size() * sizeof(double));
+  return bp.data();
+}
+
 }  // namespace
 
 Matrix MatMul(const Matrix& a, const Matrix& b) {
@@ -69,15 +82,12 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out) {
   // (ascending 4-wide quads + scalar tail — the reference's 64-wide k
   // blocks are 4-aligned, so its global pattern is the same flat one).
   const SimdKernels& kern = ActiveSimd();
-  std::vector<double>& bp = PackScratch();
-  bp.resize(SimdPackedCount(kern, kk, nn));
-  kern.pack_b(b.data(), kk, nn, bp.data());
-  TelemetryCount("simd.gemm_calls");
-  TelemetryCount("simd.packed_bytes", bp.size() * sizeof(double));
+  const double* bpp = PackForGemm(kern, kk, nn, [&](double* bp) {
+    kern.pack_b(b.data(), kk, nn, bp);
+  });
   TelemetryObserve("simd.gemm_flops",
                    2.0 * static_cast<double>(a.rows()) *
                        static_cast<double>(nn) * static_cast<double>(kk));
-  const double* bpp = bp.data();
   ParallelFor(0, a.rows(), kGemmRowGrain,
               [&, bpp](std::size_t r0, std::size_t r1) {
     kern.matmul_rows(a.data(), bpp, out->data(), r0, r1, nn, kk);
@@ -147,12 +157,9 @@ void MatMulBtInto(const Matrix& a, const Matrix& b, Matrix* out) {
     return;
   }
   const SimdKernels& kern = ActiveSimd();
-  std::vector<double>& bp = PackScratch();
-  bp.resize(SimdPackedCount(kern, kk, bn));
-  kern.pack_bt(b.data(), bn, kk, bp.data());
-  TelemetryCount("simd.gemm_calls");
-  TelemetryCount("simd.packed_bytes", bp.size() * sizeof(double));
-  const double* bpp = bp.data();
+  const double* bpp = PackForGemm(kern, kk, bn, [&](double* bp) {
+    kern.pack_bt(b.data(), bn, kk, bp);
+  });
   ParallelFor(0, a.rows(), kGemmRowGrain,
               [&, bpp](std::size_t r0, std::size_t r1) {
     kern.matmul_bt_rows(a.data(), bpp, out->data(), r0, r1, bn, kk);
@@ -207,15 +214,18 @@ void MatMulAtInto(const Matrix& a, const Matrix& b, Matrix* out) {
     std::fill(out->data(), out->data() + out->size(), 0.0);
     return;
   }
-  // Unpacked register-tiled kernel (a's column quads are contiguous per k
-  // row, so packing buys nothing here); per element the order is a single
-  // mul-add per ascending k from zero, as in the reference.
+  // b goes through the same zero-padded panels as MatMul, so a column
+  // count that is not a multiple of the panel width (d = 12 at every tier
+  // wider than generic) still runs full vectors; per element the order is
+  // a single mul-add per ascending k from zero, as in the reference.
   const SimdKernels& kern = ActiveSimd();
-  TelemetryCount("simd.gemm_calls");
+  const double* bpp = PackForGemm(kern, mm, nn, [&](double* bp) {
+    kern.pack_b(b.data(), mm, nn, bp);
+  });
   ParallelFor(0, a.cols(), kGemmRowGrain,
-              [&](std::size_t c0, std::size_t c1) {
-    kern.matmul_at_cols(a.data(), a.cols(), b.data(), out->data(), mm, nn,
-                        c0, c1);
+              [&, bpp](std::size_t c0, std::size_t c1) {
+    kern.matmul_at_cols(a.data(), a.cols(), bpp, out->data(), mm, nn, c0,
+                        c1);
   });
 }
 

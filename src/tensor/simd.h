@@ -52,9 +52,9 @@ struct SimdKernels {
   void (*matmul_bt_rows)(const double* a, const double* btp, double* c,
                          std::size_t r0, std::size_t r1, std::size_t bn,
                          std::size_t kk);
-  /// Output rows [c0, c1) of c = a^T * b, unpacked operands (a is m x ac,
-  /// b is m x n). Per element: single mul-add per ascending k from zero.
-  void (*matmul_at_cols)(const double* a, std::size_t ac, const double* b,
+  /// Output rows [c0, c1) of c = a^T * b (a is m x ac) from pack_b panels
+  /// of b (m x n). Per element: single mul-add per ascending k from zero.
+  void (*matmul_at_cols)(const double* a, std::size_t ac, const double* bp,
                          double* c, std::size_t m, std::size_t n,
                          std::size_t c0, std::size_t c1);
   /// y (oc x ohw) = w (oc x patch) @ col (patch x ohw) + bias broadcast.

@@ -3,6 +3,7 @@
 #include <limits>
 
 #include "common/rng.h"
+#include "common/telemetry.h"
 #include "data/streams.h"
 #include "gtest/gtest.h"
 #include "nn/activation.h"
@@ -138,6 +139,46 @@ TEST(LinearTest, ZeroGradClears) {
   lin.ZeroGrad();
   EXPECT_EQ(FrobeniusNorm2(*lin.weight_grad()), 0.0);
   EXPECT_EQ(FrobeniusNorm2(*lin.bias_grad()), 0.0);
+}
+
+// A null dx skips only the input-gradient GEMM: the accumulated weight
+// and bias gradients must be bitwise those of a call with a dx buffer,
+// spectral scale included.
+TEST(LinearTest, NullDxAccumulatesSameGradientsBitwise) {
+  for (const bool spectral : {false, true}) {
+    SpectralNormConfig sn;
+    sn.enabled = spectral;
+    sn.coeff = 0.5;  // below sigma: a non-unit scale when enabled
+    Rng rng_a(12), rng_b(12);
+    Linear with_dx(12, 7, sn, &rng_a);
+    Linear no_dx(12, 7, sn, &rng_b);
+    Rng data_rng(13);
+    Matrix x(9, 12), dy(9, 7);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      x.data()[i] = data_rng.Gaussian();
+    }
+    for (std::size_t i = 0; i < dy.size(); ++i) {
+      dy.data()[i] = data_rng.Gaussian();
+    }
+    Matrix dx;
+    for (int step = 0; step < 2; ++step) {  // gradients accumulate
+      with_dx.Forward(x);
+      no_dx.Forward(x);
+      with_dx.BackwardInto(dy, &dx);
+      no_dx.BackwardInto(dy, nullptr);
+    }
+    EXPECT_EQ(dx.rows(), 9u);
+    EXPECT_EQ(dx.cols(), 12u);
+    EXPECT_EQ(no_dx.last_scale() < 1.0, spectral);
+    const Matrix& gw_a = *with_dx.weight_grad();
+    const Matrix& gw_b = *no_dx.weight_grad();
+    const Matrix& gb_a = *with_dx.bias_grad();
+    const Matrix& gb_b = *no_dx.bias_grad();
+    EXPECT_EQ(std::memcmp(gw_a.data(), gw_b.data(),
+                          gw_a.size() * sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(gb_a.data(), gb_b.data(),
+                          gb_a.size() * sizeof(double)), 0);
+  }
 }
 
 // ------------------------------------------------------------------ ReLU
@@ -321,6 +362,26 @@ TEST(MlpTest, FullGradientCheck) {
           << "param " << p << " entry " << k;
     }
   }
+}
+
+// One training step of a 2-hidden-layer MLP runs 3 forward GEMMs, 3
+// weight-gradient GEMMs and 2 input-gradient GEMMs: the first layer's
+// dL/dx has no reader and is never computed.
+TEST(MlpTest, TrainingStepRunsEightGemms) {
+  Rng rng(14);
+  MlpClassifier model(SmallConfig(), &rng);
+  Matrix x(6, 5);
+  for (std::size_t i = 0; i < x.size(); ++i) x.data()[i] = rng.Gaussian();
+  const std::vector<int> labels = {0, 1, 1, 0, 1, 0};
+  Telemetry::Enable();
+  const std::uint64_t before = TelemetryCounterValue("simd.gemm_calls");
+  const Matrix logits = model.Forward(x);
+  Matrix dlogits;
+  SoftmaxCrossEntropy(logits, labels, &dlogits);
+  model.Backward(dlogits);
+  const std::uint64_t gemms = TelemetryCounterValue("simd.gemm_calls") - before;
+  Telemetry::Disable();
+  EXPECT_EQ(gemms, 8u);
 }
 
 // The one-trunk-pass override must equal the base class's two calls

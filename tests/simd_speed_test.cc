@@ -4,8 +4,9 @@
 // yet that is exactly what a code-generation defect looks like, e.g. tier
 // loads routed through memcpy paying a store-forwarding stall on every
 // access (DESIGN.md §12). This guard times the two kernels the FACTION
-// acquisition path spends its time in, at the shapes the NYSF workloads
-// run, and fails when a wide tier is more than 1.5x the generic tier.
+// acquisition path spends its time in and the training step's
+// weight-gradient GEMM, at the shapes the NYSF workloads run, and fails
+// when a wide tier is more than 1.5x the generic tier.
 //
 // Timing is min-of-N with the tiers interleaved inside one process, so a
 // slow phase of the host slows every tier alike. Registered only in
@@ -129,6 +130,45 @@ TEST(SimdTierSpeed, MatMulBtRowsNoSlowerThanGeneric) {
                              "x" + std::to_string(s.kk) + " * " +
                              std::to_string(s.kk) + "x" +
                              std::to_string(s.bn);
+    ExpectNoSlowerThanGeneric(tables, best, what.c_str());
+  }
+}
+
+// The MLP weight-gradient GEMMs of one 64-row NYSF training step,
+// c = dy^T h: dy(64x48)^T x(64x12) and dy(64x16)^T h(64x48). Timed as
+// MatMulAtInto runs them, packing included. n = 12 is narrower than the
+// avx512 panel, so this is where a scalar column tail would show.
+TEST(SimdTierSpeed, MatMulAtColsNoSlowerThanGeneric) {
+  const std::vector<const SimdKernels*> tables = SupportedTables();
+  if (tables.size() < 2) GTEST_SKIP() << "no wide tier on this host";
+  struct Shape {
+    std::size_t m, ac, n;
+  };
+  constexpr int kReps = 2000;
+  Rng rng(19);
+  for (const Shape& s : {Shape{64, 48, 12}, Shape{64, 16, 48}}) {
+    const std::vector<double> a = Gaussians(s.m * s.ac, &rng);
+    const std::vector<double> b = Gaussians(s.m * s.n, &rng);
+    std::vector<std::vector<double>> packed(tables.size());
+    for (std::size_t t = 0; t < tables.size(); ++t) {
+      packed[t].resize(SimdPackedCount(*tables[t], s.m, s.n));
+    }
+    std::vector<double> c(s.ac * s.n);
+    std::vector<double> best(tables.size(),
+                             std::numeric_limits<double>::infinity());
+    for (int rep = 0; rep < kReps; ++rep) {
+      for (std::size_t t = 0; t < tables.size(); ++t) {
+        Timer timer;
+        tables[t]->pack_b(b.data(), s.m, s.n, packed[t].data());
+        tables[t]->matmul_at_cols(a.data(), s.ac, packed[t].data(),
+                                  c.data(), s.m, s.n, 0, s.ac);
+        best[t] = std::min(best[t], timer.ElapsedSeconds());
+      }
+    }
+    const std::string what = "matmul_at_cols (" + std::to_string(s.m) +
+                             "x" + std::to_string(s.ac) + ")^T * " +
+                             std::to_string(s.m) + "x" +
+                             std::to_string(s.n);
     ExpectNoSlowerThanGeneric(tables, best, what.c_str());
   }
 }

@@ -81,6 +81,10 @@ const GemmShape kShapes[] = {
     {1, 1, 1},   {2, 3, 4},    {7, 5, 3},     {5, 8, 2},
     {16, 16, 16}, {33, 17, 9},  {64, 48, 16},  {129, 65, 31},
     {64, 16, 48}, {3, 1, 5},    {1, 9, 1},     {12, 66, 20},
+    // MatMulAt {m, k, n}: the MLP's first-layer weight gradient
+    // dy(64x48)^T x(64x12), and n = 37, more than one panel plus a tail
+    // at every lane width.
+    {48, 64, 12}, {20, 64, 37},
 };
 
 // Declared first in this binary: checks the env-var dispatch before any

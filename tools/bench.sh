@@ -261,11 +261,15 @@ pair_speedups = {
 
 # Per-dispatch-tier medians (1 thread): {bench: {generic: ns, avx2: ns, ...}}.
 # Skipped tiers (unsupported host) simply do not appear in the run output.
+# The level is the first argument; any further ones (BM_TrainStepSimd's
+# input_dim) stay in the key, e.g. "BM_TrainStepSimd/12".
 per_level = {}
 for name, ns in sorted(t1.items()):
     base, _, arg = name.partition("/")
-    if base in SIMD_BENCHES and arg in SIMD_LEVELS:
-        per_level.setdefault(base, {})[SIMD_LEVELS[arg]] = round(ns, 1)
+    level, _, rest = arg.partition("/")
+    if base in SIMD_BENCHES and level in SIMD_LEVELS:
+        key = f"{base}/{rest}" if rest else base
+        per_level.setdefault(key, {})[SIMD_LEVELS[level]] = round(ns, 1)
 
 # The BENCH_PR5 known_regressions entries are closed (see the header
 # comment): per_level still carries every tier's raw medians, so a future
@@ -290,19 +294,22 @@ if checkpoint_path:
 
 # Single-thread ratios against the committed pre-SIMD baselines. Same-host
 # runs read as the SIMD speedup on each tracked hot path.
+# BM_TrainStep ran only at input_dim 16 before it took the dim argument.
 vs_committed = {}
 for committed_path, pairs in (
-    ("BENCH_PR3.json", (("BM_TrainStep", "simd_train_step_vs_pr3"),
-                        ("BM_Conv2dIm2col", "simd_conv_im2col_vs_pr3"))),
-    ("BENCH_PR2.json", (("BM_PoolScoring", "simd_pool_scoring_vs_pr2"),)),
+    ("BENCH_PR3.json",
+     (("BM_TrainStep", "BM_TrainStep/16", "simd_train_step_vs_pr3"),
+      ("BM_Conv2dIm2col", "BM_Conv2dIm2col", "simd_conv_im2col_vs_pr3"))),
+    ("BENCH_PR2.json",
+     (("BM_PoolScoring", "BM_PoolScoring", "simd_pool_scoring_vs_pr2"),)),
 ):
     if not os.path.exists(committed_path):
         continue
     with open(committed_path) as f:
         committed_t1 = json.load(f).get("threads_1", {})
-    for bench, key in pairs:
-        if bench in committed_t1 and bench in t1:
-            vs_committed[key] = speedup(committed_t1[bench], t1[bench])
+    for old_name, bench, key in pairs:
+        if old_name in committed_t1 and bench in t1:
+            vs_committed[key] = speedup(committed_t1[old_name], t1[bench])
 
 report = {
     "meta": {
