@@ -281,9 +281,9 @@ void BM_PoolScoringPerSample(benchmark::State& state) {
       const std::vector<double> z = candidates.features().Row(i);
       log_density[i] = est.LogMarginalDensity(z);
       std::vector<double> terms;
-      for (int c = 0; c < FairDensityEstimator::kNumClasses; ++c) {
-        double lp = 0.0, ln = 0.0;
-        est.ComponentLogDensities(z, c, &lp, &ln);
+      for (int c = 0; c < est.domain().num_classes; ++c) {
+        const double lp = est.LogComponentDensity(z, c, 1);
+        const double ln = est.LogComponentDensity(z, c, -1);
         double log_delta = kNegInf;
         if (std::isfinite(lp) && std::isfinite(ln)) {
           const double hi = lp > ln ? lp : ln;

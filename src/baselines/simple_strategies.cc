@@ -47,9 +47,11 @@ Result<std::vector<std::size_t>> DduStrategy::SelectBatch(
     perm.resize(std::min(batch, n));
     return perm;
   }
+  // The per-class mixture is the fair mixture on a single-group domain.
   const Matrix pool_z = context.model->ExtractFeatures(pool.features());
-  const Result<ClassDensityEstimator> fit =
-      ClassDensityEstimator::Fit(pool_z, pool.labels(), covariance_);
+  const Result<FairDensityEstimator> fit = FairDensityEstimator::Fit(
+      pool_z, pool.labels(), std::vector<int>(pool.size(), 0), covariance_,
+      DensityDomain{2, {0}});
   if (!fit.ok()) {
     FACTION_LOG(kWarning) << "DDU density fit failed ("
                           << fit.status().ToString()

@@ -2,13 +2,13 @@
 #define FACTION_CORE_FACTION_STRATEGY_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/workspace.h"
 
 #include "core/fair_score.h"
+#include "density/density_window.h"
 #include "density/fair_density.h"
 #include "density/gaussian.h"
 #include "stream/selection.h"
@@ -78,33 +78,18 @@ class FactionStrategy : public QueryStrategy {
 
  private:
   /// Returns the estimator to score with: the incremental path folds newly
-  /// labeled rows into the cached estimator, falling back to (and
+  /// labeled rows into the maintained estimator, falling back to (and
   /// periodically resyncing with) the full batch fit. Returns nullptr when
   /// no estimator can be fitted (degenerate pool) — callers fall back to
   /// random acquisition.
   const FairDensityEstimator* EstimatorFor(const SelectionContext& context);
 
-  /// Folds one embedded row into the cached estimator under the window/
-  /// decay discipline (decay, evict-if-full, fold, record). Ok-status on
-  /// the plain grow-only path too, so the incremental branch shares one
-  /// call site.
-  Status FoldOne(const double* z, int label, int sensitive);
-
   FactionStrategyConfig config_;
-  // Incremental-refit state: the cached estimator, how many pool rows it
+  // The estimator under the window/decay discipline, how many pool rows it
   // has absorbed, and how many incremental rounds since the last full fit.
-  std::optional<FairDensityEstimator> estimator_;
+  DensityWindow density_;
   std::size_t fitted_rows_ = 0;
   std::size_t updates_since_fit_ = 0;
-  // Sliding-window state (density_window > 0): ring of folded embeddings
-  // with labels/sensitive values and decayed weights; ring_start_ is the
-  // oldest entry. Sized at the first windowed fit.
-  Matrix ring_z_;
-  std::vector<int> ring_label_;
-  std::vector<int> ring_sensitive_;
-  std::vector<double> ring_weight_;
-  std::size_t ring_start_ = 0;
-  std::size_t ring_size_ = 0;
   // Per-iteration scoring/selection buffers, reused across SelectBatch
   // calls so steady-state acquisition allocates only the returned indices.
   // The workspace arena holds the candidate feature/probability matrices

@@ -3,7 +3,6 @@
 // (tools/lint.py no-alloc-in-hot, DESIGN.md §13).
 #include "core/fair_score.h"
 
-#include <array>
 #include <cmath>
 #include <limits>
 
@@ -17,22 +16,6 @@ namespace faction {
 namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-
-// log |e^a - e^b| computed stably; -inf when either input is -inf or the
-// difference vanishes.
-double LogAbsExpDiff(double a, double b) {
-  if (!std::isfinite(a) || !std::isfinite(b)) {
-    if (std::isfinite(a)) return a;  // |e^a - 0|
-    if (std::isfinite(b)) return b;
-    return kNegInf;
-  }
-  const double hi = a > b ? a : b;
-  const double lo = a > b ? b : a;
-  const double gap = hi - lo;
-  if (gap < 1e-300) return kNegInf;  // identical densities
-  // |e^hi - e^lo| = e^hi * (1 - e^{-gap}).
-  return hi + std::log1p(-std::exp(-gap));
-}
 
 // Min-max normalizes `values` into *out, treating -inf entries as the
 // minimum: they map to 0. All-(-inf) or constant batches map to all-0.5
@@ -63,6 +46,23 @@ void NormalizeLogTermInto(const std::vector<double>& values,
 
 }  // namespace
 
+double LogUnfairness(const FairDensityEstimator& estimator,
+                     const double* component_row, const double* class_proba,
+                     double* terms) {
+  // A class with no cross-group gap, or a negligible posterior, adds a
+  // -inf term: LogSumExp then returns exactly what it returns over the
+  // remaining terms (exp(-inf) is an exact 0), and -inf when none remain.
+  const int classes = estimator.domain().num_classes;
+  for (int c = 0; c < classes; ++c) {
+    const double log_delta = estimator.LogDeltaG(component_row, c);
+    const double pc = class_proba[c];
+    terms[c] = std::isfinite(log_delta) && pc > 1e-12
+                   ? std::log(pc) + log_delta
+                   : kNegInf;
+  }
+  return LogSumExp(terms, static_cast<std::size_t>(classes));
+}
+
 Status ComputeFactionScoresInto(const FairDensityEstimator& estimator,
                                 const Matrix& features,
                                 const Matrix& class_proba, double lambda,
@@ -71,9 +71,9 @@ Status ComputeFactionScoresInto(const FairDensityEstimator& estimator,
                                 std::vector<FactionScore>* out_scores) {
   FACTION_CHECK(out_scores != nullptr);
   const std::size_t n = features.rows();
-  constexpr int kClasses = FairDensityEstimator::kNumClasses;
-  if (class_proba.rows() != n ||
-      class_proba.cols() != static_cast<std::size_t>(kClasses)) {
+  const std::size_t classes =
+      static_cast<std::size_t>(estimator.domain().num_classes);
+  if (class_proba.rows() != n || class_proba.cols() != classes) {
     return Status::InvalidArgument(
         "ComputeFactionScores: class_proba shape mismatch");
   }
@@ -90,9 +90,7 @@ Status ComputeFactionScoresInto(const FairDensityEstimator& estimator,
   // log-densities come from a single blocked triangular solve
   // (density/gaussian.cc) instead of per-sample solves with per-call
   // temporaries. The marginal and the fairness term both read this matrix,
-  // so fair selection no longer re-evaluates any Gaussian — the legacy
-  // per-sample path solved every component a second time through
-  // ComponentLogDensities when fair_select was on.
+  // so fair selection re-evaluates no Gaussian.
   FactionScoreScratch local;
   FactionScoreScratch* s = scratch != nullptr ? scratch : &local;
   Matrix& comp = s->component_logpdf;
@@ -101,28 +99,18 @@ Status ComputeFactionScoresInto(const FairDensityEstimator& estimator,
   std::vector<double>& log_density = s->log_density;
   std::vector<double>& log_unfair = s->log_unfair;
   log_density.resize(n);
-  log_unfair.assign(n, kNegInf);
+  log_unfair.assign(n, kNegInf);  // the fair_select = false value
   estimator.LogMarginalFromComponents(comp, log_density.data());
 
   if (fair_select) {
+    Matrix& terms = s->class_terms;
+    terms.ResizeForOverwrite(n, classes);
     constexpr std::size_t kScoreGrain = 1024;
     ParallelFor(0, n, kScoreGrain, [&](std::size_t i0, std::size_t i1) {
       for (std::size_t i = i0; i < i1; ++i) {
-        // log sum_c p_c * Delta g_c(z) via log-sum-exp over classes
-        // (Eqs. 4-6), allocation-free on the per-sample path.
-        std::array<double, kClasses> terms;
-        std::size_t nt = 0;
-        const double* crow = comp.row_data(i);
-        for (int c = 0; c < kClasses; ++c) {
-          const double lp = crow[FairDensityEstimator::ComponentIndex(c, 1)];
-          const double ln = crow[FairDensityEstimator::ComponentIndex(c, -1)];
-          const double log_delta = LogAbsExpDiff(lp, ln);
-          const double pc = class_proba(i, static_cast<std::size_t>(c));
-          if (std::isfinite(log_delta) && pc > 1e-12) {
-            terms[nt++] = std::log(pc) + log_delta;
-          }
-        }
-        if (nt > 0) log_unfair[i] = LogSumExp(terms.data(), nt);
+        log_unfair[i] = LogUnfairness(estimator, comp.row_data(i),
+                                      class_proba.row_data(i),
+                                      terms.row_data(i));
       }
     });
   }

@@ -33,17 +33,29 @@ struct FactionScore {
 };
 
 /// Reusable intermediates for ComputeFactionScores: the per-component
-/// log-density matrix and the per-term log/normalized vectors. A strategy
+/// log-density matrix, the per-class unfairness terms and the per-term
+/// log/normalized vectors. A strategy
 /// keeps one across AL iterations so pool scoring stops allocating
 /// O(pool * components) every round. Buffers grow on demand and keep their
 /// capacity; never share one across concurrent callers.
 struct FactionScoreScratch {
   Matrix component_logpdf;
+  Matrix class_terms;
   std::vector<double> log_density;
   std::vector<double> log_unfair;
   std::vector<double> density_norm;
   std::vector<double> unfair_norm;
 };
+
+/// log sum_c p_c * Delta g_c(z) (Eqs. 4-6) for one sample, from its
+/// component log-density row (FairDensityEstimator::ComponentLogPdfRow or
+/// a ComponentLogPdfBatch row) and its class probabilities p_c; -inf when
+/// no class has a cross-group gap. `terms` holds num_classes caller-owned
+/// doubles (clobbered). Shared by the batch scorer and the per-arrival
+/// StreamingFaction, so both combine bitwise identically.
+double LogUnfairness(const FairDensityEstimator& estimator,
+                     const double* component_row, const double* class_proba,
+                     double* terms);
 
 /// Computes FACTION scores for a batch of feature vectors.
 ///

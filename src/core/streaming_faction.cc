@@ -5,96 +5,39 @@
 #include "core/streaming_faction.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
-#include <limits>
 #include <optional>
 
 #include "common/alloc_audit.h"
 #include "common/logging.h"
 #include "common/telemetry.h"
-#include "tensor/ops.h"
+#include "core/fair_score.h"
 
 namespace faction {
-
-namespace {
-
-constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-
-// log |e^a - e^b|, stable; mirrors the batch scorer's helper.
-double LogAbsExpDiff(double a, double b) {
-  if (!std::isfinite(a) || !std::isfinite(b)) {
-    if (std::isfinite(a)) return a;
-    if (std::isfinite(b)) return b;
-    return kNegInf;
-  }
-  const double hi = std::max(a, b);
-  const double gap = std::fabs(a - b);
-  if (gap < 1e-300) return kNegInf;
-  return hi + std::log1p(-std::exp(-gap));
-}
-
-}  // namespace
 
 // FACTION_COLD_BEGIN: one-time construction.
 StreamingFaction::StreamingFaction(const StreamingFactionConfig& config)
     : config_(config),
       rng_(config.seed),
+      model_([this] {
+        Rng model_rng = rng_.Fork();
+        return std::make_unique<MlpClassifier>(config_.model, &model_rng);
+      }()),
       pool_(config.model.input_dim),
+      density_(config.density_window, config.density_decay,
+               config.covariance, model_->feature_dim()),
       train_workspace_(std::make_unique<Workspace>()) {
-  FACTION_CHECK(config_.density_decay > 0.0 && config_.density_decay <= 1.0);
-  if (config_.density_window > 0 || config_.density_decay < 1.0) {
-    // Windowed/decayed estimators need the rank-1-maintainable ridge
-    // regularization (DESIGN.md §15); shrinkage would force a refactor
-    // per eviction.
-    config_.covariance.forgetting = true;
-  }
-  Rng model_rng = rng_.Fork();
-  model_ = std::make_unique<MlpClassifier>(config_.model, &model_rng);
-  if (config_.density_window > 0) {
-    // Pre-size the eviction ring once: the steady-state evict ->
-    // downdate -> fold path then never touches the heap.
-    ring_z_ = Matrix(config_.density_window, model_->feature_dim());
-    ring_label_.assign(config_.density_window, 0);
-    ring_sensitive_.assign(config_.density_window, 0);
-    ring_weight_.assign(config_.density_window, 0.0);
-  }
+  // A window or decay implies forgetting-mode covariance; the codec
+  // captures the effective configuration.
+  config_.covariance = density_.covariance();
 }
 // FACTION_COLD_END
-
-void StreamingFaction::EvictOldest() {
-  const std::size_t slot = ring_start_;
-  const Status evicted = estimator_->DowndateOne(
-      ring_z_.row_data(slot), ring_label_[slot], ring_sensitive_[slot],
-      config_.covariance, ring_weight_[slot]);
-  ring_start_ = (ring_start_ + 1) % config_.density_window;
-  --ring_size_;
-  if (evicted.ok()) {
-    TelemetryCount("streaming.window_evictions");
-  } else {
-    // Error reporting is off the steady-state path.
-    ScopedAllocationAllow allow_error_report;
-    TelemetryCount("streaming.window_evict_failed");
-    FACTION_LOG(kWarning) << "StreamingFaction: window eviction failed ("
-                          << evicted.ToString() << "); awaiting full refit";
-    estimator_.reset();
-  }
-}
-
-void StreamingFaction::RingPush(const double* z, int label, int sensitive) {
-  const std::size_t slot =
-      (ring_start_ + ring_size_) % config_.density_window;
-  std::copy(z, z + ring_z_.cols(), ring_z_.row_data(slot));
-  ring_label_[slot] = label;
-  ring_sensitive_[slot] = sensitive;
-  ring_weight_[slot] = 1.0;
-  ++ring_size_;
-}
 
 double StreamingFaction::ScoreSample(const std::vector<double>& x) {
   // Every temporary is a named arena buffer: once the shapes are warm a
   // call performs no heap allocation (the per-arrival zero-alloc gate of
   // DESIGN.md §13 asserts exactly this).
+  const FairDensityEstimator& est = *density_.estimator();
   Workspace& ws = *train_workspace_;
   Matrix* x_row = ws.MatrixFor("streaming.x_row", 1, x.size());
   std::copy(x.begin(), x.end(), x_row->row_data(0));
@@ -102,26 +45,19 @@ double StreamingFaction::ScoreSample(const std::vector<double>& x) {
   Matrix* proba =
       ws.MatrixFor("streaming.proba", 1, model_->num_classes());
   model_->ExtractFeaturesAndProbaInto(*x_row, &ws, z, proba);
-  const double* zv = z->row_data(0);
-  std::vector<double>* solve_scratch =
-      ws.DoublesFor("streaming.solve_scratch", estimator_->dim());
-  const double log_density =
-      estimator_->LogMarginalDensity(zv, solve_scratch->data());
-  // log sum_c p_c * Delta g_c(z).
-  std::array<double, FairDensityEstimator::kNumClasses> terms;
-  std::size_t nt = 0;
-  for (int c = 0; c < FairDensityEstimator::kNumClasses; ++c) {
-    double lp = 0.0, ln = 0.0;
-    estimator_->ComponentLogDensities(zv, c, solve_scratch->data(), &lp,
-                                      &ln);
-    const double log_delta = LogAbsExpDiff(lp, ln);
-    const double pc = (*proba)(0, static_cast<std::size_t>(c));
-    if (std::isfinite(log_delta) && pc > 1e-12) {
-      terms[nt++] = std::log(pc) + log_delta;
-    }
-  }
+  // One solve per component, shared by the marginal and the unfairness
+  // term — the same row combine as the batch scorer.
+  std::vector<double>* scratch =
+      ws.DoublesFor("streaming.solve_scratch", est.dim());
+  std::vector<double>* row =
+      ws.DoublesFor("streaming.component_row", est.num_components());
+  std::vector<double>* terms = ws.DoublesFor(
+      "streaming.class_terms",
+      static_cast<std::size_t>(est.domain().num_classes));
+  est.ComponentLogPdfRow(z->row_data(0), scratch->data(), row->data());
+  const double log_density = est.LogMarginalFromRow(row->data());
   const double log_unfair =
-      nt == 0 ? kNegInf : LogSumExp(terms.data(), nt);
+      LogUnfairness(est, row->data(), proba->row_data(0), terms->data());
   // Combine in the log domain; the incremental normalizer downstream
   // performs the range normalization Eq. 7 needs. Missing unfairness
   // signal contributes nothing.
@@ -144,7 +80,7 @@ Result<bool> StreamingFaction::ShouldQuery(const Example& example) {
     TelemetryCount("streaming.warm_start_queries");
     return true;
   }
-  if (!estimator_.has_value()) {
+  if (!has_estimator()) {
     // Machinery not ready (e.g. refit failed on a degenerate pool): fall
     // back to a fixed-rate coin matching alpha's scale.
     TelemetryCount("streaming.fallback_coin");
@@ -188,7 +124,7 @@ Status StreamingFaction::ProvideLabel(const Example& example) {
     labels_since_refit_ = 0;
     return Status::Ok();
   }
-  if (config_.incremental_density && estimator_.has_value()) {
+  if (config_.incremental_density && has_estimator()) {
     // Fold the fresh label into the density estimator right away (O(d^2)
     // sufficient-statistics update) so acquisition decisions between full
     // refits see every label bought so far, not a frozen snapshot. Like
@@ -208,43 +144,21 @@ Status StreamingFaction::ProvideLabel(const Example& example) {
     std::copy(example.x.begin(), example.x.end(), x_row->row_data(0));
     Matrix* z = ws.MatrixFor("streaming.z_row", 1, model_->feature_dim());
     model_->ExtractFeaturesInto(*x_row, &ws, z);
-    if (config_.density_decay < 1.0) {
-      // Exponential forgetting: fade every absorbed label (an O(d)
-      // statistics rescale per component — factors untouched) and the
-      // ring's per-row weights, so a later eviction removes exactly the
-      // mass the row still carries.
-      estimator_->Decay(config_.density_decay);
-      for (std::size_t i = 0; i < ring_size_; ++i) {
-        ring_weight_[(ring_start_ + i) % config_.density_window] *=
-            config_.density_decay;
-      }
-    }
-    if (config_.density_window > 0 &&
-        ring_size_ >= config_.density_window) {
-      // Sliding window: evict the oldest folded embedding (rank-1
-      // downdate) before absorbing the new one.
-      EvictOldest();
-      if (!estimator_.has_value()) return Status::Ok();
-    }
-    const Status updated =
-        estimator_->UpdateOne(z->row_data(0), example.label,
-                              example.sensitive, config_.covariance);
-    if (updated.ok()) {
+    // Decay, evict the oldest row past the window, fold.
+    const Status folded =
+        density_.Fold(z->row_data(0), example.label, example.sensitive);
+    if (folded.ok()) {
       TelemetryCount("streaming.incremental_fold");
-      if (config_.density_window > 0) {
-        RingPush(z->row_data(0), example.label, example.sensitive);
-      }
     } else {
       // Error reporting is off the steady-state path; exempt it from the
-      // ban so the message assembly does not count as a violation.
+      // ban so the message assembly does not count as a violation. The
+      // failed fold dropped the estimator; the next scheduled Refit
+      // rebuilds it.
       ScopedAllocationAllow allow_error_report;
       TelemetryCount("streaming.incremental_fold_failed");
-      // Partially folded statistics are unusable; drop the estimator and
-      // let the next scheduled Refit rebuild it.
       FACTION_LOG(kWarning)
           << "StreamingFaction: incremental density update failed ("
-          << updated.ToString() << "); awaiting full refit";
-      estimator_.reset();
+          << folded.ToString() << "); awaiting full refit";
     }
   }
   return Status::Ok();
@@ -260,50 +174,20 @@ Status StreamingFaction::Refit() {
                       train_workspace_.get())
           .status());
   trained_once_ = true;
-  Result<FairDensityEstimator> fit = [&]() -> Result<FairDensityEstimator> {
-    if (config_.density_window == 0) {
-      const Matrix pool_z = model_->ExtractFeatures(pool_.features());
-      return FairDensityEstimator::Fit(pool_z, pool_.labels(),
-                                       pool_.sensitive(), config_.covariance);
-    }
-    // Windowed: the density sees only the last min(W, pool) labels,
-    // embedded fresh by the retrained extractor. The ring re-seeds from
-    // the same embeddings at unit weight — the batch fit re-absorbs each
-    // window row at weight 1, which resets any accumulated decay.
-    const std::size_t wn = std::min(config_.density_window, pool_.size());
-    const std::size_t first = pool_.size() - wn;
-    Matrix wx(wn, pool_.dim());
-    std::vector<int> wlabels(wn), wsensitive(wn);
-    for (std::size_t i = 0; i < wn; ++i) {
-      std::copy(pool_.features().row_data(first + i),
-                pool_.features().row_data(first + i) + pool_.dim(),
-                wx.row_data(i));
-      wlabels[i] = pool_.labels()[first + i];
-      wsensitive[i] = pool_.sensitive()[first + i];
-    }
-    const Matrix wz = model_->ExtractFeatures(wx);
-    Result<FairDensityEstimator> windowed = FairDensityEstimator::Fit(
-        wz, wlabels, wsensitive, config_.covariance);
-    if (windowed.ok()) {
-      ring_start_ = 0;
-      ring_size_ = 0;
-      for (std::size_t i = 0; i < wn; ++i) {
-        RingPush(wz.row_data(i), wlabels[i], wsensitive[i]);
-      }
-    }
-    return windowed;
-  }();
+  // The whole pool, or its last density_window labels, embedded fresh by
+  // the retrained extractor.
+  const Status fit = density_.Refit(
+      pool_, [&](const Matrix& x) { return model_->ExtractFeatures(x); });
   if (fit.ok()) {
-    estimator_ = std::move(fit).value();
     // Scores live in the new feature space: the old range is stale.
     normalizer_.Reset();
   } else {
     TelemetryCount("streaming.refit_density_failed");
     FACTION_LOG(kWarning) << "StreamingFaction: density refit failed ("
-                          << fit.status().ToString() << ")";
+                          << fit.ToString() << ")";
   }
   // Pre-grow the pool so the appends until the next refit stay
-  // allocation-free. This must come after the features() call above:
+  // allocation-free. This must come after the refit's features() call:
   // features() compacts the matrix and would discard the spare rows.
   pool_.Reserve(pool_.size() + config_.refit_interval + 1);
   return Status::Ok();

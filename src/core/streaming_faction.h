@@ -3,12 +3,11 @@
 
 #include <cstddef>
 #include <memory>
-#include <optional>
 
 #include "common/rng.h"
 #include "common/status.h"
 #include "data/dataset.h"
-#include "density/fair_density.h"
+#include "density/density_window.h"
 #include "nn/trainer.h"
 #include "stream/incremental.h"
 
@@ -95,7 +94,7 @@ class StreamingFaction {
   std::size_t samples_seen() const { return seen_; }
   std::size_t queries_made() const { return queried_; }
   std::size_t pool_size() const { return pool_.size(); }
-  bool has_estimator() const { return estimator_.has_value(); }
+  bool has_estimator() const { return density_.estimator() != nullptr; }
 
  private:
   friend struct StateCodecAccess;
@@ -111,32 +110,17 @@ class StreamingFaction {
   /// train_workspace_ (non-const for that reason).
   double ScoreSample(const std::vector<double>& x);
 
-  /// Evicts the oldest ring entry through the estimator's rank-1 downdate
-  /// path. On failure the estimator is dropped (next Refit rebuilds).
-  void EvictOldest();
-  /// Appends a folded embedding (weight 1) to the ring; caller guarantees
-  /// a free slot.
-  void RingPush(const double* z, int label, int sensitive);
-
   StreamingFactionConfig config_;
   Rng rng_;
   std::unique_ptr<MlpClassifier> model_;
   Dataset pool_;
-  // Sliding-window state (density_window > 0): a pre-sized ring of the
-  // embeddings folded into the estimator, their labels/sensitive values,
-  // and their current decayed weights. `ring_start_` is the oldest entry;
-  // the ring is allocated once in the constructor so the steady-state
-  // evict -> downdate -> fold path never touches the heap.
-  Matrix ring_z_;
-  std::vector<int> ring_label_;
-  std::vector<int> ring_sensitive_;
-  std::vector<double> ring_weight_;
-  std::size_t ring_start_ = 0;
-  std::size_t ring_size_ = 0;
+  // The density estimator under the window/decay discipline; its ring is
+  // sized in the constructor so the steady-state evict -> downdate -> fold
+  // path never touches the heap.
+  DensityWindow density_;
   /// Persistent arena for TrainClassifier's per-step temporaries; owned
   /// via unique_ptr so StreamingFaction stays movable.
   std::unique_ptr<Workspace> train_workspace_;
-  std::optional<FairDensityEstimator> estimator_;
   IncrementalNormalizer normalizer_;
   std::size_t seen_ = 0;
   std::size_t queried_ = 0;

@@ -1,19 +1,18 @@
 // FACTION_HOT: the mixture evaluation paths run under the per-arrival and
 // pool-scoring allocation bans; allocating idioms here are lint findings
-// (tools/lint.py no-alloc-in-hot, DESIGN.md §13). Fitting, batch updates,
-// and the baseline ClassDensityEstimator sit inside FACTION_COLD fences.
+// (tools/lint.py no-alloc-in-hot, DESIGN.md §13). Fitting, batch updates
+// and the vector conveniences sit inside FACTION_COLD fences.
 #include "density/fair_density.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "common/alloc_audit.h"
 #include "common/check.h"
 #include "common/parallel.h"
 #include "common/telemetry.h"
-#include "tensor/ops.h"
 
 namespace faction {
 
@@ -21,7 +20,15 @@ namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
-// FACTION_COLD_BEGIN: batch fitting/refitting — per-round cadence.
+// FACTION_COLD_BEGIN: batch fitting/refitting — per-round cadence — and
+// the error path of the per-row folds.
+Status OutOfDomain(int label, int sensitive) {
+  return Status::OutOfRange("FairDensityEstimator: (label " +
+                            std::to_string(label) + ", sensitive " +
+                            std::to_string(sensitive) +
+                            ") outside the density domain");
+}
+
 // Copies the listed rows of `features` into a dense matrix for Gaussian::Fit.
 Matrix GatherRows(const Matrix& features,
                   const std::vector<std::size_t>& idx) {
@@ -37,58 +44,100 @@ Matrix GatherRows(const Matrix& features,
 
 Result<FairDensityEstimator> FairDensityEstimator::Fit(
     const Matrix& features, const std::vector<int>& labels,
-    const std::vector<int>& sensitive, const CovarianceConfig& config) {
-  const std::size_t n = features.rows();
-  if (n == 0) {
+    const std::vector<int>& sensitive, const CovarianceConfig& config,
+    DensityDomain domain) {
+  if (features.rows() == 0) {
     return Status::InvalidArgument("FairDensityEstimator: no samples");
   }
+  std::vector<int> sorted = domain.groups;
+  std::sort(sorted.begin(), sorted.end());
+  if (domain.num_classes < 2 || sorted.empty() ||
+      std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+    return Status::InvalidArgument(
+        "FairDensityEstimator: the domain needs >= 2 classes and distinct "
+        "sensitive groups");
+  }
+  FairDensityEstimator est;
+  est.dim_ = features.cols();
+  est.domain_ = std::move(domain);
+  const std::size_t cells =
+      static_cast<std::size_t>(est.domain_.num_classes) *
+      est.domain_.groups.size();
+  est.components_.resize(cells);
+  est.present_.assign(cells, false);
+  est.counts_.assign(cells, 0);
+  est.wcounts_.assign(cells, 0.0);
+  est.forgetting_ = config.forgetting;
+  // Every row lies in the domain, so at least one component gets fitted.
+  std::uint64_t fitted = 0;
+  FACTION_RETURN_IF_ERROR(
+      est.Absorb(features, labels, sensitive, config, &fitted));
+  TelemetryCount("density.fair_fit");
+  TelemetryCount("density.class_fit", fitted);
+  return est;
+}
+
+Status FairDensityEstimator::Update(const Matrix& features,
+                                    const std::vector<int>& labels,
+                                    const std::vector<int>& sensitive,
+                                    const CovarianceConfig& config) {
+  if (total_ == 0) {
+    return Status::FailedPrecondition(
+        "FairDensityEstimator::Update requires a prior successful Fit");
+  }
+  if (features.rows() == 0 && labels.empty() && sensitive.empty()) {
+    return Status::Ok();
+  }
+  std::uint64_t touched = 0;
+  FACTION_RETURN_IF_ERROR(
+      Absorb(features, labels, sensitive, config, &touched));
+  TelemetryCount("density.fair_update");
+  TelemetryCount("density.class_update", touched);
+  return Status::Ok();
+}
+
+Status FairDensityEstimator::Absorb(const Matrix& features,
+                                    const std::vector<int>& labels,
+                                    const std::vector<int>& sensitive,
+                                    const CovarianceConfig& config,
+                                    std::uint64_t* touched) {
+  const std::size_t n = features.rows();
   if (labels.size() != n || sensitive.size() != n) {
     return Status::InvalidArgument(
         "FairDensityEstimator: labels/sensitive size mismatch");
   }
-
-  FairDensityEstimator est;
-  est.dim_ = features.cols();
-  const int total = kNumClasses * kNumGroups;
-  est.components_.resize(total);
-  est.present_.assign(total, false);
-  est.counts_.assign(total, 0);
-  est.total_ = n;
-  est.forgetting_ = config.forgetting;
-  est.wcounts_.assign(total, 0.0);
-  est.wtotal_ = static_cast<double>(n);
-
-  // Single pass over the samples: bucket each usable row by component
-  // instead of re-scanning all n rows once per component. Rows with labels
-  // or sensitive values outside the binary domain fall in no bucket, as
-  // before.
-  std::array<std::vector<std::size_t>, kNumClasses * kNumGroups> buckets;
+  if (features.cols() != dim_) {
+    return Status::InvalidArgument(
+        "FairDensityEstimator: dimension mismatch");
+  }
+  // One pass buckets the rows by component, rejecting the batch before
+  // any state changes when a row lies outside the domain.
+  std::vector<std::vector<std::size_t>> buckets(components_.size());
   for (std::size_t i = 0; i < n; ++i) {
-    if (labels[i] < 0 || labels[i] >= kNumClasses) continue;
-    if (sensitive[i] != 1 && sensitive[i] != -1) continue;
-    buckets[ComponentIndex(labels[i], sensitive[i])].push_back(i);
+    const int idx = ComponentIndex(labels[i], sensitive[i]);
+    if (idx < 0) return OutOfDomain(labels[i], sensitive[i]);
+    buckets[static_cast<std::size_t>(idx)].push_back(i);
   }
-
-  std::size_t fitted = 0;
-  for (int idx = 0; idx < total; ++idx) {
+  total_ += n;
+  wtotal_ += static_cast<double>(n);
+  for (std::size_t idx = 0; idx < components_.size(); ++idx) {
     const std::vector<std::size_t>& bucket = buckets[idx];
-    est.counts_[idx] = bucket.size();
-    est.wcounts_[idx] = static_cast<double>(bucket.size());
-    if (bucket.empty()) continue;
-    FACTION_ASSIGN_OR_RETURN(
-        Gaussian g, Gaussian::Fit(GatherRows(features, bucket), config));
-    est.components_[idx] = std::move(g);
-    est.present_[idx] = true;
-    ++fitted;
+    if (bucket.empty()) continue;  // untouched: cached factor stays valid
+    counts_[idx] += bucket.size();
+    wcounts_[idx] += static_cast<double>(bucket.size());
+    const Matrix rows = GatherRows(features, bucket);
+    if (present_[idx]) {
+      FACTION_RETURN_IF_ERROR(components_[idx].Update(rows, config));
+    } else {
+      // A component seen for the first time is fitted fresh.
+      FACTION_ASSIGN_OR_RETURN(Gaussian g, Gaussian::Fit(rows, config));
+      components_[idx] = std::move(g);
+      present_[idx] = true;
+    }
+    ++*touched;
   }
-  if (fitted == 0) {
-    return Status::FailedPrecondition(
-        "FairDensityEstimator: no component has samples");
-  }
-  est.RefreshWeights();
-  TelemetryCount("density.fair_fit");
-  TelemetryCount("density.class_fit", fitted);
-  return est;
+  RefreshWeights();
+  return Status::Ok();
 }
 
 void FairDensityEstimator::RefreshWeights() {
@@ -106,57 +155,16 @@ void FairDensityEstimator::RefreshWeights() {
     if (weights_[idx] > 0.0) log_weights_[idx] = std::log(weights_[idx]);
   }
 }
-
-Status FairDensityEstimator::Update(const Matrix& features,
-                                    const std::vector<int>& labels,
-                                    const std::vector<int>& sensitive,
-                                    const CovarianceConfig& config) {
-  if (total_ == 0) {
-    return Status::FailedPrecondition(
-        "FairDensityEstimator::Update requires a prior successful Fit");
-  }
-  const std::size_t n = features.rows();
-  if (labels.size() != n || sensitive.size() != n) {
-    return Status::InvalidArgument(
-        "FairDensityEstimator::Update: labels/sensitive size mismatch");
-  }
-  if (n == 0) return Status::Ok();
-  if (features.cols() != dim_) {
-    return Status::InvalidArgument(
-        "FairDensityEstimator::Update: dimension mismatch");
-  }
-
-  std::array<std::vector<std::size_t>, kNumClasses * kNumGroups> buckets;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (labels[i] < 0 || labels[i] >= kNumClasses) continue;
-    if (sensitive[i] != 1 && sensitive[i] != -1) continue;
-    buckets[ComponentIndex(labels[i], sensitive[i])].push_back(i);
-  }
-  total_ += n;
-  wtotal_ += static_cast<double>(n);
-  std::uint64_t touched = 0;
-  for (std::size_t idx = 0; idx < components_.size(); ++idx) {
-    const std::vector<std::size_t>& bucket = buckets[idx];
-    if (bucket.empty()) continue;  // untouched: cached factor stays valid
-    counts_[idx] += bucket.size();
-    wcounts_[idx] += static_cast<double>(bucket.size());
-    const Matrix rows = GatherRows(features, bucket);
-    if (present_[idx]) {
-      FACTION_RETURN_IF_ERROR(components_[idx].Update(rows, config));
-    } else {
-      // A component seen for the first time mid-stream is fitted fresh.
-      FACTION_ASSIGN_OR_RETURN(Gaussian g, Gaussian::Fit(rows, config));
-      components_[idx] = std::move(g);
-      present_[idx] = true;
-    }
-    ++touched;
-  }
-  RefreshWeights();
-  TelemetryCount("density.fair_update");
-  TelemetryCount("density.class_update", touched);
-  return Status::Ok();
-}
 // FACTION_COLD_END
+
+int FairDensityEstimator::ComponentIndex(int label, int sensitive) const {
+  if (label < 0 || label >= domain_.num_classes) return -1;
+  const auto it =
+      std::find(domain_.groups.begin(), domain_.groups.end(), sensitive);
+  if (it == domain_.groups.end()) return -1;
+  return label * static_cast<int>(domain_.groups.size()) +
+         static_cast<int>(it - domain_.groups.begin());
+}
 
 Status FairDensityEstimator::UpdateOne(const double* z, int label,
                                        int sensitive,
@@ -166,33 +174,28 @@ Status FairDensityEstimator::UpdateOne(const double* z, int label,
         "FairDensityEstimator::UpdateOne requires a prior successful Fit");
   }
   FACTION_CHECK(z != nullptr);
+  const int idx = ComponentIndex(label, sensitive);
+  if (idx < 0) return OutOfDomain(label, sensitive);
   total_ += 1;
   wtotal_ += 1.0;
-  std::uint64_t touched = 0;
-  const bool in_domain = label >= 0 && label < kNumClasses &&
-                         (sensitive == 1 || sensitive == -1);
-  if (in_domain) {
-    const int idx = ComponentIndex(label, sensitive);
-    counts_[idx] += 1;
-    wcounts_[idx] += 1.0;
-    if (present_[idx]) {
-      FACTION_RETURN_IF_ERROR(components_[idx].UpdateOne(z, config));
-    } else {
-      // A component seen for the first time mid-stream is fitted fresh —
-      // a once-per-component event, exempt from steady-state alloc bans.
-      ScopedAllocationAllow allow_fresh_fit;
-      Matrix row(1, dim_);  // lint-allow(no-alloc-in-hot): once per component
-      std::copy(z, z + dim_, row.row_data(0));
-      FACTION_ASSIGN_OR_RETURN(Gaussian g, Gaussian::Fit(row, config));
-      components_[idx] = std::move(g);
-      present_[idx] = true;
-    }
-    ++touched;
+  counts_[idx] += 1;
+  wcounts_[idx] += 1.0;
+  if (present_[idx]) {
+    FACTION_RETURN_IF_ERROR(components_[idx].UpdateOne(z, config));
+  } else {
+    // A component seen for the first time mid-stream is fitted fresh —
+    // a once-per-component event, exempt from steady-state alloc bans.
+    ScopedAllocationAllow allow_fresh_fit;
+    Matrix row(1, dim_);  // lint-allow(no-alloc-in-hot): once per component
+    std::copy(z, z + dim_, row.row_data(0));
+    FACTION_ASSIGN_OR_RETURN(Gaussian g, Gaussian::Fit(row, config));
+    components_[idx] = std::move(g);
+    present_[idx] = true;
   }
   // weights_/log_weights_ keep their size, so the refresh reuses capacity.
   RefreshWeights();
   TelemetryCount("density.fair_update");
-  TelemetryCount("density.class_update", touched);
+  TelemetryCount("density.class_update", 1);
   return Status::Ok();
 }
 
@@ -201,31 +204,26 @@ Status FairDensityEstimator::DowndateOne(const double* z, int label,
                                          const CovarianceConfig& config,
                                          double row_weight) {
   FACTION_CHECK(z != nullptr);
-  // Evicting from an empty estimator means the window handed back a row it
-  // never folded — a caller bug, not a recoverable state.
+  const int idx = ComponentIndex(label, sensitive);
+  if (idx < 0) return OutOfDomain(label, sensitive);
+  // Evicting from an empty estimator or component means the window handed
+  // back a row it never folded — a caller bug, not a recoverable state.
   FACTION_CHECK_GT(total_, std::size_t{0});
+  FACTION_CHECK(present_[idx]);
+  FACTION_CHECK_GT(counts_[idx], std::size_t{0});
   total_ -= 1;
   wtotal_ -= row_weight;
-  const bool in_domain = label >= 0 && label < kNumClasses &&
-                         (sensitive == 1 || sensitive == -1);
-  if (in_domain) {
-    const int idx = ComponentIndex(label, sensitive);
-    // Same caller-bug contract per component: the evicted (label,
-    // sensitive) must have absorbed at least this row.
-    FACTION_CHECK(present_[idx]);
-    FACTION_CHECK_GT(counts_[idx], std::size_t{0});
-    counts_[idx] -= 1;
-    wcounts_[idx] -= row_weight;
-    if (counts_[idx] == 0) {
-      // Evicting a component's last row drops it from the mixture —
-      // exactly what a batch fit on the remaining window produces — and
-      // re-arms the fresh-fit path should the component reappear.
-      present_[idx] = false;
-      wcounts_[idx] = 0.0;
-    } else {
-      FACTION_RETURN_IF_ERROR(
-          components_[idx].DowndateOne(z, config, row_weight));
-    }
+  counts_[idx] -= 1;
+  wcounts_[idx] -= row_weight;
+  if (counts_[idx] == 0) {
+    // Evicting a component's last row drops it from the mixture — exactly
+    // what a batch fit on the remaining window produces — and re-arms the
+    // fresh-fit path should the component reappear.
+    present_[idx] = false;
+    wcounts_[idx] = 0.0;
+  } else {
+    FACTION_RETURN_IF_ERROR(
+        components_[idx].DowndateOne(z, config, row_weight));
   }
   RefreshWeights();
   TelemetryCount("density.fair_downdate");
@@ -246,53 +244,21 @@ void FairDensityEstimator::Decay(double gamma) {
 }
 
 bool FairDensityEstimator::HasComponent(int label, int sensitive) const {
-  return present_[ComponentIndex(label, sensitive)];
-}
-
-double FairDensityEstimator::LogComponentDensity(const std::vector<double>& z,
-                                                 int label,
-                                                 int sensitive) const {
-  FACTION_DCHECK_LEN(z, dim_);
   const int idx = ComponentIndex(label, sensitive);
-  if (!present_[idx]) return kNegInf;
-  return components_[idx].LogPdf(z);
+  return idx >= 0 && present_[idx];
 }
 
 double FairDensityEstimator::Weight(int label, int sensitive) const {
-  return weights_[ComponentIndex(label, sensitive)];
+  const int idx = ComponentIndex(label, sensitive);
+  return idx < 0 ? 0.0 : weights_[idx];
 }
 
-// FACTION_COLD_BEGIN: scalar reference path the raw-pointer overload is
-// parity-tested against; tests and one-off callers only.
-double FairDensityEstimator::LogMarginalDensity(
-    const std::vector<double>& z) const {
-  FACTION_DCHECK_LEN(z, dim_);
-  std::vector<double> terms;
-  terms.reserve(components_.size());
-  for (int y = 0; y < kNumClasses; ++y) {
-    for (int s : {-1, 1}) {
-      const int idx = ComponentIndex(y, s);
-      if (!present_[idx] || weights_[idx] <= 0.0) continue;
-      terms.push_back(components_[idx].LogPdf(z) + std::log(weights_[idx]));
-    }
-  }
-  if (terms.empty()) return kNegInf;
-  return LogSumExp(terms);
-}
-// FACTION_COLD_END
-
-double FairDensityEstimator::LogMarginalDensity(const double* z,
-                                                double* scratch) const {
-  // Terms in ascending component order with the precomputed log weights —
-  // bit-equal to std::log(weights_[idx]) recomputed per call, and exactly
-  // the order/combine of the vector overload above.
-  std::array<double, kNumClasses * kNumGroups> terms;
-  std::size_t nt = 0;
+void FairDensityEstimator::ComponentLogPdfRow(const double* z,
+                                              double* scratch,
+                                              double* row) const {
   for (std::size_t idx = 0; idx < components_.size(); ++idx) {
-    if (!present_[idx] || weights_[idx] <= 0.0) continue;
-    terms[nt++] = components_[idx].LogPdf(z, scratch) + log_weights_[idx];
+    row[idx] = present_[idx] ? components_[idx].LogPdf(z, scratch) : kNegInf;
   }
-  return nt == 0 ? kNegInf : LogSumExp(terms.data(), nt);
 }
 
 void FairDensityEstimator::ComponentLogPdfBatch(const Matrix& zs,
@@ -320,32 +286,88 @@ void FairDensityEstimator::ComponentLogPdfBatch(const Matrix& zs,
   }
 }
 
+double FairDensityEstimator::LogMarginalFromRow(const double* row) const {
+  // LogSumExp (tensor/ops.cc) over the weighted component terms in
+  // ascending component order, without a terms buffer. A missing or
+  // zero-weight component's term is -inf: it neither moves the max nor
+  // adds to the sum (exp(-inf) is an exact 0), so the result is bitwise
+  // that of LogSumExp over the present terms alone.
+  const std::size_t total = components_.size();
+  double mx = kNegInf;
+  for (std::size_t idx = 0; idx < total; ++idx) {
+    mx = std::max(mx, row[idx] + log_weights_[idx]);
+  }
+  if (!std::isfinite(mx)) return mx;
+  double sum = 0.0;
+  for (std::size_t idx = 0; idx < total; ++idx) {
+    sum += std::exp(row[idx] + log_weights_[idx] - mx);
+  }
+  return mx + std::log(sum);
+}
+
 void FairDensityEstimator::LogMarginalFromComponents(const Matrix& comp,
                                                      double* out) const {
-  const std::size_t total = components_.size();
-  FACTION_CHECK_EQ(comp.cols(), total);
+  FACTION_CHECK_EQ(comp.cols(), components_.size());
   const std::size_t n = comp.rows();
   if (n == 0) return;
   constexpr std::size_t kCombineGrain = 1024;
   ParallelFor(0, n, kCombineGrain, [&](std::size_t i0, std::size_t i1) {
     for (std::size_t i = i0; i < i1; ++i) {
-      // Terms in ascending component order — exactly the order the
-      // per-sample LogMarginalDensity loop pushes them.
-      std::array<double, kNumClasses * kNumGroups> terms;
-      std::size_t nt = 0;
-      const double* row = comp.row_data(i);
-      for (std::size_t idx = 0; idx < total; ++idx) {
-        if (!present_[idx] || weights_[idx] <= 0.0) continue;
-        terms[nt++] = row[idx] + log_weights_[idx];
-      }
-      out[i] = nt == 0 ? kNegInf : LogSumExp(terms.data(), nt);
+      out[i] = LogMarginalFromRow(comp.row_data(i));
     }
   });
 }
 
-// FACTION_COLD_BEGIN: value-returning convenience wrapper, scalar
-// conveniences, and the baseline ClassDensityEstimator (per-task cadence —
-// never inside a steady-state ban region).
+double FairDensityEstimator::LogDeltaG(const double* row, int label) const {
+  FACTION_DCHECK(label >= 0 && label < domain_.num_classes);
+  // The largest pairwise gap is g_max - g_min over the class's groups;
+  // log(g_max - g_min) = hi + log1p(-e^{-(hi - lo)}) in log space.
+  const std::size_t groups = domain_.groups.size();
+  const double* g = row + static_cast<std::size_t>(label) * groups;
+  double hi = kNegInf;
+  double lo = std::numeric_limits<double>::infinity();
+  bool has_zero = false;  // a missing component: density 0
+  for (std::size_t k = 0; k < groups; ++k) {
+    if (!std::isfinite(g[k])) {
+      has_zero = true;
+      continue;
+    }
+    hi = std::max(hi, g[k]);
+    lo = std::min(lo, g[k]);
+  }
+  if (!std::isfinite(hi)) return kNegInf;  // no group has density
+  if (has_zero) return hi;                 // gap against density 0
+  const double gap = hi - lo;
+  if (gap < 1e-300) return kNegInf;  // identical densities
+  return hi + std::log1p(-std::exp(-gap));
+}
+
+// FACTION_COLD_BEGIN: vector conveniences (tests, baselines, one-off
+// callers) and the cross-shard merge — never inside a steady-state ban.
+std::vector<double> FairDensityEstimator::ComponentRow(
+    const std::vector<double>& z) const {
+  FACTION_DCHECK_LEN(z, dim_);
+  std::vector<double> row(components_.size(), kNegInf);
+  for (std::size_t idx = 0; idx < components_.size(); ++idx) {
+    if (present_[idx]) row[idx] = components_[idx].LogPdf(z);
+  }
+  return row;
+}
+
+double FairDensityEstimator::LogComponentDensity(const std::vector<double>& z,
+                                                 int label,
+                                                 int sensitive) const {
+  FACTION_DCHECK_LEN(z, dim_);
+  const int idx = ComponentIndex(label, sensitive);
+  if (idx < 0 || !present_[idx]) return kNegInf;
+  return components_[idx].LogPdf(z);
+}
+
+double FairDensityEstimator::LogMarginalDensity(
+    const std::vector<double>& z) const {
+  return LogMarginalFromRow(ComponentRow(z).data());
+}
+
 std::vector<double> FairDensityEstimator::LogMarginalDensityBatch(
     const Matrix& zs) const {
   Matrix comp;
@@ -355,241 +377,12 @@ std::vector<double> FairDensityEstimator::LogMarginalDensityBatch(
   return out;
 }
 
-void FairDensityEstimator::ComponentLogDensities(const std::vector<double>& z,
-                                                 int label, double* log_pos,
-                                                 double* log_neg) const {
-  *log_pos = LogComponentDensity(z, label, 1);
-  *log_neg = LogComponentDensity(z, label, -1);
-}
-
-void FairDensityEstimator::ComponentLogDensities(const double* z, int label,
-                                                 double* scratch,
-                                                 double* log_pos,
-                                                 double* log_neg) const {
-  const int pos = ComponentIndex(label, 1);
-  const int neg = ComponentIndex(label, -1);
-  *log_pos =
-      present_[pos] ? components_[pos].LogPdf(z, scratch) : kNegInf;
-  *log_neg =
-      present_[neg] ? components_[neg].LogPdf(z, scratch) : kNegInf;
-}
-
 double FairDensityEstimator::DeltaG(const std::vector<double>& z,
                                     int label) const {
-  double lp = 0.0, ln = 0.0;
-  ComponentLogDensities(z, label, &lp, &ln);
-  const double dp = std::isinf(lp) ? 0.0 : std::exp(lp);
-  const double dn = std::isinf(ln) ? 0.0 : std::exp(ln);
-  return std::fabs(dp - dn);
+  if (label < 0 || label >= domain_.num_classes) return 0.0;
+  return std::exp(LogDeltaG(ComponentRow(z).data(), label));
 }
 
-double FairDensityEstimator::MarginalDensity(
-    const std::vector<double>& z) const {
-  const double lg = LogMarginalDensity(z);
-  return std::isinf(lg) ? 0.0 : std::exp(lg);
-}
-
-Result<ClassDensityEstimator> ClassDensityEstimator::Fit(
-    const Matrix& features, const std::vector<int>& labels,
-    const CovarianceConfig& config) {
-  const std::size_t n = features.rows();
-  if (n == 0) {
-    return Status::InvalidArgument("ClassDensityEstimator: no samples");
-  }
-  if (labels.size() != n) {
-    return Status::InvalidArgument(
-        "ClassDensityEstimator: labels size mismatch");
-  }
-  ClassDensityEstimator est;
-  est.dim_ = features.cols();
-  est.components_.resize(FairDensityEstimator::kNumClasses);
-  est.present_.assign(FairDensityEstimator::kNumClasses, false);
-  est.counts_.assign(FairDensityEstimator::kNumClasses, 0);
-  est.total_ = n;
-  est.forgetting_ = config.forgetting;
-  est.wcounts_.assign(FairDensityEstimator::kNumClasses, 0.0);
-  est.wtotal_ = static_cast<double>(n);
-  std::array<std::vector<std::size_t>, FairDensityEstimator::kNumClasses>
-      buckets;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (labels[i] < 0 || labels[i] >= FairDensityEstimator::kNumClasses) {
-      continue;
-    }
-    buckets[labels[i]].push_back(i);
-  }
-  std::size_t fitted = 0;
-  for (int y = 0; y < FairDensityEstimator::kNumClasses; ++y) {
-    const std::vector<std::size_t>& bucket = buckets[y];
-    est.counts_[y] = bucket.size();
-    est.wcounts_[y] = static_cast<double>(bucket.size());
-    if (bucket.empty()) continue;
-    FACTION_ASSIGN_OR_RETURN(
-        Gaussian g, Gaussian::Fit(GatherRows(features, bucket), config));
-    est.components_[y] = std::move(g);
-    est.present_[y] = true;
-    ++fitted;
-  }
-  if (fitted == 0) {
-    return Status::FailedPrecondition(
-        "ClassDensityEstimator: no class has samples");
-  }
-  est.RefreshWeights();
-  return est;
-}
-
-void ClassDensityEstimator::RefreshWeights() {
-  const std::size_t total = counts_.size();
-  weights_.assign(total, 0.0);
-  log_weights_.assign(total, kNegInf);
-  for (std::size_t idx = 0; idx < total; ++idx) {
-    // Same branch as FairDensityEstimator::RefreshWeights: decayed masses
-    // in forgetting mode, the bitwise-stable integer ratio otherwise.
-    weights_[idx] =
-        forgetting_
-            ? wcounts_[idx] / wtotal_
-            : static_cast<double>(counts_[idx]) / static_cast<double>(total_);
-    if (weights_[idx] > 0.0) log_weights_[idx] = std::log(weights_[idx]);
-  }
-}
-
-Status ClassDensityEstimator::Update(const Matrix& features,
-                                     const std::vector<int>& labels,
-                                     const CovarianceConfig& config) {
-  if (total_ == 0) {
-    return Status::FailedPrecondition(
-        "ClassDensityEstimator::Update requires a prior successful Fit");
-  }
-  const std::size_t n = features.rows();
-  if (labels.size() != n) {
-    return Status::InvalidArgument(
-        "ClassDensityEstimator::Update: labels size mismatch");
-  }
-  if (n == 0) return Status::Ok();
-  if (features.cols() != dim_) {
-    return Status::InvalidArgument(
-        "ClassDensityEstimator::Update: dimension mismatch");
-  }
-  std::array<std::vector<std::size_t>, FairDensityEstimator::kNumClasses>
-      buckets;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (labels[i] < 0 || labels[i] >= FairDensityEstimator::kNumClasses) {
-      continue;
-    }
-    buckets[labels[i]].push_back(i);
-  }
-  total_ += n;
-  wtotal_ += static_cast<double>(n);
-  for (std::size_t y = 0; y < components_.size(); ++y) {
-    const std::vector<std::size_t>& bucket = buckets[y];
-    if (bucket.empty()) continue;
-    counts_[y] += bucket.size();
-    wcounts_[y] += static_cast<double>(bucket.size());
-    const Matrix rows = GatherRows(features, bucket);
-    if (present_[y]) {
-      FACTION_RETURN_IF_ERROR(components_[y].Update(rows, config));
-    } else {
-      FACTION_ASSIGN_OR_RETURN(Gaussian g, Gaussian::Fit(rows, config));
-      components_[y] = std::move(g);
-      present_[y] = true;
-    }
-  }
-  RefreshWeights();
-  return Status::Ok();
-}
-
-Status ClassDensityEstimator::DowndateOne(const double* z, int label,
-                                          const CovarianceConfig& config,
-                                          double row_weight) {
-  FACTION_CHECK(z != nullptr);
-  FACTION_CHECK_GT(total_, std::size_t{0});
-  total_ -= 1;
-  wtotal_ -= row_weight;
-  if (label >= 0 && label < FairDensityEstimator::kNumClasses) {
-    FACTION_CHECK(present_[label]);
-    FACTION_CHECK_GT(counts_[label], std::size_t{0});
-    counts_[label] -= 1;
-    wcounts_[label] -= row_weight;
-    if (counts_[label] == 0) {
-      present_[label] = false;
-      wcounts_[label] = 0.0;
-    } else {
-      FACTION_RETURN_IF_ERROR(
-          components_[label].DowndateOne(z, config, row_weight));
-    }
-  }
-  RefreshWeights();
-  return Status::Ok();
-}
-
-void ClassDensityEstimator::Decay(double gamma) {
-  FACTION_CHECK(forgetting_);
-  FACTION_CHECK(gamma > 0.0 && gamma <= 1.0);
-  for (std::size_t y = 0; y < components_.size(); ++y) {
-    if (present_[y]) components_[y].Decay(gamma);
-    wcounts_[y] *= gamma;
-  }
-  wtotal_ *= gamma;
-}
-
-double ClassDensityEstimator::LogClassDensity(const std::vector<double>& z,
-                                              int label) const {
-  FACTION_DCHECK_LEN(z, dim_);
-  FACTION_CHECK_GE(label, 0);
-  FACTION_CHECK_LT(label, FairDensityEstimator::kNumClasses);
-  if (!present_[label]) return kNegInf;
-  return components_[label].LogPdf(z);
-}
-
-double ClassDensityEstimator::LogMarginalDensity(
-    const std::vector<double>& z) const {
-  std::vector<double> terms;
-  for (int y = 0; y < FairDensityEstimator::kNumClasses; ++y) {
-    if (!present_[y] || weights_[y] <= 0.0) continue;
-    terms.push_back(components_[y].LogPdf(z) + std::log(weights_[y]));
-  }
-  if (terms.empty()) return kNegInf;
-  return LogSumExp(terms);
-}
-
-void ClassDensityEstimator::LogMarginalDensityBatch(const Matrix& zs,
-                                                    double* out) const {
-  FACTION_CHECK_EQ(zs.cols(), dim_);
-  const std::size_t n = zs.rows();
-  if (n == 0) return;
-  std::vector<std::size_t> active;  // ascending class order, as per sample
-  for (std::size_t y = 0; y < components_.size(); ++y) {
-    if (present_[y] && weights_[y] > 0.0) active.push_back(y);
-  }
-  if (active.empty()) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = kNegInf;
-    return;
-  }
-  Matrix comp(active.size(), n);
-  for (std::size_t a = 0; a < active.size(); ++a) {
-    components_[active[a]].LogPdfBatch(zs, comp.row_data(a));
-  }
-  constexpr std::size_t kCombineGrain = 1024;
-  ParallelFor(0, n, kCombineGrain, [&](std::size_t i0, std::size_t i1) {
-    std::array<double, FairDensityEstimator::kNumClasses> terms;
-    for (std::size_t i = i0; i < i1; ++i) {
-      for (std::size_t a = 0; a < active.size(); ++a) {
-        terms[a] = comp(a, i) + log_weights_[active[a]];
-      }
-      out[i] = LogSumExp(terms.data(), active.size());
-    }
-  });
-}
-
-std::vector<double> ClassDensityEstimator::LogMarginalDensityBatch(
-    const Matrix& zs) const {
-  std::vector<double> out(zs.rows());
-  LogMarginalDensityBatch(zs, out.data());
-  return out;
-}
-// FACTION_COLD_END
-
-// FACTION_COLD_BEGIN: cross-shard sufficient-stats merge (ROADMAP item 1)
-// — aggregation cadence, never per arrival.
 Status FairDensityEstimator::MergeFrom(const FairDensityEstimator& other,
                                        const CovarianceConfig& config) {
   if (other.total_ == 0) return Status::Ok();
@@ -598,16 +391,15 @@ Status FairDensityEstimator::MergeFrom(const FairDensityEstimator& other,
     TelemetryCount("density.fair_merge");
     return Status::Ok();
   }
-  if (other.dim_ != dim_) {
+  if (other.dim_ != dim_ || other.domain_ != domain_) {
     return Status::InvalidArgument(
-        "FairDensityEstimator::MergeFrom: dimension mismatch");
+        "FairDensityEstimator::MergeFrom: dimension or domain mismatch");
   }
   if (other.forgetting_ != forgetting_) {
     return Status::InvalidArgument(
         "FairDensityEstimator::MergeFrom: forgetting-mode mismatch");
   }
-  const int cells = kNumClasses * kNumGroups;
-  for (int idx = 0; idx < cells; ++idx) {
+  for (std::size_t idx = 0; idx < components_.size(); ++idx) {
     if (other.present_[idx]) {
       if (present_[idx]) {
         FACTION_RETURN_IF_ERROR(

@@ -1,6 +1,7 @@
 #ifndef FACTION_DENSITY_FAIR_DENSITY_H_
 #define FACTION_DENSITY_FAIR_DENSITY_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "common/status.h"
@@ -11,44 +12,50 @@ namespace faction {
 
 struct StateCodecAccess;  // serve/state_codec.cc checkpoint accessor
 
+/// The cells of the mixture: classes [0, num_classes) times the declared
+/// sensitive group values. The default is the paper's binary domain
+/// {0, 1} x {-1, +1}; the DDU baseline uses one group ({0}) for a per-class
+/// mixture, and multi-valued sensitive attributes declare more groups.
+struct DensityDomain {
+  int num_classes = 2;
+  std::vector<int> groups = {-1, 1};
+
+  bool operator==(const DensityDomain&) const = default;
+};
+
 /// The paper's fairness-aware density estimator G(z) (Sec. IV-B): a
-/// GDA-fitted Gaussian mixture with one component per (class y, sensitive s)
-/// combination, weighted by the empirical joint p(y, s) (Eq. 3).
+/// GDA-fitted Gaussian mixture with one component per (class y, sensitive
+/// group s) cell of its DensityDomain, weighted by the empirical joint
+/// p(y, s) (Eq. 3).
 ///
 /// Fitted on feature vectors z = r(x, theta) of the labeled pool; evaluated
 /// on unlabeled candidates to obtain
 ///   - the marginal density g(z), measuring epistemic uncertainty (low
 ///     density = high uncertainty / OOD), and
-///   - the per-class cross-group gaps Delta g_c(z) = |g(z|c,+1) - g(z|c,-1)|
-///     (Eqs. 4-5), the paper's per-sample unfairness measure.
+///   - the per-class cross-group gaps Delta g_c(z) (Eqs. 4-5), the paper's
+///     per-sample unfairness measure. Over more than two groups the gap is
+///     the maximum pairwise one, max_{s,s'} |g(z|c,s) - g(z|c,s')|, which
+///     is |g(z|c,+1) - g(z|c,-1)| on the binary domain.
 ///
 /// All evaluation is done in log space; the scorer re-exponentiates with a
 /// shared per-batch shift, which leaves FACTION's min-max-normalized score
 /// invariant while avoiding underflow for far-OOD samples.
 class FairDensityEstimator {
  public:
-  /// Number of classes (fixed binary in this implementation, matching the
-  /// paper's experiments) and sensitive values.
-  static constexpr int kNumClasses = 2;
-  static constexpr int kNumGroups = 2;  // s in {-1, +1}
-
   FairDensityEstimator() = default;
 
-  /// Flat index of the (label, sensitive) component; column order of the
-  /// batched evaluation below and term order of every LogSumExp combine.
-  static int ComponentIndex(int label, int sensitive) {
-    return label * kNumGroups + (sensitive == 1 ? 1 : 0);
-  }
-
-  /// Fits the C x S components from labeled feature vectors. Components
-  /// with no samples are marked missing: their conditional density is 0
-  /// (log-density -inf) and their mixture weight is 0, which matches the
-  /// empirical p(y,s) = 0. Fails when every component would be empty or
-  /// inputs are inconsistent.
+  /// Fits the components from labeled feature vectors. Labels must lie in
+  /// [0, domain.num_classes) and sensitive values in domain.groups
+  /// (OutOfRange otherwise). Components with no samples are marked
+  /// missing: their conditional density is 0 (log-density -inf) and their
+  /// mixture weight is 0, which matches the empirical p(y,s) = 0. Fails
+  /// when every component would be empty, the domain is malformed (fewer
+  /// than 2 classes, no or duplicate groups) or inputs are inconsistent.
   static Result<FairDensityEstimator> Fit(const Matrix& features,
                                           const std::vector<int>& labels,
                                           const std::vector<int>& sensitive,
-                                          const CovarianceConfig& config);
+                                          const CovarianceConfig& config,
+                                          DensityDomain domain = {});
 
   /// Incrementally absorbs newly labeled feature vectors: each touched
   /// component folds its rows via Gaussian::Update (O(rows * d^2) plus one
@@ -56,8 +63,9 @@ class FairDensityEstimator {
   /// pool), previously empty components are fitted fresh, and all mixture
   /// weights are refreshed from the running counts. Components untouched
   /// by the batch keep their cached factorization. Requires a prior
-  /// successful Fit; on error the estimator should be considered stale and
-  /// re-Fit from scratch.
+  /// successful Fit; rows outside the domain are OutOfRange and leave the
+  /// estimator unchanged. On any other error the estimator should be
+  /// considered stale and re-Fit from scratch.
   Status Update(const Matrix& features, const std::vector<int>& labels,
                 const std::vector<int>& sensitive,
                 const CovarianceConfig& config);
@@ -66,19 +74,19 @@ class FairDensityEstimator {
   /// steady-state per-arrival fold. Identical numerics to Update with a
   /// one-row batch; allocation-free once the touched component's scratch
   /// is warm, except when `label`/`sensitive` hit a component for the
-  /// first time (fresh fit, deliberately amortized).
+  /// first time (fresh fit, deliberately amortized). OutOfRange outside
+  /// the domain.
   Status UpdateOne(const double* z, int label, int sensitive,
                    const CovarianceConfig& config);
 
   /// Evicts one previously folded feature vector — the sliding-window
-  /// forgetting path. In-domain rows route to their component's rank-1
-  /// Gaussian::DowndateOne; evicting a component's last row drops the
-  /// component from the mixture entirely (exactly what a batch fit on the
-  /// remaining window produces). Off-domain rows only release their share
-  /// of the total mass. `row_weight` is the evicted row's decayed
-  /// effective weight (1 without decay). Evicting a row from a component
-  /// that never absorbed one is a checked abort — the window must only
-  /// hand back rows it folded.
+  /// forgetting path — via its component's rank-1 Gaussian::DowndateOne;
+  /// evicting a component's last row drops the component from the mixture
+  /// entirely (exactly what a batch fit on the remaining window produces).
+  /// `row_weight` is the evicted row's decayed effective weight (1 without
+  /// decay). OutOfRange outside the domain; evicting a row from a
+  /// component that never absorbed one is a checked abort — the window
+  /// must only hand back rows it folded.
   Status DowndateOne(const double* z, int label, int sensitive,
                      const CovarianceConfig& config, double row_weight = 1.0);
 
@@ -89,83 +97,96 @@ class FairDensityEstimator {
   /// scale. Forgetting mode (CovarianceConfig::forgetting) only.
   void Decay(double gamma);
 
-  /// Total samples currently absorbed: Fit plus every Update, minus every
-  /// eviction; includes rows whose label/sensitive values fell outside the
-  /// binary domain.
+  /// Folds another shard's estimator into this one — the cross-shard
+  /// sufficient-stats merge. Per cell: components present on both sides
+  /// merge via Gaussian::MergeFrom (O(d^2) additions + one
+  /// re-factorization per touched component), components present only on
+  /// `other` are copied wholesale, and the mixture masses (counts, decayed
+  /// weights, totals) add before one weight refresh. Both sides must
+  /// share dim(), domain() and the forgetting mode.
+  Status MergeFrom(const FairDensityEstimator& other,
+                   const CovarianceConfig& config);
+
+  /// Rows currently absorbed: Fit plus every update, minus every eviction.
   std::size_t total_count() const { return total_; }
 
   std::size_t dim() const { return dim_; }
+  const DensityDomain& domain() const { return domain_; }
+  /// num_classes x groups: the length of a component row.
+  std::size_t num_components() const { return components_.size(); }
 
-  /// True when the (y, s) component was fitted from at least one sample.
+  /// Flat index of the (label, sensitive) component — column order of the
+  /// component rows below and term order of every LogSumExp combine — or
+  /// -1 when the pair lies outside the domain.
+  int ComponentIndex(int label, int sensitive) const;
+
+  /// True when the (y, s) component was fitted from at least one sample;
+  /// false outside the domain.
   bool HasComponent(int label, int sensitive) const;
 
-  /// log g(z | y, s); -infinity for missing components.
+  /// log g(z | y, s); -infinity for missing components and outside the
+  /// domain.
   double LogComponentDensity(const std::vector<double>& z, int label,
                              int sensitive) const;
 
-  /// Mixture weight p(y, s).
+  /// Mixture weight p(y, s); 0 outside the domain.
   double Weight(int label, int sensitive) const;
 
-  /// log g(z) = log sum_{y,s} g(z|y,s) p(y,s) (Eq. 3, log space).
-  double LogMarginalDensity(const std::vector<double>& z) const;
-
-  /// Allocation-free LogMarginalDensity: `z` points at dim() coordinates,
-  /// `scratch` at dim() caller-owned doubles (clobbered by the per-
-  /// component triangular solves). Same term order and combine as the
-  /// vector overload, so the result is bitwise identical.
-  double LogMarginalDensity(const double* z, double* scratch) const;
+  /// One sample's component log-densities: row[ComponentIndex(y, s)] =
+  /// log g(z | y, s), -inf for missing components. `z` points at dim()
+  /// coordinates, `scratch` at dim() caller-owned doubles (clobbered by
+  /// the triangular solves), `row` at num_components() doubles.
+  /// Allocation-free; bitwise identical to a ComponentLogPdfBatch row.
+  void ComponentLogPdfRow(const double* z, double* scratch,
+                          double* row) const;
 
   /// Batched component log-densities for every row of `zs`: fills `out`
-  /// (resized to zs.rows() x kNumClasses*kNumGroups) so that
-  /// out(i, ComponentIndex(y, s)) = log g(z_i | y, s), with -inf columns
-  /// for missing components. One blocked triangular solve per component
-  /// for the whole batch; bitwise identical to per-sample LogPdf calls for
-  /// any thread count.
+  /// (resized to zs.rows() x num_components()) with one
+  /// ComponentLogPdfRow per sample. One blocked triangular solve per
+  /// component for the whole batch; bitwise identical to per-sample
+  /// LogPdf calls for any thread count.
   void ComponentLogPdfBatch(const Matrix& zs, Matrix* out) const;
 
+  /// log g(z) = log sum_{y,s} g(z|y,s) p(y,s) (Eq. 3, log space) from a
+  /// component row.
+  double LogMarginalFromRow(const double* row) const;
+
   /// Combines a ComponentLogPdfBatch matrix into per-sample marginals:
-  /// out[i] = log g(z_i), bitwise identical to LogMarginalDensity.
+  /// out[i] = LogMarginalFromRow(comp row i).
   void LogMarginalFromComponents(const Matrix& comp, double* out) const;
 
-  /// Batched LogMarginalDensity over the rows of `zs`.
+  /// log Delta g_c(z) for class `label` from a component row: the log of
+  /// the largest cross-group density gap, a missing component counting as
+  /// density 0; -inf when no pair of groups differs.
+  double LogDeltaG(const double* row, int label) const;
+
+  /// log g(z) for one sample.
+  double LogMarginalDensity(const std::vector<double>& z) const;
+
+  /// Batched marginal over the rows of `zs`.
   std::vector<double> LogMarginalDensityBatch(const Matrix& zs) const;
 
-  /// Log-space description of Delta g_c(z): returns the pair of component
-  /// log-densities (log g(z|c,+1), log g(z|c,-1)). The scorer combines them
-  /// after the shared batch shift. Missing components contribute -inf.
-  void ComponentLogDensities(const std::vector<double>& z, int label,
-                             double* log_pos, double* log_neg) const;
-
-  /// Allocation-free ComponentLogDensities over raw pointers; `scratch`
-  /// holds dim() caller-owned doubles (clobbered).
-  void ComponentLogDensities(const double* z, int label, double* scratch,
-                             double* log_pos, double* log_neg) const;
-
-  /// Direct (unshifted) Delta g_c(z) = |g(z|c,+1) - g(z|c,-1)|. Convenient
-  /// for tests and small-dimensional use; may underflow far from the data.
+  /// Direct (unshifted) Delta g_c(z); 0 outside the domain. Convenient for
+  /// tests and small-dimensional use; may underflow far from the data.
   double DeltaG(const std::vector<double>& z, int label) const;
-
-  /// Direct (unshifted) marginal density g(z).
-  double MarginalDensity(const std::vector<double>& z) const;
-
-  /// Folds another shard's estimator into this one — the cross-shard
-  /// sufficient-stats merge (ROADMAP item 1). Per (class, sensitive) cell:
-  /// components present on both sides merge via Gaussian::MergeFrom (O(d^2)
-  /// additions + one re-factorization per touched component), components
-  /// present only on `other` are copied wholesale, and the mixture masses
-  /// (counts, decayed weights, totals) add before one RefreshWeights.
-  /// Both sides must share dim() and the forgetting mode.
-  Status MergeFrom(const FairDensityEstimator& other,
-                   const CovarianceConfig& config);
 
  private:
   friend struct StateCodecAccess;
 
-  /// Recomputes weights_/log_weights_ from counts_/total_.
+  /// Shared body of Fit and Update: folds a labeled batch (fresh fits for
+  /// components not yet present) and counts the components it touched.
+  Status Absorb(const Matrix& features, const std::vector<int>& labels,
+                const std::vector<int>& sensitive,
+                const CovarianceConfig& config, std::uint64_t* touched);
+  /// Recomputes weights_/log_weights_ from the counts (legacy) or the
+  /// decayed masses (forgetting).
   void RefreshWeights();
+  /// Component row of one sample via the vector LogPdf (cold callers).
+  std::vector<double> ComponentRow(const std::vector<double>& z) const;
 
   std::size_t dim_ = 0;
-  std::vector<Gaussian> components_;  // size C*S, indexed by ComponentIndex
+  DensityDomain domain_;
+  std::vector<Gaussian> components_;  // indexed by ComponentIndex
   std::vector<bool> present_;
   std::vector<double> weights_;      // empirical p(y, s)
   std::vector<double> log_weights_;  // log(weights_), -inf at zero weight
@@ -175,55 +196,6 @@ class FairDensityEstimator {
   // Weights come from these so decayed and evicted rows release exactly
   // the mass they still carry; in legacy mode the integer counts stay
   // authoritative (bitwise-identical weights to before this mode existed).
-  bool forgetting_ = false;
-  std::vector<double> wcounts_;
-  double wtotal_ = 0.0;
-};
-
-/// Per-class density estimator used by the DDU baseline (Mukhoti et al.):
-/// identical machinery but with one component per class only.
-class ClassDensityEstimator {
- public:
-  static Result<ClassDensityEstimator> Fit(const Matrix& features,
-                                           const std::vector<int>& labels,
-                                           const CovarianceConfig& config);
-
-  /// Per-class analogue of FairDensityEstimator::Update.
-  Status Update(const Matrix& features, const std::vector<int>& labels,
-                const CovarianceConfig& config);
-
-  /// Per-class analogue of FairDensityEstimator::DowndateOne.
-  Status DowndateOne(const double* z, int label,
-                     const CovarianceConfig& config, double row_weight = 1.0);
-
-  /// Per-class analogue of FairDensityEstimator::Decay.
-  void Decay(double gamma);
-
-  std::size_t total_count() const { return total_; }
-
-  std::size_t dim() const { return dim_; }
-
-  /// log g(z | y); -infinity for classes absent from the fit.
-  double LogClassDensity(const std::vector<double>& z, int label) const;
-
-  /// log g(z) = log sum_y g(z|y) p(y).
-  double LogMarginalDensity(const std::vector<double>& z) const;
-
-  /// Batched LogMarginalDensity over the rows of `zs`; bitwise identical
-  /// to the per-sample path for any thread count.
-  void LogMarginalDensityBatch(const Matrix& zs, double* out) const;
-  std::vector<double> LogMarginalDensityBatch(const Matrix& zs) const;
-
- private:
-  void RefreshWeights();
-
-  std::size_t dim_ = 0;
-  std::vector<Gaussian> components_;
-  std::vector<bool> present_;
-  std::vector<double> weights_;
-  std::vector<double> log_weights_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
   bool forgetting_ = false;
   std::vector<double> wcounts_;
   double wtotal_ = 0.0;

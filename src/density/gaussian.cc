@@ -238,23 +238,6 @@ Status Gaussian::UpdateOne(const double* row, const CovarianceConfig& config,
   return RefreshFromMoments(config, fallback_scale);
 }
 
-Status Gaussian::Downdate(const Matrix& old_rows,
-                          const CovarianceConfig& config,
-                          double fallback_scale) {
-  if (count_ == 0) {
-    return Status::FailedPrecondition(
-        "Gaussian::Downdate requires a prior successful Fit");
-  }
-  if (old_rows.cols() != dim()) {
-    return Status::InvalidArgument("Gaussian::Downdate: dimension mismatch");
-  }
-  for (std::size_t i = 0; i < old_rows.rows(); ++i) {
-    FACTION_RETURN_IF_ERROR(
-        DowndateOne(old_rows.row_data(i), config, 1.0, fallback_scale));
-  }
-  return Status::Ok();
-}
-
 Status Gaussian::DowndateOne(const double* row, const CovarianceConfig& config,
                              double row_weight, double fallback_scale) {
   FACTION_CHECK(row != nullptr);

@@ -74,13 +74,6 @@ class Gaussian {
   Status UpdateOne(const double* row, const CovarianceConfig& config,
                    double fallback_scale = 1.0);
 
-  /// Removes previously absorbed rows from the fit — the sliding-window
-  /// eviction path. Each row is removed via DowndateOne (unit weight), so
-  /// in forgetting mode the whole call is O(rows * d^2) with no
-  /// refactorization unless a positive-definiteness guard trips.
-  Status Downdate(const Matrix& old_rows, const CovarianceConfig& config,
-                  double fallback_scale = 1.0);
-
   /// Removes one previously absorbed sample with effective weight
   /// `row_weight` (1 unless the row has been decayed since it was folded).
   /// In forgetting mode this is an O(d^2) rank-1 Cholesky downdate: the

@@ -48,18 +48,19 @@ struct StateCodecAccess {
     if (!est.has_value()) return;
     const FairDensityEstimator& e = *est;
     out->dim = e.dim_;
+    out->domain = e.domain_;
     out->forgetting = e.forgetting_;
     out->total = e.total_;
     out->wtotal = e.wtotal_;
-    for (int c = 0; c < DensitySnapshot::kCells; ++c) {
-      out->present[c] = e.present_[c];
-      out->counts[c] = e.counts_[c];
-      out->wcounts[c] = e.wcounts_[c];
-      out->weights[c] = e.weights_[c];
-      out->log_weights[c] = e.log_weights_[c];
-      if (e.present_[c]) {
-        CaptureGaussian(e.components_[c], &out->components[c]);
-      }
+    out->cells.resize(e.components_.size());
+    for (std::size_t c = 0; c < out->cells.size(); ++c) {
+      DensityCellSnapshot& cell = out->cells[c];
+      cell.present = e.present_[c];
+      cell.count = e.counts_[c];
+      cell.wcount = e.wcounts_[c];
+      cell.weight = e.weights_[c];
+      cell.log_weight = e.log_weights_[c];
+      if (cell.present) CaptureGaussian(e.components_[c], &cell.component);
     }
   }
 
@@ -115,24 +116,25 @@ struct StateCodecAccess {
 
     // Ring: canonicalize oldest-first so restore can rebuild with
     // ring_start_ = 0 (slot layout is unobservable).
-    const std::size_t rn = f.ring_size_;
-    const std::size_t rd = f.ring_z_.cols();
+    const DensityWindow& w = f.density_;
+    const std::size_t rn = w.ring_size_;
+    const std::size_t rd = w.ring_z_.cols();
     out->ring_size = rn;
     out->ring_z.ResizeForOverwrite(rn, rd);
     out->ring_label.resize(rn);
     out->ring_sensitive.resize(rn);
     out->ring_weight.resize(rn);
-    const std::size_t cap = f.ring_label_.size();
+    const std::size_t cap = w.ring_label_.size();
     for (std::size_t i = 0; i < rn; ++i) {
-      const std::size_t slot = (f.ring_start_ + i) % cap;
-      std::copy(f.ring_z_.row_data(slot), f.ring_z_.row_data(slot) + rd,
+      const std::size_t slot = (w.ring_start_ + i) % cap;
+      std::copy(w.ring_z_.row_data(slot), w.ring_z_.row_data(slot) + rd,
                 out->ring_z.row_data(i));
-      out->ring_label[i] = f.ring_label_[slot];
-      out->ring_sensitive[i] = f.ring_sensitive_[slot];
-      out->ring_weight[i] = f.ring_weight_[slot];
+      out->ring_label[i] = w.ring_label_[slot];
+      out->ring_sensitive[i] = w.ring_sensitive_[slot];
+      out->ring_weight[i] = w.ring_weight_[slot];
     }
 
-    CaptureDensity(f.estimator_, &out->density);
+    CaptureDensity(w.estimator_, &out->density);
 
     out->norm_count = f.normalizer_.count();
     out->norm_min = f.normalizer_.min();
@@ -178,27 +180,34 @@ struct StateCodecAccess {
       return Status::InvalidArgument(
           "RestoreDensity: snapshot/config forgetting-mode mismatch");
     }
-    constexpr int kCells = DensitySnapshot::kCells;
+    const std::size_t cells = snap.cells.size();
+    if (snap.domain.groups.empty() ||
+        cells != static_cast<std::size_t>(snap.domain.num_classes) *
+                     snap.domain.groups.size()) {
+      return Status::InvalidArgument(
+          "RestoreDensity: cell count does not match the domain");
+    }
     FairDensityEstimator est;
     est.dim_ = snap.dim;
+    est.domain_ = snap.domain;
     est.forgetting_ = snap.forgetting;
     est.total_ = snap.total;
     est.wtotal_ = snap.wtotal;
-    est.components_.resize(kCells);
-    est.present_.assign(kCells, false);
-    est.counts_.assign(kCells, 0);
-    est.wcounts_.assign(kCells, 0.0);
-    est.weights_.assign(kCells, 0.0);
-    est.log_weights_.assign(kCells,
-                            -std::numeric_limits<double>::infinity());
-    for (int c = 0; c < kCells; ++c) {
-      est.present_[c] = snap.present[c];
-      est.counts_[c] = snap.counts[c];
-      est.wcounts_[c] = snap.wcounts[c];
-      est.weights_[c] = snap.weights[c];
-      est.log_weights_[c] = snap.log_weights[c];
-      if (!snap.present[c]) continue;
-      const GaussianSnapshot& gs = snap.components[c];
+    est.components_.resize(cells);
+    est.present_.assign(cells, false);
+    est.counts_.assign(cells, 0);
+    est.wcounts_.assign(cells, 0.0);
+    est.weights_.assign(cells, 0.0);
+    est.log_weights_.assign(cells, 0.0);
+    for (std::size_t c = 0; c < cells; ++c) {
+      const DensityCellSnapshot& cell = snap.cells[c];
+      est.present_[c] = cell.present;
+      est.counts_[c] = cell.count;
+      est.wcounts_[c] = cell.wcount;
+      est.weights_[c] = cell.weight;
+      est.log_weights_[c] = cell.log_weight;
+      if (!cell.present) continue;
+      const GaussianSnapshot& gs = cell.component;
       const std::size_t d = snap.dim;
       if (gs.mean.size() != d || gs.sum.size() != d || gs.chol.rows() != d ||
           gs.chol.cols() != d || gs.scatter.rows() != d ||
@@ -288,11 +297,12 @@ struct StateCodecAccess {
     pool.Reserve(n + f->config_.refit_interval + 1);
 
     // Ring: slots were canonicalized oldest-first at capture; rebuild with
-    // ring_start_ = 0 into the pre-sized ring (allocated by the ctor when
-    // density_window > 0).
-    const std::size_t cap = f->ring_label_.size();
+    // ring_start_ = 0 into the ring the constructor sized (density_window
+    // > 0).
+    DensityWindow& w = f->density_;
+    const std::size_t cap = w.ring_label_.size();
     if (s.ring_size > cap ||
-        (s.ring_size > 0 && s.ring_z.cols() != f->ring_z_.cols())) {
+        (s.ring_size > 0 && s.ring_z.cols() != w.ring_z_.cols())) {
       return Status::InvalidArgument(
           "RestoreSessionState: ring exceeds the configured density_window");
     }
@@ -305,16 +315,16 @@ struct StateCodecAccess {
     }
     for (std::size_t i = 0; i < s.ring_size; ++i) {
       std::copy(s.ring_z.row_data(i), s.ring_z.row_data(i) + s.ring_z.cols(),
-                f->ring_z_.row_data(i));
-      f->ring_label_[i] = s.ring_label[i];
-      f->ring_sensitive_[i] = s.ring_sensitive[i];
-      f->ring_weight_[i] = s.ring_weight[i];
+                w.ring_z_.row_data(i));
+      w.ring_label_[i] = s.ring_label[i];
+      w.ring_sensitive_[i] = s.ring_sensitive[i];
+      w.ring_weight_[i] = s.ring_weight[i];
     }
-    f->ring_start_ = 0;
-    f->ring_size_ = s.ring_size;
+    w.ring_start_ = 0;
+    w.ring_size_ = s.ring_size;
 
-    FACTION_RETURN_IF_ERROR(RestoreDensityImpl(
-        s.density, f->config_.covariance, &f->estimator_));
+    FACTION_RETURN_IF_ERROR(
+        RestoreDensityImpl(s.density, w.covariance_, &w.estimator_));
 
     f->normalizer_.RestoreState(s.norm_count, s.norm_min, s.norm_max);
     f->seen_ = s.seen;
@@ -326,7 +336,7 @@ struct StateCodecAccess {
     // every steady-state buffer ("streaming.x_row", the inference
     // ping-pong, ...) to its working size. ScoreSample consumes no RNG and
     // touches no persistent state, so this does not perturb parity.
-    if (f->estimator_.has_value() && f->trained_once_) {
+    if (f->has_estimator() && f->trained_once_) {
       std::vector<double> warm_x(model_cfg.input_dim, 0.0);
       (void)f->ScoreSample(warm_x);
     }
@@ -715,14 +725,15 @@ void EncodeSessionState(const SessionState& state, std::string* out) {
        << dsnap.total;
     PutDouble(os, dsnap.wtotal);
     os << '\n';
-    for (int cell = 0; cell < DensitySnapshot::kCells; ++cell) {
-      os << "cell " << (dsnap.present[cell] ? 1 : 0) << ' '
-         << dsnap.counts[cell];
-      PutDouble(os, dsnap.wcounts[cell]);
-      PutDouble(os, dsnap.weights[cell]);
-      PutDouble(os, dsnap.log_weights[cell]);
+    // v1 leaves the domain implicit: it is always the default binary one.
+    FACTION_CHECK(dsnap.domain == DensityDomain{});
+    for (const DensityCellSnapshot& cell : dsnap.cells) {
+      os << "cell " << (cell.present ? 1 : 0) << ' ' << cell.count;
+      PutDouble(os, cell.wcount);
+      PutDouble(os, cell.weight);
+      PutDouble(os, cell.log_weight);
       os << '\n';
-      if (dsnap.present[cell]) PutGaussian(os, dsnap.components[cell]);
+      if (cell.present) PutGaussian(os, cell.component);
     }
   }
   os << "end\n";
@@ -906,19 +917,19 @@ Status DecodeSessionState(std::istream& is, const std::string& source,
         r.ReadBool(&dsnap.forgetting, "density forgetting flag"));
     FACTION_RETURN_IF_ERROR(r.ReadSize(&dsnap.total, "density total"));
     FACTION_RETURN_IF_ERROR(r.ReadDouble(&dsnap.wtotal, "density wtotal"));
-    for (int cell = 0; cell < DensitySnapshot::kCells; ++cell) {
+    dsnap.domain = DensityDomain{};
+    dsnap.cells.resize(static_cast<std::size_t>(dsnap.domain.num_classes) *
+                       dsnap.domain.groups.size());
+    for (DensityCellSnapshot& cell : dsnap.cells) {
       FACTION_RETURN_IF_ERROR(r.Expect("cell"));
+      FACTION_RETURN_IF_ERROR(r.ReadBool(&cell.present, "cell presence"));
+      FACTION_RETURN_IF_ERROR(r.ReadSize(&cell.count, "cell count"));
+      FACTION_RETURN_IF_ERROR(r.ReadDouble(&cell.wcount, "cell wcount"));
+      FACTION_RETURN_IF_ERROR(r.ReadDouble(&cell.weight, "cell weight"));
       FACTION_RETURN_IF_ERROR(
-          r.ReadBool(&dsnap.present[cell], "cell presence"));
-      FACTION_RETURN_IF_ERROR(r.ReadSize(&dsnap.counts[cell], "cell count"));
-      FACTION_RETURN_IF_ERROR(
-          r.ReadDouble(&dsnap.wcounts[cell], "cell wcount"));
-      FACTION_RETURN_IF_ERROR(
-          r.ReadDouble(&dsnap.weights[cell], "cell weight"));
-      FACTION_RETURN_IF_ERROR(
-          r.ReadDouble(&dsnap.log_weights[cell], "cell log-weight"));
-      if (dsnap.present[cell]) {
-        FACTION_RETURN_IF_ERROR(r.ReadGaussian(&dsnap.components[cell]));
+          r.ReadDouble(&cell.log_weight, "cell log-weight"));
+      if (cell.present) {
+        FACTION_RETURN_IF_ERROR(r.ReadGaussian(&cell.component));
       }
     }
   }

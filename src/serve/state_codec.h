@@ -53,24 +53,30 @@ struct GaussianSnapshot {
   Matrix scatter;
 };
 
-/// Snapshot of the (class x sensitive) mixture. Mixture weights are stored
-/// verbatim (not recomputed on restore) so the restored estimator is
-/// bitwise identical, including log_weights_ entries that are -infinity
-/// for zero-mass cells.
+/// Snapshot of one (class, sensitive) cell of the mixture.
+struct DensityCellSnapshot {
+  bool present = false;
+  std::size_t count = 0;
+  double wcount = 0.0;
+  double weight = 0.0;
+  double log_weight = 0.0;
+  GaussianSnapshot component;  // meaningful when present
+};
+
+/// Snapshot of the (class x sensitive) mixture, one cell per component of
+/// the estimator's domain. Mixture weights are stored verbatim (not
+/// recomputed on restore) so the restored estimator is bitwise identical,
+/// including log-weights that are -infinity for zero-mass cells. The
+/// "faction-session v1" format does not encode the domain: a session's
+/// estimator is always on the default binary one.
 struct DensitySnapshot {
-  static constexpr int kCells =
-      FairDensityEstimator::kNumClasses * FairDensityEstimator::kNumGroups;
   bool has_value = false;
   std::size_t dim = 0;
+  DensityDomain domain;
   bool forgetting = false;
   std::size_t total = 0;
   double wtotal = 0.0;
-  std::array<bool, kCells> present = {};
-  std::array<std::size_t, kCells> counts = {};
-  std::array<double, kCells> wcounts = {};
-  std::array<double, kCells> weights = {};
-  std::array<double, kCells> log_weights = {};
-  std::array<GaussianSnapshot, kCells> components;
+  std::vector<DensityCellSnapshot> cells;
 };
 
 /// Per-Linear persistent spectral-normalization state: the effective

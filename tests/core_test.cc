@@ -1,6 +1,7 @@
 #include <cmath>
 #include <set>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "core/fair_score.h"
 #include "core/faction_strategy.h"
@@ -296,6 +297,107 @@ TEST(FactionStrategyTest, PrefersOodCandidates) {
     if (idx < 40) ++ood_hits;
   }
   EXPECT_GE(ood_hits, 15u);
+}
+
+// ------------------------------------- FactionStrategy density forgetting
+
+// Runs `rounds` acquisition rounds of a FactionStrategy over a growing
+// labeled pool: the pool starts with 120 rows, and after each round the
+// next 25 stream rows are labeled. The model stays fixed, so incremental
+// folds and batch refits see the same feature space. Returns every
+// round's selection.
+std::vector<std::vector<std::size_t>> RunWindowRounds(
+    const FactionStrategyConfig& config, int rounds) {
+  StationaryConfig sconfig;
+  sconfig.scale.samples_per_task = 420;
+  sconfig.scale.seed = 31;
+  sconfig.dim = 6;
+  sconfig.num_tasks = 1;
+  Result<std::vector<Dataset>> stream = MakeStationaryStream(sconfig);
+  FACTION_CHECK(stream.ok());
+  const Dataset& all = stream.value()[0];
+  std::vector<std::size_t> head, cand_idx;
+  for (std::size_t i = 0; i < 120; ++i) head.push_back(i);
+  for (std::size_t i = 340; i < 420; ++i) cand_idx.push_back(i);
+  Dataset pool = all.Subset(head);
+  const Dataset cand = all.Subset(cand_idx);
+  const Matrix features = cand.features();
+  const std::vector<int> sensitive = cand.sensitive();
+  const std::vector<int> envs = cand.environments();
+  MlpConfig mconfig;
+  mconfig.input_dim = 6;
+  mconfig.hidden_dims = {12, 6};
+  Rng model_rng(32);
+  MlpClassifier model(mconfig, &model_rng);
+  TrainConfig tconfig;
+  tconfig.epochs = 3;
+  Rng train_rng(33);
+  FACTION_CHECK(TrainClassifier(&model, pool, tconfig, &train_rng).ok());
+
+  FactionStrategy strategy(config);
+  Rng rng(34);
+  SelectionContext ctx;
+  ctx.model = &model;
+  ctx.labeled_pool = &pool;
+  ctx.candidate_features = &features;
+  ctx.candidate_sensitive = &sensitive;
+  ctx.candidate_environments = &envs;
+  ctx.rng = &rng;
+  std::vector<std::vector<std::size_t>> picks;
+  for (int r = 0; r < rounds; ++r) {
+    const Result<std::vector<std::size_t>> picked =
+        strategy.SelectBatch(ctx, 20);
+    FACTION_CHECK(picked.ok());
+    picks.push_back(picked.value());
+    for (std::size_t i = 0; i < 25; ++i) {
+      FACTION_CHECK(pool.Append(all.Get(120 + 25 * r + i)).ok());
+    }
+  }
+  return picks;
+}
+
+// The incremental windowed path (decay, evict the oldest row by a rank-1
+// downdate, fold the newest) must track the windowed batch Fit oracle
+// (incremental_density = false refits the last W rows every round) to
+// DESIGN.md §15's 1e-6 relative tolerance on log-densities. With lambda 0
+// and a saturated alpha the selection is the density ranking, so that
+// tolerance shows as identical selections. The decay sits 1e-9 below 1:
+// every decay step runs (estimator masses, ring weights, downdates at
+// decayed weight) while the unit-weight oracle stays within tolerance.
+TEST(FactionStrategyWindowTest, IncrementalWindowMatchesBatchOracle) {
+  FactionStrategyConfig config;
+  config.lambda = 0.0;
+  config.alpha = 1e6;
+  config.density_window = 60;
+  config.density_decay = 1.0 - 1e-9;
+  const std::vector<std::vector<std::size_t>> incremental =
+      RunWindowRounds(config, 8);
+  config.incremental_density = false;
+  const std::vector<std::vector<std::size_t>> oracle =
+      RunWindowRounds(config, 8);
+  ASSERT_EQ(incremental.size(), oracle.size());
+  for (std::size_t r = 0; r < oracle.size(); ++r) {
+    EXPECT_EQ(std::set<std::size_t>(incremental[r].begin(),
+                                    incremental[r].end()),
+              std::set<std::size_t>(oracle[r].begin(), oracle[r].end()))
+        << "round " << r;
+  }
+}
+
+// The windowed + decayed incremental path is bitwise deterministic across
+// worker counts: every round's selection is identical at 1 and 8 threads.
+TEST(FactionStrategyWindowTest, WindowedDecayedSelectionsBitwiseAcrossThreads) {
+  FactionStrategyConfig config;
+  config.density_window = 60;
+  config.density_decay = 0.9;
+  const int saved = ParallelThreadCount();
+  SetParallelThreadCount(1);
+  const std::vector<std::vector<std::size_t>> one = RunWindowRounds(config, 8);
+  SetParallelThreadCount(8);
+  const std::vector<std::vector<std::size_t>> eight =
+      RunWindowRounds(config, 8);
+  SetParallelThreadCount(saved);
+  EXPECT_EQ(one, eight);
 }
 
 // --------------------------------------------------------------- Presets

@@ -3,10 +3,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/telemetry.h"
+#include "data/dataset.h"
+#include "density/density_window.h"
 #include "density/fair_density.h"
 #include "density/gaussian.h"
 #include "gtest/gtest.h"
@@ -295,7 +299,63 @@ TEST(FairDensityTest, RejectsBadInputs) {
       FairDensityEstimator::Fit(features, {0}, {1, -1}, config).ok());
 }
 
-// ------------------------------------------------ ClassDensityEstimator
+// A (label, sensitive) pair outside the domain maps to no cell: accessors
+// report an empty cell (no aliasing onto s = -1, no read past the cell
+// vectors) and every fold or fit rejects it, so the weights keep summing
+// to 1.
+TEST(FairDensityTest, OutOfDomainPairsAreRejected) {
+  Rng rng(15);
+  Matrix features;
+  std::vector<int> labels, sensitive;
+  BuildPool({}, &rng, &features, &labels, &sensitive);
+  const CovarianceConfig config;
+  Result<FairDensityEstimator> fit =
+      FairDensityEstimator::Fit(features, labels, sensitive, config);
+  ASSERT_TRUE(fit.ok());
+  FairDensityEstimator& est = fit.value();
+  const std::vector<double> z = {0.0, 0.0};
+  for (const auto& [y, s] : std::vector<std::pair<int, int>>{
+           {0, 7}, {0, 0}, {2, 1}, {-1, -1}}) {
+    EXPECT_EQ(est.ComponentIndex(y, s), -1) << y << "," << s;
+    EXPECT_EQ(est.Weight(y, s), 0.0) << y << "," << s;
+    EXPECT_FALSE(est.HasComponent(y, s)) << y << "," << s;
+    EXPECT_EQ(est.LogComponentDensity(z, y, s),
+              -std::numeric_limits<double>::infinity());
+    EXPECT_EQ(est.UpdateOne(z.data(), y, s, config).code(),
+              StatusCode::kOutOfRange);
+  }
+  EXPECT_EQ(est.DeltaG(z, 2), 0.0);
+
+  // A batch with one bad row is rejected whole: nothing is absorbed.
+  Matrix batch(2, 2, 0.5);
+  EXPECT_EQ(est.Update(batch, {0, 1}, {1, 0}, config).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(est.total_count(), features.rows());
+  double weight_sum = 0.0;
+  for (int y = 0; y < 2; ++y) {
+    for (int s : {-1, 1}) weight_sum += est.Weight(y, s);
+  }
+  EXPECT_NEAR(weight_sum, 1.0, 1e-12);
+  labels[0] = 2;
+  EXPECT_EQ(FairDensityEstimator::Fit(features, labels, sensitive, config)
+                .status()
+                .code(),
+            StatusCode::kOutOfRange);
+}
+
+// ------------------------------------- per-class (single-group) mixture
+
+// The DDU baseline's per-class density: the same mixture on a one-group
+// domain with an all-zero sensitive vector.
+const DensityDomain kPerClass{2, {0}};
+
+Result<FairDensityEstimator> FitPerClass(const Matrix& features,
+                                         const std::vector<int>& labels,
+                                         const CovarianceConfig& config) {
+  return FairDensityEstimator::Fit(features, labels,
+                                   std::vector<int>(labels.size(), 0),
+                                   config, kPerClass);
+}
 
 TEST(ClassDensityTest, MarginalAndClassDensities) {
   Rng rng(13);
@@ -303,14 +363,16 @@ TEST(ClassDensityTest, MarginalAndClassDensities) {
   std::vector<int> labels, sensitive;
   BuildPool({}, &rng, &features, &labels, &sensitive);
   CovarianceConfig config;
-  const Result<ClassDensityEstimator> est =
-      ClassDensityEstimator::Fit(features, labels, config);
+  const Result<FairDensityEstimator> est =
+      FitPerClass(features, labels, config);
   ASSERT_TRUE(est.ok());
   // Near class-1's center, class 1's density dominates.
   const std::vector<double> z = {4.0, 0.0};
-  EXPECT_GT(est.value().LogClassDensity(z, 1),
-            est.value().LogClassDensity(z, 0) + 2.0);
+  EXPECT_GT(est.value().LogComponentDensity(z, 1, 0),
+            est.value().LogComponentDensity(z, 0, 0) + 2.0);
   EXPECT_TRUE(std::isfinite(est.value().LogMarginalDensity(z)));
+  // One group has no cross-group gap.
+  EXPECT_EQ(est.value().DeltaG(z, 1), 0.0);
 }
 
 TEST(ClassDensityTest, OodDetection) {
@@ -319,8 +381,8 @@ TEST(ClassDensityTest, OodDetection) {
   std::vector<int> labels, sensitive;
   BuildPool({}, &rng, &features, &labels, &sensitive);
   CovarianceConfig config;
-  const Result<ClassDensityEstimator> est =
-      ClassDensityEstimator::Fit(features, labels, config);
+  const Result<FairDensityEstimator> est =
+      FitPerClass(features, labels, config);
   ASSERT_TRUE(est.ok());
   EXPECT_GT(est.value().LogMarginalDensity({2.0, 0.0}),
             est.value().LogMarginalDensity({50.0, 50.0}) + 100.0);
@@ -328,7 +390,7 @@ TEST(ClassDensityTest, OodDetection) {
 
 TEST(ClassDensityTest, RejectsEmpty) {
   CovarianceConfig config;
-  EXPECT_FALSE(ClassDensityEstimator::Fit(Matrix(0, 2), {}, config).ok());
+  EXPECT_FALSE(FitPerClass(Matrix(0, 2), {}, config).ok());
 }
 
 
@@ -453,7 +515,7 @@ TEST(FairDensityIncrementalTest, InterleavedUpdatesMatchBatchFit) {
 
   EXPECT_EQ(inc.value().total_count(), n);
   // Weights count the same rows: exactly equal.
-  for (int y = 0; y < FairDensityEstimator::kNumClasses; ++y) {
+  for (int y = 0; y < 2; ++y) {
     for (int s : {-1, 1}) {
       EXPECT_EQ(inc.value().Weight(y, s), batch.value().Weight(y, s));
       EXPECT_EQ(inc.value().HasComponent(y, s),
@@ -508,14 +570,15 @@ TEST(ClassDensityIncrementalTest, UpdatesMatchBatchFit) {
   CovarianceConfig config;
   Matrix head = RowRange(z, 0, 60);
   std::vector<int> head_y(labels.begin(), labels.begin() + 60);
-  Result<ClassDensityEstimator> inc =
-      ClassDensityEstimator::Fit(head, head_y, config);
+  Result<FairDensityEstimator> inc = FitPerClass(head, head_y, config);
   ASSERT_TRUE(inc.ok());
   Matrix tail = RowRange(z, 60, n);
   std::vector<int> tail_y(labels.begin() + 60, labels.end());
-  ASSERT_TRUE(inc.value().Update(tail, tail_y, config).ok());
-  const Result<ClassDensityEstimator> batch =
-      ClassDensityEstimator::Fit(z, labels, config);
+  ASSERT_TRUE(inc.value()
+                  .Update(tail, tail_y, std::vector<int>(tail_y.size(), 0),
+                          config)
+                  .ok());
+  const Result<FairDensityEstimator> batch = FitPerClass(z, labels, config);
   ASSERT_TRUE(batch.ok());
   EXPECT_EQ(inc.value().total_count(), n);
   std::vector<double> probe(d, 0.7);
@@ -715,7 +778,7 @@ TEST(FairDensityForgettingTest, WindowedSlideMatchesBatchFit) {
   EXPECT_EQ(inc.value().total_count(), window);
   // Window masses are exact small integers in both paths: the mixture
   // weights agree bitwise.
-  for (int y = 0; y < FairDensityEstimator::kNumClasses; ++y) {
+  for (int y = 0; y < 2; ++y) {
     for (int s : {-1, 1}) {
       EXPECT_EQ(inc.value().Weight(y, s), batch.value().Weight(y, s));
       EXPECT_EQ(inc.value().HasComponent(y, s),
@@ -796,14 +859,14 @@ TEST(FairDensityForgettingTest, DecayPreservesMixtureWeightsBitwise) {
 
   const std::vector<double> probe(d, 0.2);
   std::vector<std::uint64_t> before;
-  for (int y = 0; y < FairDensityEstimator::kNumClasses; ++y) {
+  for (int y = 0; y < 2; ++y) {
     for (int s : {-1, 1}) before.push_back(Bits(est.value().Weight(y, s)));
   }
   before.push_back(Bits(est.value().LogMarginalDensity(probe)));
 
   est.value().Decay(0.8);
   std::vector<std::uint64_t> after;
-  for (int y = 0; y < FairDensityEstimator::kNumClasses; ++y) {
+  for (int y = 0; y < 2; ++y) {
     for (int s : {-1, 1}) after.push_back(Bits(est.value().Weight(y, s)));
   }
   after.push_back(Bits(est.value().LogMarginalDensity(probe)));
@@ -816,6 +879,94 @@ TEST(FairDensityForgettingTest, DecayPreservesMixtureWeightsBitwise) {
       est.value().UpdateOne(z.row_data(0), labels[0], sensitive[0], config)
           .ok());
   EXPECT_GT(est.value().Weight(labels[0], sensitive[0]), w0);
+}
+
+// ------------------------------------------------------- DensityWindow
+
+// Rows [0, n) of `z` as a labeled pool.
+Dataset PoolOf(const Matrix& z, const std::vector<int>& labels,
+               const std::vector<int>& sensitive, std::size_t n) {
+  Dataset pool(z.cols());
+  for (std::size_t i = 0; i < n; ++i) {
+    Example e;
+    e.x = z.Row(i);
+    e.label = labels[i];
+    e.sensitive = sensitive[i];
+    FACTION_CHECK(pool.Append(e).ok());
+  }
+  return pool;
+}
+
+const DensityWindow::Embed kIdentity = [](const Matrix& x) { return x; };
+
+// Folding rows past the window one at a time (evict the oldest, fold the
+// newest) tracks the windowed Refit on the final pool: exactly the last W
+// rows, the same mixture weights, log-densities within 1e-6 relative.
+TEST(DensityWindowTest, FoldPastWindowMatchesRefit) {
+  Rng rng(209);
+  const std::size_t n = 200, window = 80, d = 4;
+  Matrix z;
+  std::vector<int> labels, sensitive;
+  BuildLabeledRows(n, d, &rng, &z, &labels, &sensitive);
+  const CovarianceConfig config;
+  DensityWindow inc(window, 1.0, config);
+  ASSERT_TRUE(inc.Refit(PoolOf(z, labels, sensitive, window), kIdentity)
+                  .ok());
+  const Dataset pool = PoolOf(z, labels, sensitive, n);
+  ASSERT_TRUE(inc.FoldRows(pool, window, kIdentity).ok());
+  DensityWindow oracle(window, 1.0, config);
+  ASSERT_TRUE(oracle.Refit(pool, kIdentity).ok());
+  EXPECT_TRUE(inc.covariance().forgetting);
+
+  const FairDensityEstimator& a = *inc.estimator();
+  const FairDensityEstimator& b = *oracle.estimator();
+  EXPECT_EQ(a.total_count(), window);
+  EXPECT_EQ(b.total_count(), window);
+  for (int y = 0; y < 2; ++y) {
+    for (int s : {-1, 1}) EXPECT_EQ(a.Weight(y, s), b.Weight(y, s));
+  }
+  Rng probe_rng(210);
+  for (int t = 0; t < 20; ++t) {
+    std::vector<double> probe(d);
+    for (double& v : probe) v = probe_rng.Gaussian() * 2.0;
+    const double la = a.LogMarginalDensity(probe);
+    const double lb = b.LogMarginalDensity(probe);
+    EXPECT_NEAR(la, lb, 1e-6 * (1.0 + std::fabs(lb))) << "probe " << t;
+  }
+}
+
+// Without a window or decay the maintainer is the grow-only estimator:
+// FoldRows is one batched Update, bitwise equal to calling it directly.
+TEST(DensityWindowTest, GrowOnlyFoldRowsIsOneBatchedUpdate) {
+  Rng rng(211);
+  const std::size_t n = 150, head = 90, d = 3;
+  Matrix z;
+  std::vector<int> labels, sensitive;
+  BuildLabeledRows(n, d, &rng, &z, &labels, &sensitive);
+  const CovarianceConfig config;
+  DensityWindow grow(0, 1.0, config);
+  EXPECT_FALSE(grow.covariance().forgetting);
+  ASSERT_TRUE(
+      grow.Refit(PoolOf(z, labels, sensitive, head), kIdentity).ok());
+  ASSERT_TRUE(grow.FoldRows(PoolOf(z, labels, sensitive, n), head, kIdentity)
+                  .ok());
+
+  Result<FairDensityEstimator> direct = FairDensityEstimator::Fit(
+      RowRange(z, 0, head),
+      std::vector<int>(labels.begin(), labels.begin() + head),
+      std::vector<int>(sensitive.begin(), sensitive.begin() + head), config);
+  ASSERT_TRUE(direct.ok());
+  ASSERT_TRUE(direct.value()
+                  .Update(RowRange(z, head, n),
+                          std::vector<int>(labels.begin() + head, labels.end()),
+                          std::vector<int>(sensitive.begin() + head,
+                                           sensitive.end()),
+                          config)
+                  .ok());
+  const std::vector<double> probe(d, 0.3);
+  EXPECT_EQ(Bits(grow.estimator()->LogMarginalDensity(probe)),
+            Bits(direct.value().LogMarginalDensity(probe)));
+  EXPECT_EQ(grow.estimator()->total_count(), n);
 }
 
 }  // namespace

@@ -2,11 +2,12 @@
 // multi-valued-sensitive density estimator (Sec. IV-B's future work), the
 // individual-fairness penalty (Sec. IV-H), the single-sample streaming
 // machinery (Sec. IV-D), and model serialization.
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
 #include "common/rng.h"
-#include "density/grouped_density.h"
+#include "density/fair_density.h"
 #include "fairness/individual.h"
 #include "gtest/gtest.h"
 #include "nn/serialize.h"
@@ -16,7 +17,7 @@
 namespace faction {
 namespace {
 
-// ------------------------------------------- GroupedDensityEstimator
+// ------------------------- FairDensityEstimator over many classes and groups
 
 // Pool with 3 classes and 3 sensitive values on a 2-d grid.
 void BuildMultiPool(std::size_t per_cell, Rng* rng, Matrix* features,
@@ -45,10 +46,10 @@ TEST(GroupedDensityTest, FitsAllComponents) {
   std::vector<int> labels, sensitive;
   BuildMultiPool(40, &rng, &features, &labels, &sensitive);
   CovarianceConfig config;
-  const Result<GroupedDensityEstimator> est = GroupedDensityEstimator::Fit(
-      features, labels, sensitive, 3, {0, 1, 2}, config);
+  const Result<FairDensityEstimator> est = FairDensityEstimator::Fit(
+      features, labels, sensitive, config, {3, {0, 1, 2}});
   ASSERT_TRUE(est.ok()) << est.status().ToString();
-  EXPECT_EQ(est.value().num_classes(), 3);
+  EXPECT_EQ(est.value().domain().num_classes, 3);
   double weight_sum = 0.0;
   for (int y = 0; y < 3; ++y) {
     for (int s : {0, 1, 2}) {
@@ -74,8 +75,8 @@ TEST(GroupedDensityTest, ReducesToBinaryCase) {
     sensitive.push_back(s);
   }
   CovarianceConfig config;
-  const Result<GroupedDensityEstimator> est = GroupedDensityEstimator::Fit(
-      features, labels, sensitive, 2, {-1, 1}, config);
+  const Result<FairDensityEstimator> est = FairDensityEstimator::Fit(
+      features, labels, sensitive, config, {2, {-1, 1}});
   ASSERT_TRUE(est.ok());
   const std::vector<double> z = {0.0, 1.0};
   const double direct =
@@ -90,8 +91,8 @@ TEST(GroupedDensityTest, DeltaGIsMaxPairwiseGap) {
   std::vector<int> labels, sensitive;
   BuildMultiPool(60, &rng, &features, &labels, &sensitive);
   CovarianceConfig config;
-  const Result<GroupedDensityEstimator> est = GroupedDensityEstimator::Fit(
-      features, labels, sensitive, 3, {0, 1, 2}, config);
+  const Result<FairDensityEstimator> est = FairDensityEstimator::Fit(
+      features, labels, sensitive, config, {3, {0, 1, 2}});
   ASSERT_TRUE(est.ok());
   // At group 0's center of class 1, group 0's density dwarfs group 2's.
   const std::vector<double> z = {5.0, 0.0};
@@ -112,15 +113,20 @@ TEST(GroupedDensityTest, LogDeltaGMatchesRawDomain) {
   std::vector<int> labels, sensitive;
   BuildMultiPool(60, &rng, &features, &labels, &sensitive);
   CovarianceConfig config;
-  const Result<GroupedDensityEstimator> est = GroupedDensityEstimator::Fit(
-      features, labels, sensitive, 3, {0, 1, 2}, config);
+  const Result<FairDensityEstimator> est = FairDensityEstimator::Fit(
+      features, labels, sensitive, config, {3, {0, 1, 2}});
   ASSERT_TRUE(est.ok());
   const std::vector<double> z = {5.0, 1.2};
-  const double raw = est.value().DeltaG(z, 1);
-  const double log_form = est.value().LogDeltaG(z, 1);
-  if (raw > 0.0) {
-    EXPECT_NEAR(std::log(raw), log_form, 1e-6);
+  std::vector<double> densities;
+  for (int s : {0, 1, 2}) {
+    densities.push_back(std::exp(est.value().LogComponentDensity(z, 1, s)));
   }
+  const double raw = *std::max_element(densities.begin(), densities.end()) -
+                     *std::min_element(densities.begin(), densities.end());
+  std::vector<double> scratch(2), row(est.value().num_components());
+  est.value().ComponentLogPdfRow(z.data(), scratch.data(), row.data());
+  ASSERT_GT(raw, 0.0);
+  EXPECT_NEAR(std::log(raw), est.value().LogDeltaG(row.data(), 1), 1e-6);
 }
 
 TEST(GroupedDensityTest, MarginalMixesAllComponents) {
@@ -129,8 +135,8 @@ TEST(GroupedDensityTest, MarginalMixesAllComponents) {
   std::vector<int> labels, sensitive;
   BuildMultiPool(40, &rng, &features, &labels, &sensitive);
   CovarianceConfig config;
-  const Result<GroupedDensityEstimator> est = GroupedDensityEstimator::Fit(
-      features, labels, sensitive, 3, {0, 1, 2}, config);
+  const Result<FairDensityEstimator> est = FairDensityEstimator::Fit(
+      features, labels, sensitive, config, {3, {0, 1, 2}});
   ASSERT_TRUE(est.ok());
   const std::vector<double> z = {5.0, 3.0};
   double mixture = 0.0;
@@ -147,24 +153,24 @@ TEST(GroupedDensityTest, ValidationErrors) {
   CovarianceConfig config;
   Matrix features(4, 2);
   // Label out of range.
-  EXPECT_FALSE(GroupedDensityEstimator::Fit(features, {0, 1, 2, 0},
-                                            {0, 0, 1, 1}, 2, {0, 1}, config)
+  EXPECT_FALSE(FairDensityEstimator::Fit(features, {0, 1, 2, 0},
+                                         {0, 0, 1, 1}, config, {2, {0, 1}})
                    .ok());
   // Sensitive value not declared.
-  EXPECT_FALSE(GroupedDensityEstimator::Fit(features, {0, 1, 0, 1},
-                                            {0, 0, 7, 1}, 2, {0, 1}, config)
+  EXPECT_FALSE(FairDensityEstimator::Fit(features, {0, 1, 0, 1},
+                                         {0, 0, 7, 1}, config, {2, {0, 1}})
                    .ok());
   // Duplicate sensitive values.
-  EXPECT_FALSE(GroupedDensityEstimator::Fit(features, {0, 1, 0, 1},
-                                            {0, 0, 1, 1}, 2, {0, 0}, config)
+  EXPECT_FALSE(FairDensityEstimator::Fit(features, {0, 1, 0, 1},
+                                         {0, 0, 1, 1}, config, {2, {0, 0}})
                    .ok());
   // Too few classes.
-  EXPECT_FALSE(GroupedDensityEstimator::Fit(features, {0, 0, 0, 0},
-                                            {0, 0, 1, 1}, 1, {0, 1}, config)
+  EXPECT_FALSE(FairDensityEstimator::Fit(features, {0, 0, 0, 0},
+                                         {0, 0, 1, 1}, config, {1, {0, 1}})
                    .ok());
   // Empty input.
-  EXPECT_FALSE(GroupedDensityEstimator::Fit(Matrix(0, 2), {}, {}, 2, {0, 1},
-                                            config)
+  EXPECT_FALSE(FairDensityEstimator::Fit(Matrix(0, 2), {}, {}, config,
+                                         {2, {0, 1}})
                    .ok());
 }
 
@@ -179,8 +185,8 @@ TEST(GroupedDensityTest, MissingComponentHandled) {
     sensitive.push_back(0);  // group 1 never appears
   }
   CovarianceConfig config;
-  const Result<GroupedDensityEstimator> est = GroupedDensityEstimator::Fit(
-      features, labels, sensitive, 2, {0, 1}, config);
+  const Result<FairDensityEstimator> est = FairDensityEstimator::Fit(
+      features, labels, sensitive, config, {2, {0, 1}});
   ASSERT_TRUE(est.ok());
   EXPECT_FALSE(est.value().HasComponent(0, 1));
   const std::vector<double> z = {0.0, 0.0};

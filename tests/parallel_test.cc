@@ -10,7 +10,6 @@
 #include "core/fair_score.h"
 #include "density/fair_density.h"
 #include "density/gaussian.h"
-#include "density/grouped_density.h"
 #include "gtest/gtest.h"
 #include "nn/conv.h"
 #include "nn/loss.h"
@@ -319,15 +318,13 @@ TEST(BatchedDensityTest, FairComponentBatchMatchesPerSample) {
   Matrix comp;
   est.ComponentLogPdfBatch(query, &comp);
   ASSERT_EQ(comp.rows(), query.rows());
-  ASSERT_EQ(comp.cols(),
-            static_cast<std::size_t>(FairDensityEstimator::kNumClasses *
-                                     FairDensityEstimator::kNumGroups));
+  ASSERT_EQ(comp.cols(), est.num_components());
+  ASSERT_EQ(comp.cols(), 4u);
   for (std::size_t i = 0; i < query.rows(); ++i) {
     const std::vector<double> z = query.Row(i);
-    for (int y = 0; y < FairDensityEstimator::kNumClasses; ++y) {
+    for (int y = 0; y < 2; ++y) {
       for (int s : {-1, 1}) {
-        const auto idx = static_cast<std::size_t>(
-            FairDensityEstimator::ComponentIndex(y, s));
+        const auto idx = static_cast<std::size_t>(est.ComponentIndex(y, s));
         EXPECT_EQ(comp(i, idx), est.LogComponentDensity(z, y, s));
       }
     }
@@ -346,23 +343,31 @@ TEST(BatchedDensityTest, GroupedBatchMatchesPerSampleWithMissingGroup) {
     const double u = rng.Uniform();
     sensitive[i] = u < 0.4 ? 2 : (u < 0.8 || labels[i] == 1 ? 5 : 7);
   }
-  Result<GroupedDensityEstimator> fit = GroupedDensityEstimator::Fit(
-      pool, labels, sensitive, 2, {2, 5, 7}, CovarianceConfig{});
+  Result<FairDensityEstimator> fit = FairDensityEstimator::Fit(
+      pool, labels, sensitive, CovarianceConfig{}, {2, {2, 5, 7}});
   ASSERT_TRUE(fit.ok());
-  const GroupedDensityEstimator& est = fit.value();
+  const FairDensityEstimator& est = fit.value();
   const Matrix query = RandomMatrix(88, 4, &rng);
   const std::vector<double> marginal = est.LogMarginalDensityBatch(query);
   for (std::size_t i = 0; i < query.rows(); ++i) {
     EXPECT_NEAR(marginal[i], est.LogMarginalDensity(query.Row(i)), 1e-12);
   }
+  Matrix comp;
+  est.ComponentLogPdfBatch(query, &comp);
   for (int label = 0; label < 2; ++label) {
-    const std::vector<double> delta = est.LogDeltaGBatch(query, label);
     for (std::size_t i = 0; i < query.rows(); ++i) {
-      const double expected = est.LogDeltaG(query.Row(i), label);
+      std::vector<double> row;
+      for (int y = 0; y < 2; ++y) {
+        for (int s : {2, 5, 7}) {
+          row.push_back(est.LogComponentDensity(query.Row(i), y, s));
+        }
+      }
+      const double expected = est.LogDeltaG(row.data(), label);
+      const double batched = est.LogDeltaG(comp.row_data(i), label);
       if (std::isfinite(expected)) {
-        EXPECT_NEAR(delta[i], expected, 1e-12);
+        EXPECT_NEAR(batched, expected, 1e-12);
       } else {
-        EXPECT_EQ(delta[i], expected);
+        EXPECT_EQ(batched, expected);
       }
     }
   }
@@ -370,16 +375,16 @@ TEST(BatchedDensityTest, GroupedBatchMatchesPerSampleWithMissingGroup) {
 
 // ---------------------------------------------------- pool-scoring parity
 
-// Reference implementation of the unfairness term using the per-sample
-// public APIs, mirroring core/fair_score.cc's LogAbsExpDiff.
+// Reference implementation of the unfairness term (Eqs. 4-6) from the
+// per-sample public APIs.
 double ReferenceLogUnfairness(const FairDensityEstimator& est,
                               const std::vector<double>& z,
                               const Matrix& proba, std::size_t i) {
   constexpr double kNegInf = -std::numeric_limits<double>::infinity();
   std::vector<double> terms;
-  for (int c = 0; c < FairDensityEstimator::kNumClasses; ++c) {
-    double lp = 0.0, ln = 0.0;
-    est.ComponentLogDensities(z, c, &lp, &ln);
+  for (int c = 0; c < 2; ++c) {
+    const double lp = est.LogComponentDensity(z, c, 1);
+    const double ln = est.LogComponentDensity(z, c, -1);
     double log_delta = kNegInf;
     if (std::isfinite(lp) && std::isfinite(ln)) {
       const double hi = lp > ln ? lp : ln;

@@ -186,8 +186,8 @@ TEST(StreamingFactionWindowTest, WindowedStreamEvictsAndKeepsLearning) {
   }
   // Far more than `density_window` labels were folded, so the ring must
   // have evicted through the rank-1 downdate path; the estimator survives.
-  EXPECT_GT(TelemetryCounterValue("streaming.window_evictions"), 0u);
-  EXPECT_EQ(TelemetryCounterValue("streaming.window_evict_failed"), 0u);
+  EXPECT_GT(TelemetryCounterValue("density.window_evictions"), 0u);
+  EXPECT_EQ(TelemetryCounterValue("density.window_evict_failed"), 0u);
   EXPECT_TRUE(streaming.has_estimator());
   std::size_t hits = 0;
   const std::size_t eval_n = 400;
