@@ -8,8 +8,6 @@
 
 namespace faction {
 
-struct StateCodecAccess;  // serve/state_codec.cc checkpoint accessor
-
 /// Configuration of the FALCON-style bandit acquisition strategy.
 struct BanditConfig {
   /// UCB exploration coefficient (the bonus weight in front of
@@ -42,13 +40,7 @@ class BanditStrategy : public QueryStrategy {
   Result<std::vector<std::size_t>> SelectBatch(
       const SelectionContext& context, std::size_t batch) override;
 
-  /// Discounted pull count of the arm for sensitive value +1 (index 0) or
-  /// -1 (index 1); exposed for tests.
-  double arm_pulls(int arm) const { return pulls_[arm]; }
-
  private:
-  friend struct StateCodecAccess;
-
   BanditConfig config_;
   /// Discounted arm statistics; index 0 = group s=+1, 1 = group s=-1.
   std::array<double, 2> pulls_ = {0.0, 0.0};

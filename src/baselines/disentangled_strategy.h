@@ -10,8 +10,6 @@
 
 namespace faction {
 
-struct StateCodecAccess;  // serve/state_codec.cc checkpoint accessor
-
 /// Configuration of the disentangled global/environment-specific probe.
 struct DisentangledConfig {
   /// Full-batch gradient-descent passes over the labeled pool per
@@ -50,12 +48,7 @@ class DisentangledStrategy : public QueryStrategy {
   Result<std::vector<std::size_t>> SelectBatch(
       const SelectionContext& context, std::size_t batch) override;
 
-  /// Environments with a fitted delta so far; exposed for tests.
-  std::size_t num_environment_deltas() const { return deltas_.size(); }
-
  private:
-  friend struct StateCodecAccess;
-
   DisentangledConfig config_;
   /// Global weights, size dim + 1 (last entry is the bias). Empty until
   /// the first SelectBatch with a non-empty pool.

@@ -6,12 +6,11 @@
 
 #include "common/status.h"
 
-// Durable-file-commit helpers shared by every tmp+rename writer in the
-// tree (nn/serialize.cc model checkpoints, serve/checkpoint.cc session
-// snapshots + manifests). A rename alone makes a save *atomic* but not
-// *durable*: on power loss the filesystem may persist the rename before
-// the renamed file's blocks, leaving a correctly-named empty or torn
-// checkpoint. CommitFileDurable closes that hole with the classic
+// Durable-file-commit helpers for the tmp+rename writers in the tree
+// (serve/checkpoint.cc session snapshots and manifests). A rename alone
+// makes a save *atomic* but not *durable*: on power loss the filesystem
+// may persist the rename before the renamed file's blocks, leaving a
+// correctly-named empty or torn checkpoint. CommitFileDurable closes that hole with the classic
 // sequence fsync(tmp) -> rename -> fsync(parent dir).
 
 namespace faction {

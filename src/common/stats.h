@@ -7,8 +7,6 @@
 
 namespace faction {
 
-struct StateCodecAccess;  // serve/state_codec.cc checkpoint accessor
-
 /// Streaming mean/variance accumulator (Welford). Used to aggregate repeated
 /// experiment runs into the "mean ± std" numbers the paper reports.
 class RunningStat {
@@ -32,8 +30,6 @@ class RunningStat {
   double stddev() const { return std::sqrt(variance()); }
 
  private:
-  friend struct StateCodecAccess;
-
   std::size_t n_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;

@@ -340,7 +340,12 @@ void Gaussian::Decay(double gamma) {
 Status Gaussian::RefreshRidge(const CovarianceConfig& config) {
   const std::size_t d = dim();
   const double w = weight_;
-  FACTION_CHECK(w > 0.0);
+  if (!(w > 0.0)) {
+    // An eviction took all the mass the component carried (a corrupted
+    // restore, or rounding under extreme decay); the window drops the
+    // estimator on this error.
+    return Status::NumericalError("Gaussian: non-positive weight");
+  }
   for (std::size_t j = 0; j < d; ++j) mean_[j] = sum_[j] / w;
   for (std::size_t a = 0; a < d; ++a) {
     const double* sc_a = scatter_.row_data(a);
@@ -479,7 +484,9 @@ double Gaussian::LogPdf(const double* z, double* scratch) const {
   ForwardSolveInPlace(chol_, scratch, d);
   double acc = 0.0;
   for (std::size_t j = 0; j < d; ++j) acc += scratch[j] * scratch[j];
-  FACTION_DCHECK_FINITE(acc);
+  // An extreme but finite arrival can lie infinitely far away (log-pdf
+  // -inf, which scorers handle); only NaN is a bug.
+  FACTION_DCHECK(!std::isnan(acc));
   return -0.5 * (static_cast<double>(d) * kLog2Pi + log_det_ + acc);
 }
 

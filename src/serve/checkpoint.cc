@@ -102,6 +102,36 @@ bool CheckpointManager::SnapshotNow(ServeSession* session) {
 
 // FACTION_COLD_BEGIN: serializer job, manifest I/O, warm-start helpers —
 // background cadence, never on the drain path.
+namespace {
+
+std::string CheckpointFileName(std::uint64_t stream_id,
+                               std::uint64_t generation) {
+  return "session-" + std::to_string(stream_id) + ".gen" +
+         std::to_string(generation) + ".ckpt";
+}
+
+/// Writes `bytes` to "<path>.tmp" and durably renames it over `path`; a
+/// failed write removes the tmp file and leaves `path` untouched.
+Status WriteFileDurable(const std::string& path, const std::string& bytes) {
+  const std::string tmp_path = path + ".tmp";
+  {
+    std::ofstream os(tmp_path, std::ios::trunc);
+    if (!os.is_open()) {
+      return Status::Internal("checkpoint: cannot open " + tmp_path);
+    }
+    os << bytes;
+    os.flush();
+    if (!os.good()) {
+      os.close();
+      std::remove(tmp_path.c_str());
+      return Status::Internal("checkpoint: write failed for " + tmp_path);
+    }
+  }
+  return CommitFileDurable(tmp_path, path);
+}
+
+}  // namespace
+
 void CheckpointManager::SerializeJob(void* ctx) {
   auto* buffer = static_cast<CheckpointBuffer*>(ctx);
   buffer->manager->Serialize(buffer);
@@ -109,25 +139,15 @@ void CheckpointManager::SerializeJob(void* ctx) {
 
 void CheckpointManager::Serialize(CheckpointBuffer* buffer) {
   const SessionState& state = buffer->state;
-  EncodeSessionState(state, &buffer->encoded);
-  const std::string filename = "session-" + std::to_string(state.stream_id) +
-                               ".gen" + std::to_string(state.generation) +
-                               ".ckpt";
-  const std::string final_path = options_.dir + "/" + filename;
-  const std::string tmp_path = final_path + ".tmp";
+  const std::string filename =
+      CheckpointFileName(state.stream_id, state.generation);
   Status status = [&]() -> Status {
-    {
-      std::ofstream os(tmp_path, std::ios::trunc);
-      if (!os.is_open()) {
-        return Status::Internal("checkpoint: cannot open " + tmp_path);
-      }
-      os << buffer->encoded;
-      os.flush();
-      if (!os.good()) {
-        return Status::Internal("checkpoint: write failed for " + tmp_path);
-      }
-    }
-    FACTION_RETURN_IF_ERROR(CommitFileDurable(tmp_path, final_path));
+    // A state the decoder would reject (a NaN weight after a diverged
+    // refit, say) is never committed: the manifest stays on the previous
+    // generation, which WarmStart can still read.
+    FACTION_RETURN_IF_ERROR(EncodeSessionState(state, &buffer->encoded));
+    FACTION_RETURN_IF_ERROR(
+        WriteFileDurable(options_.dir + "/" + filename, buffer->encoded));
     return CommitManifest(state, filename);
   }();
   if (status.ok()) {
@@ -136,9 +156,8 @@ void CheckpointManager::Serialize(CheckpointBuffer* buffer) {
     // generation that fell out of the retention window is dead weight.
     if (state.generation > options_.keep_generations) {
       const std::uint64_t dead = state.generation - options_.keep_generations;
-      const std::string dead_path = options_.dir + "/session-" +
-                                    std::to_string(state.stream_id) + ".gen" +
-                                    std::to_string(dead) + ".ckpt";
+      const std::string dead_path =
+          options_.dir + "/" + CheckpointFileName(state.stream_id, dead);
       std::remove(dead_path.c_str());
     }
   } else {
@@ -170,21 +189,7 @@ Status CheckpointManager::CommitManifest(const SessionState& state,
     os << id << ' ' << e.generation << ' ' << e.steps << ' ' << e.filename
        << '\n';
   }
-  const std::string manifest_path = ManifestPath();
-  const std::string tmp_path = manifest_path + ".tmp";
-  {
-    std::ofstream out(tmp_path, std::ios::trunc);
-    if (!out.is_open()) {
-      return Status::Internal("checkpoint: cannot open " + tmp_path);
-    }
-    out << os.str();
-    out.flush();
-    if (!out.good()) {
-      return Status::Internal("checkpoint: manifest write failed for " +
-                              tmp_path);
-    }
-  }
-  return CommitFileDurable(tmp_path, manifest_path);
+  return WriteFileDurable(ManifestPath(), os.str());
 }
 
 Result<std::vector<CheckpointManifestEntry>> CheckpointManager::ReadManifest(
@@ -204,13 +209,24 @@ Result<std::vector<CheckpointManifestEntry>> CheckpointManager::ReadManifest(
     return Status::InvalidArgument("ReadManifest: bad session count in " +
                                    path);
   }
-  std::vector<CheckpointManifestEntry> entries(count);
+  // Entries are stored only once read, so a count the file does not back
+  // allocates nothing.
+  std::vector<CheckpointManifestEntry> entries;
   for (std::size_t i = 0; i < count; ++i) {
-    CheckpointManifestEntry& e = entries[i];
+    CheckpointManifestEntry e;
     if (!(is >> e.stream_id >> e.generation >> e.steps >> e.filename)) {
       return Status::InvalidArgument("ReadManifest: truncated entry in " +
                                      path);
     }
+    // The only name the manager ever writes; this also keeps an entry
+    // from pointing outside the checkpoint directory.
+    if (e.filename != CheckpointFileName(e.stream_id, e.generation)) {
+      return Status::InvalidArgument("ReadManifest: entry for session " +
+                                     std::to_string(e.stream_id) +
+                                     " names file '" + e.filename + "' in " +
+                                     path);
+    }
+    entries.push_back(std::move(e));
   }
   return entries;
 }

@@ -126,6 +126,8 @@ class CheckpointManager {
   }
 
   /// Reads a manifest file ("faction-manifest v1"). Errors name the path.
+  /// An entry's filename must be the "session-<id>.gen<G>.ckpt" its own id
+  /// and generation name.
   static Result<std::vector<CheckpointManifestEntry>> ReadManifest(
       const std::string& path);
 

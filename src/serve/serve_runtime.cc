@@ -54,9 +54,21 @@ Result<WarmStartReport> ServeRuntime::WarmStart(
   const std::string dir =
       slash == std::string::npos ? std::string(".")
                                  : manifest_path.substr(0, slash);
+  if (entries.size() > options_.max_sessions -
+                           std::min(options_.max_sessions, registry_.size())) {
+    return Status::ResourceExhausted(
+        "WarmStart: " + manifest_path + " lists " +
+        std::to_string(entries.size()) + " sessions, more than the runtime "
+        "has room for");
+  }
   WarmStartReport report;
   SessionState state;
   for (const CheckpointManifestEntry& entry : entries) {
+    if (registry_.Find(entry.stream_id) != nullptr) {
+      return Status::InvalidArgument(
+          "WarmStart: " + manifest_path + " lists stream id " +
+          std::to_string(entry.stream_id) + " that is already served");
+    }
     FACTION_RETURN_IF_ERROR(
         DecodeSessionStateFromFile(dir + "/" + entry.filename, &state));
     if (state.stream_id != entry.stream_id) {

@@ -79,7 +79,9 @@ class ServeRuntime {
   /// restored to bitwise parity with the captured learner (no replay).
   /// When checkpointing is enabled, restored sessions resume their
   /// generation sequence. Call on a freshly constructed runtime before any
-  /// Offer.
+  /// Offer. A manifest listing more sessions than the runtime has room
+  /// for (ResourceExhausted), a stream id already served, or any checkpoint
+  /// that fails to decode or restore stops the warm start with its Status.
   Result<WarmStartReport> WarmStart(const std::string& manifest_path,
                                     const WarmStartOptions& options = {});
 

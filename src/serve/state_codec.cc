@@ -1,17 +1,18 @@
 // FACTION_HOT: CaptureSessionState runs on the serve dispatch path (the
 // drain holder flips a snapshot buffer between drains), so this TU opts
-// into the no-alloc-in-hot gate. Everything else — encode, decode,
-// restore, the standalone pipeline codecs — is cold and fenced.
+// into the no-alloc-in-hot gate. Everything else — encode, decode and
+// restore — is cold and fenced.
 
 #include "serve/state_codec.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
-#include <sstream>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "common/check.h"
@@ -150,13 +151,10 @@ struct StateCodecAccess {
 
   static Status RestoreLinear(const LinearSnapshot& snap, const Matrix& w,
                               const Matrix& b, Linear* layer) {
-    if (w.rows() != layer->w_.rows() || w.cols() != layer->w_.cols()) {
+    if (w.rows() != layer->w_.rows() || w.cols() != layer->w_.cols() ||
+        b.rows() != layer->b_.rows() || b.cols() != layer->b_.cols()) {
       return Status::InvalidArgument(
-          "RestoreSessionState: layer weight shape mismatch");
-    }
-    if (b.rows() != layer->b_.rows() || b.cols() != layer->b_.cols()) {
-      return Status::InvalidArgument(
-          "RestoreSessionState: layer bias shape mismatch");
+          "RestoreSessionState: layer tensor shape mismatch");
     }
     layer->w_ = w;
     layer->b_ = b;
@@ -199,8 +197,18 @@ struct StateCodecAccess {
     est.wcounts_.assign(cells, 0.0);
     est.weights_.assign(cells, 0.0);
     est.log_weights_.assign(cells, 0.0);
+    // The counts every later fold and eviction relies on: a cell holds
+    // rows exactly when it is present, its component counts the same rows,
+    // and the cells sum to the total.
+    std::size_t counted = 0;
     for (std::size_t c = 0; c < cells; ++c) {
       const DensityCellSnapshot& cell = snap.cells[c];
+      if (cell.present != (cell.count > 0) ||
+          cell.count > snap.total - counted) {
+        return Status::InvalidArgument(
+            "RestoreDensity: cell counts inconsistent with the total");
+      }
+      counted += cell.count;
       est.present_[c] = cell.present;
       est.counts_[c] = cell.count;
       est.wcounts_[c] = cell.wcount;
@@ -215,9 +223,16 @@ struct StateCodecAccess {
         return Status::InvalidArgument(
             "RestoreDensity: component shape mismatch");
       }
-      if (gs.count == 0) {
+      if (gs.count != cell.count || !(gs.weight > 0.0)) {
         return Status::InvalidArgument(
-            "RestoreDensity: present component with zero count");
+            "RestoreDensity: component count or weight differs from its "
+            "cell's rows");
+      }
+      for (std::size_t j = 0; j < d; ++j) {
+        if (!(gs.chol(j, j) > 0.0)) {
+          return Status::InvalidArgument(
+              "RestoreDensity: factor is not a Cholesky factor");
+        }
       }
       if (gs.forgetting != snap.forgetting) {
         return Status::InvalidArgument(
@@ -242,6 +257,10 @@ struct StateCodecAccess {
         g.down_v_.assign(d, 0.0);
         g.down_p_.assign(d, 0.0);
       }
+    }
+    if (counted != snap.total) {
+      return Status::InvalidArgument(
+          "RestoreDensity: cell counts inconsistent with the total");
     }
     *out = std::move(est);
     return Status::Ok();
@@ -325,6 +344,21 @@ struct StateCodecAccess {
 
     FACTION_RETURN_IF_ERROR(
         RestoreDensityImpl(s.density, w.covariance_, &w.estimator_));
+    if (w.estimator_.has_value()) {
+      // Each ring row is evicted from its density cell later, so no cell
+      // may hold fewer rows than the ring will take back from it.
+      const FairDensityEstimator& est = *w.estimator_;
+      std::vector<std::size_t> evictions(est.counts_.size(), 0);
+      for (std::size_t i = 0; i < s.ring_size; ++i) {
+        const int idx =
+            est.ComponentIndex(s.ring_label[i], s.ring_sensitive[i]);
+        if (idx >= 0 && ++evictions[static_cast<std::size_t>(idx)] >
+                            est.counts_[static_cast<std::size_t>(idx)]) {
+          return Status::InvalidArgument(
+              "RestoreSessionState: ring holds rows its density cell lacks");
+        }
+      }
+    }
 
     f->normalizer_.RestoreState(s.norm_count, s.norm_min, s.norm_max);
     f->seen_ = s.seen;
@@ -343,43 +377,6 @@ struct StateCodecAccess {
     return Status::Ok();
   }
 
-  // ------------------------------------------- standalone pipeline state
-
-  static void CaptureDrift(const DriftDetector& d, DriftDetectorState* out) {
-    out->n = d.stats_.n_;
-    out->mean = d.stats_.mean_;
-    out->m2 = d.stats_.m2_;
-    out->cooldown_remaining = d.cooldown_remaining_;
-  }
-
-  static void RestoreDrift(const DriftDetectorState& s, DriftDetector* d) {
-    d->stats_.n_ = s.n;
-    d->stats_.mean_ = s.mean;
-    d->stats_.m2_ = s.m2;
-    d->cooldown_remaining_ = s.cooldown_remaining;
-  }
-
-  static void CaptureBandit(const BanditStrategy& b, BanditState* out) {
-    out->pulls = b.pulls_;
-    out->reward_sum = b.reward_sum_;
-  }
-
-  static void RestoreBandit(const BanditState& s, BanditStrategy* b) {
-    b->pulls_ = s.pulls;
-    b->reward_sum_ = s.reward_sum;
-  }
-
-  static void CaptureDisentangled(const DisentangledStrategy& d,
-                                  DisentangledState* out) {
-    out->global = d.global_;
-    out->deltas = d.deltas_;
-  }
-
-  static void RestoreDisentangled(const DisentangledState& s,
-                                  DisentangledStrategy* d) {
-    d->global_ = s.global;
-    d->deltas_ = s.deltas;
-  }
   // FACTION_COLD_END
 };
 
@@ -403,537 +400,565 @@ Status RestoreDensity(const DensitySnapshot& snapshot,
 
 namespace {
 
-constexpr char kSessionMagic[] = "faction-session v1";
-constexpr char kDriftMagic[] = "faction-drift v1";
-constexpr char kBanditMagic[] = "faction-bandit v1";
-constexpr char kDisentangledMagic[] = "faction-disentangled v1";
+// Decoder limits, enforced on both sides so Encode refuses exactly what
+// Decode rejects. Every other count is bounded by the bytes backing it.
+constexpr std::size_t kMaxSide = std::size_t{1} << 20;    // matrix side
+constexpr std::size_t kMaxVector = std::size_t{1} << 24;  // vector length
+constexpr std::size_t kMaxHidden = 1024;                  // hidden layers
+// Elements a config makes the learner allocate up front: the density
+// ring (density_window x feature dim) and the pool's refit reserve
+// (refit_interval x input_dim).
+constexpr std::size_t kMaxReserved = std::size_t{1} << 24;
 
-// ----------------------------------------------------------------- encode
+// Dataset's label and sensitive-attribute domains.
+constexpr int kLabels[] = {0, 1};
+constexpr int kGroups[] = {-1, 1};
 
-void PutDouble(std::ostream& os, double v) {
-  // Hexfloat round-trips every finite double bit-for-bit (nn/serialize.cc
-  // idiom). The infinities print as "inf"/"-inf", which the reader accepts
-  // — log_weights_ carries -inf for zero-mass mixture cells. snprintf %a
-  // rather than iostream hexfloat: the serializer runs on the shared job
-  // system next to drain work, and printf formatting is several times
-  // cheaper than the locale-aware ostream path for the same bytes.
-  char buf[32];
-  const int n = std::snprintf(buf, sizeof(buf), " %a", v);
-  os.write(buf, n);
+/// A Visit takes its object by const reference when writing and by
+/// mutable reference when reading, so one body serves both directions.
+template <class Ar, class T>
+using Ref = std::conditional_t<Ar::kReading, T, const T>&;
+
+/// NaN never round-trips, and neither does an infinity except -inf where
+/// `allow_neg_inf` (mixture log-weights at zero mass).
+bool Representable(double v, bool allow_neg_inf) {
+  return !std::isnan(v) && (!std::isinf(v) || (allow_neg_inf && v < 0.0));
 }
 
-void PutDoubles(std::ostream& os, const double* v, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) PutDouble(os, v[i]);
+/// "oversized" + "tensor" -> "oversized tensor".
+std::string Describe(std::string_view what, const char* field) {
+  std::string msg(what);
+  if (field != nullptr) msg.append(" ").append(field);
+  return msg;
 }
 
-void PutVector(std::ostream& os, const std::vector<double>& v) {
-  os << v.size();
-  PutDoubles(os, v.data(), v.size());
+std::size_t FeatureDim(const MlpConfig& model) {
+  return model.hidden_dims.empty() ? model.input_dim
+                                   : model.hidden_dims.back();
 }
 
-void PutInts(std::ostream& os, const std::vector<int>& v) {
-  for (const int x : v) os << ' ' << x;
-}
-
-void PutRngState(std::ostream& os, const Rng::State& s) {
-  os << s.s[0] << ' ' << s.s[1] << ' ' << s.s[2] << ' ' << s.s[3] << ' '
-     << (s.have_cached_gaussian ? 1 : 0);
-  PutDouble(os, s.cached_gaussian);
-}
-
-void PutMatrix(std::ostream& os, const Matrix& m) {
-  os << m.rows() << ' ' << m.cols();
-  PutDoubles(os, m.data(), m.rows() * m.cols());
-  os << '\n';
-}
-
-void PutGaussian(std::ostream& os, const GaussianSnapshot& g) {
-  os << "gaussian " << g.count;
-  PutDouble(os, g.weight);
-  PutDouble(os, g.ridge);
-  PutDouble(os, g.log_det);
-  os << ' ' << (g.forgetting ? 1 : 0) << '\n';
-  os << "mean ";
-  PutVector(os, g.mean);
-  os << "\nsum ";
-  PutVector(os, g.sum);
-  os << "\nchol ";
-  PutMatrix(os, g.chol);
-  os << "scatter ";
-  PutMatrix(os, g.scatter);
-}
-
-// ----------------------------------------------------------------- decode
-
-/// Token-stream reader over an istream; every failure names the source and
-/// the byte offset where parsing stopped.
-class TokenReader {
+/// Writes the "faction-session v1" text: every token is preceded by one
+/// space unless it opens a line. Doubles print as hexfloat, which
+/// round-trips every finite double bit-for-bit. The first failed check
+/// sticks and turns every later call into a no-op.
+class Writer {
  public:
-  TokenReader(std::istream& is, const std::string& source)
-      : is_(is), source_(source) {}
+  static constexpr bool kReading = false;
 
-  Status Fail(const std::string& what) {
-    // A failed extraction sets failbit, under which tellg() returns -1;
-    // clear first so the offset points at the stream position reached.
-    is_.clear();
-    const std::streamoff pos = static_cast<std::streamoff>(is_.tellg());
-    std::string msg = "DecodeSessionState: " + what + " in " + source_;
-    if (pos >= 0) {
-      msg += " @byte " + std::to_string(static_cast<long long>(pos));
+  explicit Writer(std::string* out) : out_(out) { out_->clear(); }
+
+  bool ok() const { return status_.ok(); }
+  const Status& status() const { return status_; }
+
+  void Tag(std::string_view tag) { Put(tag); }
+  void EndLine() {
+    if (!ok()) return;
+    out_->push_back('\n');
+    line_start_ = true;
+  }
+
+  template <class T>
+  void Int(T v, const char*) {
+    char buf[24];
+    const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+    Put(std::string_view(buf, static_cast<std::size_t>(r.ptr - buf)));
+  }
+  void Bool(bool v, const char*) { Put(v ? "1" : "0"); }
+  void Double(double v, const char* what, bool allow_neg_inf = false) {
+    if (ok() && !Representable(v, allow_neg_inf)) {
+      status_ = Status::NumericalError("EncodeSessionState: " +
+                                       Describe("non-finite", what));
     }
-    return Status::InvalidArgument(std::move(msg));
+    // snprintf rather than iostream hexfloat: the serializer runs on the
+    // shared job system next to drain work, and printf formatting is
+    // several times cheaper than the locale-aware ostream path.
+    char buf[32];
+    const int n = std::snprintf(buf, sizeof(buf), "%a", v);
+    Put(std::string_view(buf, static_cast<std::size_t>(n)));
   }
 
-  Status Token(std::string* out, const char* what) {
-    if (!(is_ >> *out)) return Fail(std::string("truncated ") + what);
-    return Status::Ok();
+  /// The writer's containers already hold their data, so a count the
+  /// format states separately must agree with them.
+  template <class T>
+  void Size(const std::vector<T>& v, std::size_t n, const char* what) {
+    Check(v.size() == n, "inconsistent", what);
   }
-
-  Status Expect(const char* tag) {
-    FACTION_RETURN_IF_ERROR(Token(&tok_, tag));
-    if (tok_ != tag) {
-      return Fail(std::string("expected '") + tag + "', got '" + tok_ + "'");
+  void Values(const std::vector<double>& v, std::size_t n, const char* what) {
+    Size(v, n, what);
+    for (std::size_t i = 0; i < n && ok(); ++i) Double(v[i], what);
+  }
+  void Values(const Matrix& m, std::size_t rows, std::size_t cols,
+              const char* what) {
+    Check(m.rows() == rows && m.cols() == cols, "inconsistent", what);
+    for (std::size_t i = 0; i < rows * cols && ok(); ++i) {
+      Double(m.data()[i], what);
     }
-    return Status::Ok();
   }
 
-  Status ReadU64(std::uint64_t* out, const char* what) {
-    if (!(is_ >> *out)) return Fail(std::string("bad ") + what);
-    return Status::Ok();
-  }
-
-  Status ReadSize(std::size_t* out, const char* what) {
-    if (!(is_ >> *out)) return Fail(std::string("bad ") + what);
-    return Status::Ok();
-  }
-
-  Status ReadInt(int* out, const char* what) {
-    if (!(is_ >> *out)) return Fail(std::string("bad ") + what);
-    return Status::Ok();
-  }
-
-  Status ReadBool(bool* out, const char* what) {
-    int v = 0;
-    FACTION_RETURN_IF_ERROR(ReadInt(&v, what));
-    if (v != 0 && v != 1) return Fail(std::string("non-boolean ") + what);
-    *out = (v == 1);
-    return Status::Ok();
-  }
-
-  /// Parses one double token via strtod: accepts hexfloat and the
-  /// infinities (mixture log-weights are -inf at zero mass), rejects NaN
-  /// and trailing garbage.
-  Status ReadDouble(double* out, const char* what) {
-    FACTION_RETURN_IF_ERROR(Token(&tok_, what));
-    const char* begin = tok_.c_str();
-    char* end = nullptr;
-    const double v = std::strtod(begin, &end);
-    if (end == begin || *end != '\0') {
-      return Fail(std::string("bad ") + what + " '" + tok_ + "'");
+  void Check(bool cond, const char* what, const char* field = nullptr) {
+    if (ok() && !cond) {
+      status_ = Status::InvalidArgument("EncodeSessionState: " +
+                                        Describe(what, field));
     }
-    if (std::isnan(v)) {
-      return Fail(std::string("non-finite ") + what + " '" + tok_ + "'");
-    }
-    *out = v;
-    return Status::Ok();
-  }
-
-  Status ReadDoubles(double* out, std::size_t n, const char* what) {
-    for (std::size_t i = 0; i < n; ++i) {
-      FACTION_RETURN_IF_ERROR(ReadDouble(&out[i], what));
-    }
-    return Status::Ok();
-  }
-
-  Status ReadVector(std::vector<double>* out, const char* what,
-                    std::size_t max_len = 1u << 24) {
-    std::size_t n = 0;
-    FACTION_RETURN_IF_ERROR(ReadSize(&n, what));
-    if (n > max_len) return Fail(std::string("oversized ") + what);
-    out->resize(n);
-    return ReadDoubles(out->data(), n, what);
-  }
-
-  Status ReadInts(std::vector<int>* out, std::size_t n, const char* what) {
-    out->resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      FACTION_RETURN_IF_ERROR(ReadInt(&(*out)[i], what));
-    }
-    return Status::Ok();
-  }
-
-  Status ReadRngState(Rng::State* out, const char* what) {
-    for (int i = 0; i < 4; ++i) {
-      FACTION_RETURN_IF_ERROR(ReadU64(&out->s[i], what));
-    }
-    FACTION_RETURN_IF_ERROR(ReadBool(&out->have_cached_gaussian, what));
-    return ReadDouble(&out->cached_gaussian, what);
-  }
-
-  Status ReadMatrix(Matrix* out, const char* what,
-                    std::size_t max_dim = 1u << 20) {
-    std::size_t r = 0, c = 0;
-    FACTION_RETURN_IF_ERROR(ReadSize(&r, what));
-    FACTION_RETURN_IF_ERROR(ReadSize(&c, what));
-    if (r > max_dim || c > max_dim || (c != 0 && r > max_dim / c + 1)) {
-      return Fail(std::string("oversized ") + what);
-    }
-    out->ResizeForOverwrite(r, c);
-    return ReadDoubles(out->data(), r * c, what);
-  }
-
-  Status ReadGaussian(GaussianSnapshot* out) {
-    FACTION_RETURN_IF_ERROR(Expect("gaussian"));
-    FACTION_RETURN_IF_ERROR(ReadSize(&out->count, "gaussian count"));
-    FACTION_RETURN_IF_ERROR(ReadDouble(&out->weight, "gaussian weight"));
-    FACTION_RETURN_IF_ERROR(ReadDouble(&out->ridge, "gaussian ridge"));
-    FACTION_RETURN_IF_ERROR(ReadDouble(&out->log_det, "gaussian log_det"));
-    FACTION_RETURN_IF_ERROR(
-        ReadBool(&out->forgetting, "gaussian forgetting flag"));
-    FACTION_RETURN_IF_ERROR(Expect("mean"));
-    FACTION_RETURN_IF_ERROR(ReadVector(&out->mean, "gaussian mean"));
-    FACTION_RETURN_IF_ERROR(Expect("sum"));
-    FACTION_RETURN_IF_ERROR(ReadVector(&out->sum, "gaussian sum"));
-    FACTION_RETURN_IF_ERROR(Expect("chol"));
-    FACTION_RETURN_IF_ERROR(ReadMatrix(&out->chol, "gaussian factor"));
-    FACTION_RETURN_IF_ERROR(Expect("scatter"));
-    return ReadMatrix(&out->scatter, "gaussian scatter");
-  }
-
-  Status ExpectMagic(const char* word1, const char* word2) {
-    FACTION_RETURN_IF_ERROR(Token(&tok_, "magic header"));
-    std::string second;
-    FACTION_RETURN_IF_ERROR(Token(&second, "magic header"));
-    if (tok_ != word1 || second != word2) {
-      return Fail("bad magic header '" + tok_ + " " + second + "'");
-    }
-    return Status::Ok();
   }
 
  private:
-  std::istream& is_;
-  std::string source_;
-  std::string tok_;
+  void Put(std::string_view token) {
+    if (!ok()) return;
+    if (!line_start_) out_->push_back(' ');
+    out_->append(token);
+    line_start_ = false;
+  }
+
+  std::string* out_;
+  bool line_start_ = true;
+  Status status_;
 };
+
+/// Parses the "faction-session v1" text. Tokens are whitespace-separated;
+/// line breaks carry no meaning. Every failure names the source and the
+/// byte offset where parsing stopped. The first failure sticks and turns
+/// every later call into a no-op.
+class Reader {
+ public:
+  static constexpr bool kReading = true;
+
+  Reader(std::string text, std::streamoff base, const std::string& source)
+      : text_(std::move(text)), base_(base < 0 ? 0 : base), source_(source) {}
+
+  bool ok() const { return status_.ok(); }
+  const Status& status() const { return status_; }
+
+  void Tag(std::string_view tag) {
+    if (tag.empty()) return;
+    const std::string_view token = Next(tag);
+    if (ok() && token != tag) {
+      Fail("expected '" + std::string(tag) + "', got '" + std::string(token) +
+           "'");
+    }
+  }
+  void EndLine() {}
+
+  template <class T>
+  void Int(T& v, const char* what) {
+    const std::string_view token = Next(what);
+    if (!ok()) return;
+    const char* end = token.data() + token.size();
+    const std::from_chars_result r = std::from_chars(token.data(), end, v);
+    if (r.ec != std::errc() || r.ptr != end) Bad(what, token);
+  }
+  void Bool(bool& v, const char* what) {
+    int x = 0;
+    Int(x, what);
+    Check(x == 0 || x == 1, "non-boolean", what);
+    if (ok()) v = x == 1;
+  }
+  /// strtod takes hexfloat and the infinities; trailing garbage fails.
+  void Double(double& v, const char* what, bool allow_neg_inf = false) {
+    const std::string_view token = Next(what);
+    if (!ok()) return;
+    // Whitespace or the buffer's terminating NUL follows every token, so
+    // strtod cannot read past it.
+    char* end = nullptr;
+    const double x = std::strtod(token.data(), &end);
+    if (end != token.data() + token.size()) {
+      Bad(what, token);
+    } else if (!Representable(x, allow_neg_inf)) {
+      Fail(Describe("non-finite", what) + " '" + std::string(token) + "'");
+    } else {
+      v = x;
+    }
+  }
+
+  /// Sizes a container for tokens still to come. Each token takes at
+  /// least two bytes (separator and digit), so a count the rest of the
+  /// input cannot back fails before anything is allocated.
+  template <class T>
+  void Size(std::vector<T>& v, std::size_t n, const char* what) {
+    if (Backed(n, 1, what)) v.resize(n);
+  }
+  void Values(std::vector<double>& v, std::size_t n, const char* what) {
+    Size(v, n, what);
+    for (std::size_t i = 0; i < n && ok(); ++i) Double(v[i], what);
+  }
+  void Values(Matrix& m, std::size_t rows, std::size_t cols,
+              const char* what) {
+    if (!Backed(rows, cols, what)) return;
+    m.ResizeForOverwrite(rows, cols);
+    for (std::size_t i = 0; i < rows * cols && ok(); ++i) {
+      Double(m.data()[i], what);
+    }
+  }
+
+  void Check(bool cond, const char* what, const char* field = nullptr) {
+    if (ok() && !cond) Fail(Describe(what, field));
+  }
+
+ private:
+  bool Backed(std::size_t rows, std::size_t cols, const char* what) {
+    const std::size_t budget = (text_.size() - pos_) / 2;
+    Check(cols == 0 || rows <= budget / cols, "oversized", what);
+    return ok();
+  }
+
+  // The C locale's isspace set, inline: it runs once per input byte.
+  static bool IsSpace(char c) {
+    return c == ' ' || (c >= '\t' && c <= '\r');
+  }
+
+  std::string_view Next(std::string_view what) {
+    if (!ok()) return {};
+    while (pos_ < text_.size() && IsSpace(text_[pos_])) ++pos_;
+    const std::size_t begin = pos_;
+    while (pos_ < text_.size() && !IsSpace(text_[pos_])) ++pos_;
+    if (pos_ == begin) Fail("truncated " + std::string(what));
+    return std::string_view(text_).substr(begin, pos_ - begin);
+  }
+
+  void Bad(const char* what, std::string_view token) {
+    Fail(Describe("bad", what) + " '" + std::string(token) + "'");
+  }
+  void Fail(const std::string& what) {
+    status_ = Status::InvalidArgument(
+        "DecodeSessionState: " + what + " in " + source_ + " @byte " +
+        std::to_string(static_cast<long long>(base_) +
+                       static_cast<long long>(pos_)));
+  }
+
+  std::string text_;
+  std::streamoff base_;
+  std::size_t pos_ = 0;
+  const std::string& source_;
+  Status status_;
+};
+
+/// "n v1 ... vn".
+template <class Ar>
+void VisitVector(Ar& ar, Ref<Ar, std::vector<double>> v, const char* what) {
+  std::size_t n = v.size();
+  ar.Int(n, what);
+  ar.Check(n <= kMaxVector, "oversized", what);
+  ar.Values(v, n, what);
+}
+
+/// "rows cols values...", closing its line.
+template <class Ar>
+void VisitMatrix(Ar& ar, Ref<Ar, Matrix> m, const char* what) {
+  std::size_t rows = m.rows();
+  std::size_t cols = m.cols();
+  ar.Int(rows, what);
+  ar.Int(cols, what);
+  ar.Check(rows <= kMaxSide && cols <= kMaxSide &&
+               (cols == 0 || rows <= kMaxSide / cols + 1),
+           "oversized", what);
+  ar.Values(m, rows, cols, what);
+  ar.EndLine();
+}
+
+/// "tag rows dim values..." for the pool and the ring, whose width the
+/// model fixes; closes its line.
+template <class Ar>
+void VisitRows(Ar& ar, const char* tag, Ref<Ar, std::size_t> rows,
+               Ref<Ar, Matrix> m, std::size_t dim, const char* what) {
+  std::size_t cols = m.cols();
+  ar.Tag(tag);
+  ar.Int(rows, what);
+  ar.Int(cols, what);
+  ar.Check(cols == dim, "dimension does not match the model for", what);
+  ar.Values(m, rows, cols, what);
+  ar.EndLine();
+}
+
+/// "tag i1 ... in", each one of domain[0..1] (any int without a domain);
+/// closes its line.
+template <class Ar>
+void VisitInts(Ar& ar, const char* tag, Ref<Ar, std::vector<int>> v,
+               std::size_t n, const int* domain, const char* what) {
+  ar.Tag(tag);
+  ar.Size(v, n, what);
+  for (std::size_t i = 0; i < n && ar.ok(); ++i) {
+    ar.Int(v[i], what);
+    ar.Check(domain == nullptr || v[i] == domain[0] || v[i] == domain[1],
+             "out-of-domain", what);
+  }
+  ar.EndLine();
+}
+
+template <class Ar>
+void Visit(Ar& ar, Ref<Ar, Rng::State> s, const char* what) {
+  for (auto& word : s.s) ar.Int(word, what);
+  ar.Bool(s.have_cached_gaussian, what);
+  ar.Double(s.cached_gaussian, what);
+  // All-zero is xoshiro's fixed point; no generator ever reaches it.
+  ar.Check((s.s[0] | s.s[1] | s.s[2] | s.s[3]) != 0, "all-zero", what);
+}
+
+template <class Ar>
+void Visit(Ar& ar, Ref<Ar, StreamingFactionConfig> c) {
+  ar.Tag("config");
+  ar.Double(c.lambda, "lambda");
+  ar.Double(c.alpha, "alpha");
+  ar.Int(c.warm_start, "warm_start");
+  ar.Int(c.burn_in, "burn_in");
+  ar.Int(c.refit_interval, "refit_interval");
+  ar.Bool(c.incremental_density, "incremental_density");
+  ar.Int(c.density_window, "density_window");
+  ar.Double(c.density_decay, "density_decay");
+  ar.Check(c.density_decay > 0.0 && c.density_decay <= 1.0,
+           "density_decay outside (0, 1]");
+  ar.Int(c.seed, "seed");
+  ar.EndLine();
+
+  auto& cov = c.covariance;
+  ar.Tag("covariance");
+  ar.Double(cov.shrinkage, "shrinkage");
+  ar.Double(cov.jitter, "jitter");
+  ar.Int(cov.max_jitter_doublings, "max_jitter_doublings");
+  ar.Bool(cov.forgetting, "covariance forgetting flag");
+  ar.Double(cov.ridge, "ridge");
+  ar.EndLine();
+
+  auto& model = c.model;
+  ar.Tag("model");
+  ar.Int(model.input_dim, "input_dim");
+  ar.Check(model.input_dim > 0, "zero input_dim");
+  ar.Int(model.num_classes, "num_classes");
+  ar.Check(model.num_classes >= 2, "fewer than two classes");
+  std::size_t num_hidden = model.hidden_dims.size();
+  ar.Int(num_hidden, "hidden layer count");
+  ar.Check(num_hidden <= kMaxHidden, "oversized hidden layer count");
+  ar.Size(model.hidden_dims, num_hidden, "hidden widths");
+  for (std::size_t i = 0; i < num_hidden && ar.ok(); ++i) {
+    ar.Int(model.hidden_dims[i], "hidden width");
+    ar.Check(model.hidden_dims[i] > 0, "zero hidden width");
+  }
+  ar.EndLine();
+  if (!ar.ok()) return;
+  ar.Check(c.density_window <= kMaxReserved / FeatureDim(model),
+           "oversized density_window");
+  ar.Check(c.refit_interval <= kMaxReserved / model.input_dim,
+           "oversized refit_interval");
+
+  auto& sn = model.spectral;
+  ar.Tag("spectral");
+  ar.Bool(sn.enabled, "spectral enabled flag");
+  ar.Double(sn.coeff, "spectral coeff");
+  ar.Int(sn.power_iterations, "power_iterations");
+  ar.Check(sn.power_iterations >= 0, "negative power_iterations");
+  ar.EndLine();
+
+  auto& t = c.train;
+  ar.Tag("train");
+  ar.Int(t.epochs, "epochs");
+  ar.Int(t.batch_size, "batch_size");
+  ar.Double(t.learning_rate, "learning_rate");
+  ar.Double(t.momentum, "momentum");
+  ar.Double(t.weight_decay, "weight_decay");
+  ar.Bool(t.use_fairness_penalty, "use_fairness_penalty");
+  int notion = static_cast<int>(t.fairness.notion);
+  ar.Int(notion, "fairness notion");
+  ar.Check(notion == static_cast<int>(FairnessNotion::kDdp) ||
+               notion == static_cast<int>(FairnessNotion::kDeo),
+           "unknown fairness notion");
+  if constexpr (Ar::kReading) {
+    t.fairness.notion = static_cast<FairnessNotion>(notion);
+  }
+  ar.Double(t.fairness.mu, "fairness mu");
+  ar.Double(t.fairness.epsilon, "fairness epsilon");
+  ar.Bool(t.fairness.symmetric, "fairness symmetric flag");
+  ar.Bool(t.use_individual_penalty, "use_individual_penalty");
+  ar.Double(t.individual.weight, "individual weight");
+  ar.Double(t.individual.bandwidth, "individual bandwidth");
+  ar.Double(t.individual.similarity_cutoff, "similarity_cutoff");
+  ar.Int(t.individual.max_pairs, "max_pairs");
+  ar.EndLine();
+}
+
+template <class Ar>
+void Visit(Ar& ar, Ref<Ar, LinearSnapshot> l) {
+  ar.Tag("");  // v1 quirk: a layer line opens with a space
+  ar.Double(l.scale, "layer scale");
+  ar.Double(l.sigma, "layer sigma");
+  ar.Double(l.sn_sigma, "layer sn_sigma");
+  VisitVector(ar, l.sn_u, "layer sn_u");
+  VisitVector(ar, l.sn_v, "layer sn_v");
+  Visit(ar, l.sn_rng, "layer rng state");
+  ar.EndLine();
+}
+
+template <class Ar>
+void Visit(Ar& ar, Ref<Ar, GaussianSnapshot> g) {
+  ar.Tag("gaussian");
+  ar.Int(g.count, "gaussian count");
+  ar.Double(g.weight, "gaussian weight");
+  ar.Double(g.ridge, "gaussian ridge");
+  ar.Double(g.log_det, "gaussian log_det");
+  ar.Bool(g.forgetting, "gaussian forgetting flag");
+  ar.EndLine();
+  ar.Tag("mean");
+  VisitVector(ar, g.mean, "gaussian mean");
+  ar.EndLine();
+  ar.Tag("sum");
+  VisitVector(ar, g.sum, "gaussian sum");
+  ar.EndLine();
+  ar.Tag("chol");
+  VisitMatrix(ar, g.chol, "gaussian factor");
+  ar.Tag("scatter");
+  VisitMatrix(ar, g.scatter, "gaussian scatter");
+}
+
+template <class Ar>
+void Visit(Ar& ar, Ref<Ar, DensitySnapshot> d) {
+  ar.Tag("density");
+  ar.Bool(d.has_value, "density presence");
+  ar.EndLine();
+  if (!ar.ok() || !d.has_value) return;
+  ar.Int(d.dim, "density dimension");
+  ar.Bool(d.forgetting, "density forgetting flag");
+  ar.Int(d.total, "density total");
+  ar.Double(d.wtotal, "density wtotal");
+  ar.EndLine();
+  // v1 leaves the domain implicit: it is always the default binary one.
+  const DensityDomain binary;
+  if constexpr (Ar::kReading) d.domain = binary;
+  ar.Check(d.domain == binary, "density domain is not the binary default");
+  ar.Size(d.cells,
+          static_cast<std::size_t>(binary.num_classes) * binary.groups.size(),
+          "density cells");
+  for (std::size_t i = 0; i < d.cells.size() && ar.ok(); ++i) {
+    auto& cell = d.cells[i];
+    ar.Tag("cell");
+    ar.Bool(cell.present, "cell presence");
+    ar.Int(cell.count, "cell count");
+    ar.Double(cell.wcount, "cell wcount");
+    ar.Double(cell.weight, "cell weight");
+    ar.Double(cell.log_weight, "cell log-weight", /*allow_neg_inf=*/true);
+    ar.EndLine();
+    if (ar.ok() && cell.present) Visit(ar, cell.component);
+  }
+}
+
+template <class Ar>
+void Visit(Ar& ar, Ref<Ar, SessionState> s) {
+  ar.Tag("faction-session");
+  ar.Tag("v1");
+  ar.EndLine();
+  ar.Tag("stream");
+  ar.Int(s.stream_id, "stream id");
+  ar.Int(s.generation, "generation");
+  ar.Int(s.steps, "step count");
+  ar.EndLine();
+  Visit(ar, s.config);
+  if (!ar.ok()) return;
+  const MlpConfig& model = s.config.model;
+  const std::size_t window = s.config.density_window;
+
+  ar.Tag("rng");
+  Visit(ar, s.rng, "rng state");
+  ar.EndLine();
+
+  // One weight (out x in) and one bias (1 x out) per Linear, hidden
+  // layers first: every width the config names is backed by a tensor.
+  const std::size_t num_linear = model.hidden_dims.size() + 1;
+  std::size_t num_tensors = s.params.size();
+  ar.Tag("tensors");
+  ar.Int(num_tensors, "tensor count");
+  ar.EndLine();
+  ar.Check(num_tensors == 2 * num_linear,
+           "tensor count does not match the architecture");
+  ar.Size(s.params, num_tensors, "tensors");
+  std::size_t in = model.input_dim;
+  for (std::size_t i = 0; i < num_tensors && ar.ok(); ++i) {
+    const std::size_t layer = i / 2;
+    const std::size_t out = layer + 1 < num_linear ? model.hidden_dims[layer]
+                                                   : model.num_classes;
+    const bool weight = i % 2 == 0;
+    VisitMatrix(ar, s.params[i], "tensor");
+    ar.Check(s.params[i].rows() == (weight ? out : 1) &&
+                 s.params[i].cols() == (weight ? in : out),
+             "tensor shape does not match the architecture");
+    if (!weight) in = out;
+  }
+
+  std::size_t num_layers = s.layers.size();
+  ar.Tag("layers");
+  ar.Int(num_layers, "layer count");
+  ar.EndLine();
+  ar.Check(num_layers == num_linear,
+           "layer count does not match the architecture");
+  ar.Size(s.layers, num_layers, "layers");
+  for (std::size_t i = 0; i < num_layers && ar.ok(); ++i) {
+    Visit(ar, s.layers[i]);
+  }
+
+  VisitRows(ar, "pool", s.pool_size, s.pool_features, model.input_dim,
+            "pool");
+  VisitInts(ar, "labels", s.pool_labels, s.pool_size, kLabels, "pool label");
+  VisitInts(ar, "sensitive", s.pool_sensitive, s.pool_size, kGroups,
+            "pool sensitive");
+  VisitInts(ar, "environments", s.pool_environments, s.pool_size, nullptr,
+            "pool environment");
+
+  VisitRows(ar, "ring", s.ring_size, s.ring_z,
+            window > 0 ? FeatureDim(model) : 0, "ring");
+  ar.Check(s.ring_size <= window, "ring size exceeds density_window");
+  VisitInts(ar, "ringlabels", s.ring_label, s.ring_size, kLabels,
+            "ring label");
+  VisitInts(ar, "ringsensitive", s.ring_sensitive, s.ring_size, kGroups,
+            "ring sensitive");
+  ar.Tag("ringweights");
+  ar.Values(s.ring_weight, s.ring_size, "ring weight");
+  ar.EndLine();
+  for (std::size_t i = 0; i < s.ring_size && ar.ok(); ++i) {
+    // Folds enter at weight 1 and only ever decay.
+    ar.Check(s.ring_weight[i] > 0.0 && s.ring_weight[i] <= 1.0,
+             "ring weight outside (0, 1]");
+  }
+
+  ar.Tag("normalizer");
+  ar.Int(s.norm_count, "normalizer count");
+  ar.Double(s.norm_min, "normalizer min");
+  ar.Double(s.norm_max, "normalizer max");
+  ar.EndLine();
+
+  ar.Tag("counters");
+  ar.Int(s.seen, "seen counter");
+  ar.Int(s.queried, "queried counter");
+  ar.Int(s.labels_since_refit, "labels_since_refit");
+  ar.Bool(s.trained_once, "trained_once flag");
+  ar.EndLine();
+
+  Visit(ar, s.density);
+  ar.Check(!s.density.has_value || s.density.dim == FeatureDim(model),
+           "density dimension does not match the model features");
+  ar.Tag("end");
+  ar.EndLine();
+}
 
 }  // namespace
 
-void EncodeSessionState(const SessionState& state, std::string* out) {
-  std::ostringstream os;
-  os << std::hexfloat;  // integers are unaffected; every double round-trips
-  os << kSessionMagic << '\n';
-  os << "stream " << state.stream_id << ' ' << state.generation << ' '
-     << state.steps << '\n';
-
-  const StreamingFactionConfig& c = state.config;
-  os << "config";
-  PutDouble(os, c.lambda);
-  PutDouble(os, c.alpha);
-  os << ' ' << c.warm_start << ' ' << c.burn_in << ' ' << c.refit_interval
-     << ' ' << (c.incremental_density ? 1 : 0) << ' ' << c.density_window;
-  PutDouble(os, c.density_decay);
-  os << ' ' << c.seed << '\n';
-
-  os << "covariance";
-  PutDouble(os, c.covariance.shrinkage);
-  PutDouble(os, c.covariance.jitter);
-  os << ' ' << c.covariance.max_jitter_doublings << ' '
-     << (c.covariance.forgetting ? 1 : 0);
-  PutDouble(os, c.covariance.ridge);
-  os << '\n';
-
-  os << "model " << c.model.input_dim << ' ' << c.model.num_classes << ' '
-     << c.model.hidden_dims.size();
-  for (const std::size_t h : c.model.hidden_dims) os << ' ' << h;
-  os << '\n';
-
-  os << "spectral " << (c.model.spectral.enabled ? 1 : 0);
-  PutDouble(os, c.model.spectral.coeff);
-  os << ' ' << c.model.spectral.power_iterations << '\n';
-
-  const TrainConfig& t = c.train;
-  os << "train " << t.epochs << ' ' << t.batch_size;
-  PutDouble(os, t.learning_rate);
-  PutDouble(os, t.momentum);
-  PutDouble(os, t.weight_decay);
-  os << ' ' << (t.use_fairness_penalty ? 1 : 0) << ' '
-     << static_cast<int>(t.fairness.notion);
-  PutDouble(os, t.fairness.mu);
-  PutDouble(os, t.fairness.epsilon);
-  os << ' ' << (t.fairness.symmetric ? 1 : 0) << ' '
-     << (t.use_individual_penalty ? 1 : 0);
-  PutDouble(os, t.individual.weight);
-  PutDouble(os, t.individual.bandwidth);
-  PutDouble(os, t.individual.similarity_cutoff);
-  os << ' ' << t.individual.max_pairs << '\n';
-
-  os << "rng ";
-  PutRngState(os, state.rng);
-  os << '\n';
-
-  os << "tensors " << state.params.size() << '\n';
-  for (const Matrix& m : state.params) PutMatrix(os, m);
-
-  os << "layers " << state.layers.size() << '\n';
-  for (const LinearSnapshot& l : state.layers) {
-    PutDouble(os, l.scale);
-    PutDouble(os, l.sigma);
-    PutDouble(os, l.sn_sigma);
-    os << ' ';
-    PutVector(os, l.sn_u);
-    os << ' ';
-    PutVector(os, l.sn_v);
-    os << ' ';
-    PutRngState(os, l.sn_rng);
-    os << '\n';
-  }
-
-  os << "pool " << state.pool_size << ' ' << state.pool_features.cols();
-  PutDoubles(os, state.pool_features.data(),
-             state.pool_size * state.pool_features.cols());
-  os << "\nlabels";
-  PutInts(os, state.pool_labels);
-  os << "\nsensitive";
-  PutInts(os, state.pool_sensitive);
-  os << "\nenvironments";
-  PutInts(os, state.pool_environments);
-  os << '\n';
-
-  os << "ring " << state.ring_size << ' ' << state.ring_z.cols();
-  PutDoubles(os, state.ring_z.data(), state.ring_size * state.ring_z.cols());
-  os << "\nringlabels";
-  PutInts(os, state.ring_label);
-  os << "\nringsensitive";
-  PutInts(os, state.ring_sensitive);
-  os << "\nringweights";
-  PutDoubles(os, state.ring_weight.data(), state.ring_weight.size());
-  os << '\n';
-
-  os << "normalizer " << state.norm_count;
-  PutDouble(os, state.norm_min);
-  PutDouble(os, state.norm_max);
-  os << '\n';
-
-  os << "counters " << state.seen << ' ' << state.queried << ' '
-     << state.labels_since_refit << ' ' << (state.trained_once ? 1 : 0)
-     << '\n';
-
-  const DensitySnapshot& dsnap = state.density;
-  os << "density " << (dsnap.has_value ? 1 : 0) << '\n';
-  if (dsnap.has_value) {
-    os << dsnap.dim << ' ' << (dsnap.forgetting ? 1 : 0) << ' '
-       << dsnap.total;
-    PutDouble(os, dsnap.wtotal);
-    os << '\n';
-    // v1 leaves the domain implicit: it is always the default binary one.
-    FACTION_CHECK(dsnap.domain == DensityDomain{});
-    for (const DensityCellSnapshot& cell : dsnap.cells) {
-      os << "cell " << (cell.present ? 1 : 0) << ' ' << cell.count;
-      PutDouble(os, cell.wcount);
-      PutDouble(os, cell.weight);
-      PutDouble(os, cell.log_weight);
-      os << '\n';
-      if (cell.present) PutGaussian(os, cell.component);
-    }
-  }
-  os << "end\n";
-  *out = os.str();
+Status EncodeSessionState(const SessionState& state, std::string* out) {
+  Writer writer(out);
+  Visit(writer, state);
+  if (!writer.ok()) out->clear();
+  // Appending grew the buffer geometrically; a checkpoint buffer keeps
+  // its bytes until the next generation, so hold only what they need.
+  out->shrink_to_fit();
+  return writer.status();
 }
 
 Status DecodeSessionState(std::istream& is, const std::string& source,
                           SessionState* out) {
-  TokenReader r(is, source);
-  FACTION_RETURN_IF_ERROR(r.ExpectMagic("faction-session", "v1"));
-
-  FACTION_RETURN_IF_ERROR(r.Expect("stream"));
-  FACTION_RETURN_IF_ERROR(r.ReadU64(&out->stream_id, "stream id"));
-  FACTION_RETURN_IF_ERROR(r.ReadU64(&out->generation, "generation"));
-  FACTION_RETURN_IF_ERROR(r.ReadU64(&out->steps, "step count"));
-
-  StreamingFactionConfig& c = out->config;
-  FACTION_RETURN_IF_ERROR(r.Expect("config"));
-  FACTION_RETURN_IF_ERROR(r.ReadDouble(&c.lambda, "lambda"));
-  FACTION_RETURN_IF_ERROR(r.ReadDouble(&c.alpha, "alpha"));
-  FACTION_RETURN_IF_ERROR(r.ReadSize(&c.warm_start, "warm_start"));
-  FACTION_RETURN_IF_ERROR(r.ReadSize(&c.burn_in, "burn_in"));
-  FACTION_RETURN_IF_ERROR(r.ReadSize(&c.refit_interval, "refit_interval"));
-  FACTION_RETURN_IF_ERROR(
-      r.ReadBool(&c.incremental_density, "incremental_density"));
-  FACTION_RETURN_IF_ERROR(r.ReadSize(&c.density_window, "density_window"));
-  FACTION_RETURN_IF_ERROR(r.ReadDouble(&c.density_decay, "density_decay"));
-  FACTION_RETURN_IF_ERROR(r.ReadU64(&c.seed, "seed"));
-
-  FACTION_RETURN_IF_ERROR(r.Expect("covariance"));
-  FACTION_RETURN_IF_ERROR(r.ReadDouble(&c.covariance.shrinkage, "shrinkage"));
-  FACTION_RETURN_IF_ERROR(r.ReadDouble(&c.covariance.jitter, "jitter"));
-  FACTION_RETURN_IF_ERROR(
-      r.ReadInt(&c.covariance.max_jitter_doublings, "max_jitter_doublings"));
-  FACTION_RETURN_IF_ERROR(
-      r.ReadBool(&c.covariance.forgetting, "covariance forgetting flag"));
-  FACTION_RETURN_IF_ERROR(r.ReadDouble(&c.covariance.ridge, "ridge"));
-
-  FACTION_RETURN_IF_ERROR(r.Expect("model"));
-  FACTION_RETURN_IF_ERROR(r.ReadSize(&c.model.input_dim, "input_dim"));
-  FACTION_RETURN_IF_ERROR(r.ReadSize(&c.model.num_classes, "num_classes"));
-  std::size_t num_hidden = 0;
-  FACTION_RETURN_IF_ERROR(r.ReadSize(&num_hidden, "hidden layer count"));
-  if (num_hidden > 1024) return r.Fail("oversized hidden layer count");
-  c.model.hidden_dims.resize(num_hidden);
-  for (std::size_t i = 0; i < num_hidden; ++i) {
-    FACTION_RETURN_IF_ERROR(
-        r.ReadSize(&c.model.hidden_dims[i], "hidden width"));
-  }
-
-  FACTION_RETURN_IF_ERROR(r.Expect("spectral"));
-  FACTION_RETURN_IF_ERROR(
-      r.ReadBool(&c.model.spectral.enabled, "spectral enabled flag"));
-  FACTION_RETURN_IF_ERROR(
-      r.ReadDouble(&c.model.spectral.coeff, "spectral coeff"));
-  FACTION_RETURN_IF_ERROR(
-      r.ReadInt(&c.model.spectral.power_iterations, "power_iterations"));
-
-  TrainConfig& t = c.train;
-  FACTION_RETURN_IF_ERROR(r.Expect("train"));
-  FACTION_RETURN_IF_ERROR(r.ReadInt(&t.epochs, "epochs"));
-  FACTION_RETURN_IF_ERROR(r.ReadSize(&t.batch_size, "batch_size"));
-  FACTION_RETURN_IF_ERROR(r.ReadDouble(&t.learning_rate, "learning_rate"));
-  FACTION_RETURN_IF_ERROR(r.ReadDouble(&t.momentum, "momentum"));
-  FACTION_RETURN_IF_ERROR(r.ReadDouble(&t.weight_decay, "weight_decay"));
-  FACTION_RETURN_IF_ERROR(
-      r.ReadBool(&t.use_fairness_penalty, "use_fairness_penalty"));
-  int notion = 0;
-  FACTION_RETURN_IF_ERROR(r.ReadInt(&notion, "fairness notion"));
-  if (notion != static_cast<int>(FairnessNotion::kDdp) &&
-      notion != static_cast<int>(FairnessNotion::kDeo)) {
-    return r.Fail("unknown fairness notion");
-  }
-  t.fairness.notion = static_cast<FairnessNotion>(notion);
-  FACTION_RETURN_IF_ERROR(r.ReadDouble(&t.fairness.mu, "fairness mu"));
-  FACTION_RETURN_IF_ERROR(
-      r.ReadDouble(&t.fairness.epsilon, "fairness epsilon"));
-  FACTION_RETURN_IF_ERROR(
-      r.ReadBool(&t.fairness.symmetric, "fairness symmetric flag"));
-  FACTION_RETURN_IF_ERROR(
-      r.ReadBool(&t.use_individual_penalty, "use_individual_penalty"));
-  FACTION_RETURN_IF_ERROR(
-      r.ReadDouble(&t.individual.weight, "individual weight"));
-  FACTION_RETURN_IF_ERROR(
-      r.ReadDouble(&t.individual.bandwidth, "individual bandwidth"));
-  FACTION_RETURN_IF_ERROR(
-      r.ReadDouble(&t.individual.similarity_cutoff, "similarity_cutoff"));
-  FACTION_RETURN_IF_ERROR(r.ReadSize(&t.individual.max_pairs, "max_pairs"));
-
-  FACTION_RETURN_IF_ERROR(r.Expect("rng"));
-  FACTION_RETURN_IF_ERROR(r.ReadRngState(&out->rng, "rng state"));
-
-  FACTION_RETURN_IF_ERROR(r.Expect("tensors"));
-  std::size_t num_tensors = 0;
-  FACTION_RETURN_IF_ERROR(r.ReadSize(&num_tensors, "tensor count"));
-  if (num_tensors != 2 * (num_hidden + 1)) {
-    return r.Fail("tensor count does not match the architecture");
-  }
-  out->params.resize(num_tensors);
-  for (std::size_t i = 0; i < num_tensors; ++i) {
-    FACTION_RETURN_IF_ERROR(r.ReadMatrix(&out->params[i], "tensor"));
-  }
-
-  FACTION_RETURN_IF_ERROR(r.Expect("layers"));
-  std::size_t num_layers = 0;
-  FACTION_RETURN_IF_ERROR(r.ReadSize(&num_layers, "layer count"));
-  if (num_layers != num_hidden + 1) {
-    return r.Fail("layer count does not match the architecture");
-  }
-  out->layers.resize(num_layers);
-  for (std::size_t i = 0; i < num_layers; ++i) {
-    LinearSnapshot& l = out->layers[i];
-    FACTION_RETURN_IF_ERROR(r.ReadDouble(&l.scale, "layer scale"));
-    FACTION_RETURN_IF_ERROR(r.ReadDouble(&l.sigma, "layer sigma"));
-    FACTION_RETURN_IF_ERROR(r.ReadDouble(&l.sn_sigma, "layer sn_sigma"));
-    FACTION_RETURN_IF_ERROR(r.ReadVector(&l.sn_u, "layer sn_u"));
-    FACTION_RETURN_IF_ERROR(r.ReadVector(&l.sn_v, "layer sn_v"));
-    FACTION_RETURN_IF_ERROR(r.ReadRngState(&l.sn_rng, "layer rng state"));
-  }
-
-  FACTION_RETURN_IF_ERROR(r.Expect("pool"));
-  std::size_t pool_dim = 0;
-  FACTION_RETURN_IF_ERROR(r.ReadSize(&out->pool_size, "pool size"));
-  FACTION_RETURN_IF_ERROR(r.ReadSize(&pool_dim, "pool dimension"));
-  if (pool_dim != c.model.input_dim) {
-    return r.Fail("pool dimension does not match the model input");
-  }
-  out->pool_features.ResizeForOverwrite(out->pool_size, pool_dim);
-  FACTION_RETURN_IF_ERROR(r.ReadDoubles(
-      out->pool_features.data(), out->pool_size * pool_dim, "pool row"));
-  FACTION_RETURN_IF_ERROR(r.Expect("labels"));
-  FACTION_RETURN_IF_ERROR(
-      r.ReadInts(&out->pool_labels, out->pool_size, "pool label"));
-  FACTION_RETURN_IF_ERROR(r.Expect("sensitive"));
-  FACTION_RETURN_IF_ERROR(
-      r.ReadInts(&out->pool_sensitive, out->pool_size, "pool sensitive"));
-  FACTION_RETURN_IF_ERROR(r.Expect("environments"));
-  FACTION_RETURN_IF_ERROR(r.ReadInts(&out->pool_environments, out->pool_size,
-                                     "pool environment"));
-
-  FACTION_RETURN_IF_ERROR(r.Expect("ring"));
-  std::size_t ring_dim = 0;
-  FACTION_RETURN_IF_ERROR(r.ReadSize(&out->ring_size, "ring size"));
-  FACTION_RETURN_IF_ERROR(r.ReadSize(&ring_dim, "ring dimension"));
-  if (out->ring_size > c.density_window) {
-    return r.Fail("ring size exceeds density_window");
-  }
-  out->ring_z.ResizeForOverwrite(out->ring_size, ring_dim);
-  FACTION_RETURN_IF_ERROR(r.ReadDoubles(
-      out->ring_z.data(), out->ring_size * ring_dim, "ring row"));
-  FACTION_RETURN_IF_ERROR(r.Expect("ringlabels"));
-  FACTION_RETURN_IF_ERROR(
-      r.ReadInts(&out->ring_label, out->ring_size, "ring label"));
-  FACTION_RETURN_IF_ERROR(r.Expect("ringsensitive"));
-  FACTION_RETURN_IF_ERROR(
-      r.ReadInts(&out->ring_sensitive, out->ring_size, "ring sensitive"));
-  FACTION_RETURN_IF_ERROR(r.Expect("ringweights"));
-  out->ring_weight.resize(out->ring_size);
-  FACTION_RETURN_IF_ERROR(r.ReadDoubles(out->ring_weight.data(),
-                                        out->ring_size, "ring weight"));
-
-  FACTION_RETURN_IF_ERROR(r.Expect("normalizer"));
-  FACTION_RETURN_IF_ERROR(r.ReadSize(&out->norm_count, "normalizer count"));
-  FACTION_RETURN_IF_ERROR(r.ReadDouble(&out->norm_min, "normalizer min"));
-  FACTION_RETURN_IF_ERROR(r.ReadDouble(&out->norm_max, "normalizer max"));
-
-  FACTION_RETURN_IF_ERROR(r.Expect("counters"));
-  FACTION_RETURN_IF_ERROR(r.ReadSize(&out->seen, "seen counter"));
-  FACTION_RETURN_IF_ERROR(r.ReadSize(&out->queried, "queried counter"));
-  FACTION_RETURN_IF_ERROR(
-      r.ReadSize(&out->labels_since_refit, "labels_since_refit"));
-  FACTION_RETURN_IF_ERROR(
-      r.ReadBool(&out->trained_once, "trained_once flag"));
-
-  DensitySnapshot& dsnap = out->density;
-  FACTION_RETURN_IF_ERROR(r.Expect("density"));
-  FACTION_RETURN_IF_ERROR(r.ReadBool(&dsnap.has_value, "density presence"));
-  if (dsnap.has_value) {
-    FACTION_RETURN_IF_ERROR(r.ReadSize(&dsnap.dim, "density dimension"));
-    FACTION_RETURN_IF_ERROR(
-        r.ReadBool(&dsnap.forgetting, "density forgetting flag"));
-    FACTION_RETURN_IF_ERROR(r.ReadSize(&dsnap.total, "density total"));
-    FACTION_RETURN_IF_ERROR(r.ReadDouble(&dsnap.wtotal, "density wtotal"));
-    dsnap.domain = DensityDomain{};
-    dsnap.cells.resize(static_cast<std::size_t>(dsnap.domain.num_classes) *
-                       dsnap.domain.groups.size());
-    for (DensityCellSnapshot& cell : dsnap.cells) {
-      FACTION_RETURN_IF_ERROR(r.Expect("cell"));
-      FACTION_RETURN_IF_ERROR(r.ReadBool(&cell.present, "cell presence"));
-      FACTION_RETURN_IF_ERROR(r.ReadSize(&cell.count, "cell count"));
-      FACTION_RETURN_IF_ERROR(r.ReadDouble(&cell.wcount, "cell wcount"));
-      FACTION_RETURN_IF_ERROR(r.ReadDouble(&cell.weight, "cell weight"));
-      FACTION_RETURN_IF_ERROR(
-          r.ReadDouble(&cell.log_weight, "cell log-weight"));
-      if (cell.present) {
-        FACTION_RETURN_IF_ERROR(r.ReadGaussian(&cell.component));
-      }
-    }
-  }
-  return r.Expect("end");
+  const std::streamoff base = is.tellg();
+  std::string text;
+  char chunk[1 << 14];
+  do {
+    is.read(chunk, sizeof(chunk));
+    text.append(chunk, static_cast<std::size_t>(is.gcount()));
+  } while (is);
+  Reader reader(std::move(text), base, source);
+  Visit(reader, *out);
+  return reader.status();
 }
 
 Status DecodeSessionStateFromFile(const std::string& path,
@@ -944,113 +969,6 @@ Status DecodeSessionStateFromFile(const std::string& path,
                             path);
   }
   return DecodeSessionState(is, path, out);
-}
-
-// ------------------------------------------- standalone pipeline state
-
-void CaptureDriftDetectorState(const DriftDetector& detector,
-                               DriftDetectorState* out) {
-  StateCodecAccess::CaptureDrift(detector, out);
-}
-
-void RestoreDriftDetectorState(const DriftDetectorState& state,
-                               DriftDetector* detector) {
-  StateCodecAccess::RestoreDrift(state, detector);
-}
-
-void EncodeDriftDetectorState(const DriftDetectorState& state,
-                              std::string* out) {
-  std::ostringstream os;
-  os << std::hexfloat;
-  os << kDriftMagic << '\n' << state.n;
-  PutDouble(os, state.mean);
-  PutDouble(os, state.m2);
-  os << ' ' << state.cooldown_remaining << '\n';
-  *out = os.str();
-}
-
-Status DecodeDriftDetectorState(std::istream& is, const std::string& source,
-                                DriftDetectorState* out) {
-  TokenReader r(is, source);
-  FACTION_RETURN_IF_ERROR(r.ExpectMagic("faction-drift", "v1"));
-  FACTION_RETURN_IF_ERROR(r.ReadSize(&out->n, "history count"));
-  FACTION_RETURN_IF_ERROR(r.ReadDouble(&out->mean, "running mean"));
-  FACTION_RETURN_IF_ERROR(r.ReadDouble(&out->m2, "running m2"));
-  return r.ReadSize(&out->cooldown_remaining, "cooldown");
-}
-
-void CaptureBanditState(const BanditStrategy& strategy, BanditState* out) {
-  StateCodecAccess::CaptureBandit(strategy, out);
-}
-
-void RestoreBanditState(const BanditState& state, BanditStrategy* strategy) {
-  StateCodecAccess::RestoreBandit(state, strategy);
-}
-
-void EncodeBanditState(const BanditState& state, std::string* out) {
-  std::ostringstream os;
-  os << std::hexfloat;
-  os << kBanditMagic << '\n';
-  PutDouble(os, state.pulls[0]);
-  PutDouble(os, state.pulls[1]);
-  PutDouble(os, state.reward_sum[0]);
-  PutDouble(os, state.reward_sum[1]);
-  os << '\n';
-  *out = os.str();
-}
-
-Status DecodeBanditState(std::istream& is, const std::string& source,
-                         BanditState* out) {
-  TokenReader r(is, source);
-  FACTION_RETURN_IF_ERROR(r.ExpectMagic("faction-bandit", "v1"));
-  FACTION_RETURN_IF_ERROR(r.ReadDouble(&out->pulls[0], "arm pulls"));
-  FACTION_RETURN_IF_ERROR(r.ReadDouble(&out->pulls[1], "arm pulls"));
-  FACTION_RETURN_IF_ERROR(r.ReadDouble(&out->reward_sum[0], "arm reward"));
-  return r.ReadDouble(&out->reward_sum[1], "arm reward");
-}
-
-void CaptureDisentangledState(const DisentangledStrategy& strategy,
-                              DisentangledState* out) {
-  StateCodecAccess::CaptureDisentangled(strategy, out);
-}
-
-void RestoreDisentangledState(const DisentangledState& state,
-                              DisentangledStrategy* strategy) {
-  StateCodecAccess::RestoreDisentangled(state, strategy);
-}
-
-void EncodeDisentangledState(const DisentangledState& state,
-                             std::string* out) {
-  std::ostringstream os;
-  os << std::hexfloat;
-  os << kDisentangledMagic << '\n';
-  PutVector(os, state.global);
-  os << '\n' << state.deltas.size() << '\n';
-  for (const auto& [env, delta] : state.deltas) {
-    os << env << ' ';
-    PutVector(os, delta);
-    os << '\n';
-  }
-  *out = os.str();
-}
-
-Status DecodeDisentangledState(std::istream& is, const std::string& source,
-                               DisentangledState* out) {
-  TokenReader r(is, source);
-  FACTION_RETURN_IF_ERROR(r.ExpectMagic("faction-disentangled", "v1"));
-  FACTION_RETURN_IF_ERROR(r.ReadVector(&out->global, "global weights"));
-  std::size_t num_deltas = 0;
-  FACTION_RETURN_IF_ERROR(r.ReadSize(&num_deltas, "delta count"));
-  if (num_deltas > 1u << 20) return r.Fail("oversized delta count");
-  out->deltas.clear();
-  for (std::size_t i = 0; i < num_deltas; ++i) {
-    int env = 0;
-    FACTION_RETURN_IF_ERROR(r.ReadInt(&env, "delta environment"));
-    std::vector<double> delta;
-    FACTION_RETURN_IF_ERROR(r.ReadVector(&delta, "delta weights"));
-    out->deltas.emplace(env, std::move(delta));
-  }
-  return Status::Ok();
 }
 
 // FACTION_COLD_END

@@ -1,22 +1,17 @@
 #ifndef FACTION_SERVE_STATE_CODEC_H_
 #define FACTION_SERVE_STATE_CODEC_H_
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <istream>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "baselines/bandit_strategy.h"
-#include "baselines/disentangled_strategy.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "core/streaming_faction.h"
 #include "density/fair_density.h"
-#include "stream/drift.h"
 #include "tensor/matrix.h"
 
 // Full-session state codec (DESIGN.md §17): captures the COMPLETE state of
@@ -25,10 +20,12 @@
 // sufficient statistics, incremental normalizer, RNG position, and every
 // counter — into a plain-data SessionState, and restores it such that the
 // restored learner's future outputs are bitwise identical to the
-// uninterrupted one's. The text encoding extends the hexfloat serializer
-// idiom of nn/serialize.cc (format "faction-session v1"): every double
-// round-trips bit-for-bit, and decode errors name the source and byte
-// offset.
+// uninterrupted one's. The text format is "faction-session v1": every
+// double is printed as hexfloat and round-trips bit-for-bit, and decode
+// errors name the source and byte offset. One templated Visit per
+// snapshot type (state_codec.cc) drives both directions, so the encoder
+// and decoder cannot drift apart and every decode check also gates the
+// encoder.
 //
 // Split of responsibilities:
 //   * CaptureSessionState is the hot half — called by the drain holder
@@ -151,8 +148,11 @@ Status RestoreSessionState(const SessionState& state,
                            StreamingFaction* faction);
 
 /// Serializes a SessionState to the "faction-session v1" text format
-/// (hexfloat payload). Overwrites *out.
-void EncodeSessionState(const SessionState& state, std::string* out);
+/// (hexfloat payload), overwriting *out. Refuses, with *out left empty,
+/// every state DecodeSessionState would reject: NumericalError for a NaN
+/// or infinite value, InvalidArgument for a shape or count the format
+/// cannot carry.
+Status EncodeSessionState(const SessionState& state, std::string* out);
 
 /// Parses a "faction-session v1" stream. `source` names the stream in
 /// error messages (path or a logical label); every failure reports the
@@ -171,59 +171,6 @@ Status DecodeSessionStateFromFile(const std::string& path,
 Status RestoreDensity(const DensitySnapshot& snapshot,
                       const CovarianceConfig& config,
                       std::optional<FairDensityEstimator>* out);
-
-// --- Standalone pipeline state -------------------------------------------
-//
-// The drift detector and the bandit/disentangled acquisition strategies
-// live outside StreamingFaction (the task-stream pipelines own them), so
-// they checkpoint through their own sections with the same capture /
-// restore / encode / decode shape.
-
-/// Drift detector running statistics + re-arm state (configs are owned by
-/// the caller and not serialized).
-struct DriftDetectorState {
-  std::size_t n = 0;
-  double mean = 0.0;
-  double m2 = 0.0;
-  std::size_t cooldown_remaining = 0;
-};
-
-void CaptureDriftDetectorState(const DriftDetector& detector,
-                               DriftDetectorState* out);
-void RestoreDriftDetectorState(const DriftDetectorState& state,
-                               DriftDetector* detector);
-void EncodeDriftDetectorState(const DriftDetectorState& state,
-                              std::string* out);
-Status DecodeDriftDetectorState(std::istream& is, const std::string& source,
-                                DriftDetectorState* out);
-
-/// Discounted UCB arm statistics of the bandit strategy.
-struct BanditState {
-  std::array<double, 2> pulls = {0.0, 0.0};
-  std::array<double, 2> reward_sum = {0.0, 0.0};
-};
-
-void CaptureBanditState(const BanditStrategy& strategy, BanditState* out);
-void RestoreBanditState(const BanditState& state, BanditStrategy* strategy);
-void EncodeBanditState(const BanditState& state, std::string* out);
-Status DecodeBanditState(std::istream& is, const std::string& source,
-                         BanditState* out);
-
-/// Disentangled probe weights: the shared global component plus every
-/// per-environment delta.
-struct DisentangledState {
-  std::vector<double> global;
-  std::map<int, std::vector<double>> deltas;
-};
-
-void CaptureDisentangledState(const DisentangledStrategy& strategy,
-                              DisentangledState* out);
-void RestoreDisentangledState(const DisentangledState& state,
-                              DisentangledStrategy* strategy);
-void EncodeDisentangledState(const DisentangledState& state,
-                             std::string* out);
-Status DecodeDisentangledState(std::istream& is, const std::string& source,
-                               DisentangledState* out);
 
 }  // namespace faction
 

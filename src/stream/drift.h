@@ -9,8 +9,6 @@
 
 namespace faction {
 
-struct StateCodecAccess;  // serve/state_codec.cc checkpoint accessor
-
 /// Environment-change detection built on the same signal FACTION's
 /// selection exploits: when a new task comes from a shifted environment,
 /// its samples' density under the current estimator collapses (high
@@ -78,8 +76,6 @@ class DriftDetector {
   void Reset();
 
  private:
-  friend struct StateCodecAccess;
-
   DriftDetectorConfig config_;
   RunningStat stats_;
   std::size_t cooldown_remaining_ = 0;

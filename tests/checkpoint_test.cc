@@ -1,24 +1,25 @@
 // Checkpoint/state-streaming tests (DESIGN.md §17): bitwise
 // capture/encode/decode/restore round trips for the full session state,
-// kill-then-restore decision parity at any worker count, warm-start from a
-// manifest, generation/rotation protocol, the never-stall skip path, the
-// cross-shard sufficient-stats merge, and the standalone drift/bandit/
-// disentangled codecs.
+// pinned "faction-session v1" bytes, kill-then-restore decision parity at
+// any worker count, warm-start from a manifest, generation/rotation
+// protocol, the never-stall skip path, the cross-shard sufficient-stats
+// merge, and the inputs the codec, the manifest reader and WarmStart must
+// refuse with a Status (never an abort).
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
 
-#include "baselines/bandit_strategy.h"
-#include "baselines/disentangled_strategy.h"
 #include "common/rng.h"
 #include "core/streaming_faction.h"
 #include "data/dataset.h"
@@ -28,7 +29,6 @@
 #include "serve/serve_runtime.h"
 #include "serve/session.h"
 #include "serve/state_codec.h"
-#include "stream/drift.h"
 
 namespace faction {
 namespace {
@@ -610,81 +610,308 @@ TEST(MergeSufficientStats, FoldsShardCheckpointsFromDisk) {
 }
 
 // ---------------------------------------------------------------------------
-// Standalone pipeline-state codecs.
+// Pinned v1 bytes.
 
-TEST(PipelineStateCodec, DriftDetectorRoundTripPreservesBehavior) {
-  DriftDetectorConfig config;
-  config.threshold = 2.0;
-  config.cooldown = 4;
-  DriftDetector original(config);
-  for (double v : {0.1, 0.12, 0.11, 0.13, 0.12, 5.0}) original.Observe(v);
-
-  DriftDetectorState state;
-  CaptureDriftDetectorState(original, &state);
-  std::string encoded;
-  EncodeDriftDetectorState(state, &encoded);
-  std::istringstream is(encoded);
-  DriftDetectorState decoded;
-  ASSERT_TRUE(DecodeDriftDetectorState(is, "drift", &decoded).ok());
-  EXPECT_EQ(state.n, decoded.n);
-  EXPECT_EQ(state.cooldown_remaining, decoded.cooldown_remaining);
-
-  DriftDetector restored(config);
-  RestoreDriftDetectorState(decoded, &restored);
-  EXPECT_EQ(original.history(), restored.history());
-  EXPECT_EQ(original.mean(), restored.mean());
-  EXPECT_EQ(original.cooldown_remaining(), restored.cooldown_remaining());
-  // Future firings agree step for step (including the re-arm cooldown).
-  for (double v : {0.1, 0.11, 9.0, 0.1, 0.1, 0.1, 0.1, 8.0}) {
-    EXPECT_EQ(original.Observe(v), restored.Observe(v)) << "value " << v;
-    EXPECT_EQ(original.cooldown_remaining(), restored.cooldown_remaining());
+// A session's "faction-session v1" bytes are a format, not an
+// implementation detail: after a fixed stream they must not change by one
+// byte. The fingerprints are SubSeed's FNV-1a over the encoded text, taken
+// from the encoder that predates the shared encode/decode Visit.
+TEST(SessionCodecFingerprint, V1BytesArePinned) {
+  struct Pin {
+    bool windowed;
+    std::size_t size;
+    std::uint64_t fingerprint;
+  };
+  for (const Pin& pin : {Pin{false, 18353u, 0x012e8a5181f52dcbull},
+                         Pin{true, 24058u, 0x20bb33edcb76aad1ull}}) {
+    const StreamingFactionConfig config =
+        pin.windowed ? WindowedConfig(11) : SmallConfig(11);
+    StreamingFaction faction(config);
+    RunStream(&faction, MakeStream(100, config.model.input_dim, 2025), 0, 100,
+              nullptr);
+    SessionState state;
+    CaptureSessionState(faction, &state);
+    state.stream_id = 7;
+    state.generation = 3;
+    state.steps = 100;
+    std::string bytes;
+    EncodeSessionState(state, &bytes);
+    EXPECT_EQ(pin.size, bytes.size()) << "windowed " << pin.windowed;
+    EXPECT_EQ(pin.fingerprint, SubSeed(0, bytes)) << "windowed "
+                                                  << pin.windowed;
   }
 }
 
-TEST(PipelineStateCodec, BanditStateRoundTrip) {
-  BanditState state;
-  state.pulls = {3.25, 1.5};
-  state.reward_sum = {0.875, -0.25};
-  std::string encoded;
-  EncodeBanditState(state, &encoded);
-  std::istringstream is(encoded);
-  BanditState decoded;
-  ASSERT_TRUE(DecodeBanditState(is, "bandit", &decoded).ok());
-  EXPECT_EQ(state.pulls, decoded.pulls);
-  EXPECT_EQ(state.reward_sum, decoded.reward_sum);
+// ---------------------------------------------------------------------------
+// Inputs that must fail with a Status, never abort.
 
-  BanditConfig config;
-  BanditStrategy strategy(config);
-  RestoreBanditState(decoded, &strategy);
-  EXPECT_EQ(3.25, strategy.arm_pulls(0));
-  EXPECT_EQ(1.5, strategy.arm_pulls(1));
-  BanditState recaptured;
-  CaptureBanditState(strategy, &recaptured);
-  EXPECT_EQ(state.pulls, recaptured.pulls);
-  EXPECT_EQ(state.reward_sum, recaptured.reward_sum);
+SessionState CapturedState(const StreamingFactionConfig& config,
+                           std::size_t arrivals) {
+  StreamingFaction faction(config);
+  RunStream(&faction, MakeStream(arrivals, config.model.input_dim, 2025), 0,
+            arrivals, nullptr);
+  SessionState state;
+  CaptureSessionState(faction, &state);
+  return state;
 }
 
-TEST(PipelineStateCodec, DisentangledStateRoundTrip) {
-  DisentangledState state;
-  state.global = {0.5, -0.25, 0.125};
-  state.deltas[0] = {0.01, 0.02, 0.03};
-  state.deltas[3] = {-0.5, 0.0, 0.25};
-  std::string encoded;
-  EncodeDisentangledState(state, &encoded);
-  std::istringstream is(encoded);
-  DisentangledState decoded;
-  ASSERT_TRUE(DecodeDisentangledState(is, "disentangled", &decoded).ok());
-  EXPECT_EQ(state.global, decoded.global);
-  EXPECT_EQ(state.deltas, decoded.deltas);
+std::string Encoded(const SessionState& state) {
+  std::string bytes;
+  EXPECT_TRUE(EncodeSessionState(state, &bytes).ok());
+  return bytes;
+}
 
-  DisentangledConfig config;
-  DisentangledStrategy strategy(config);
-  RestoreDisentangledState(decoded, &strategy);
-  EXPECT_EQ(2u, strategy.num_environment_deltas());
-  DisentangledState recaptured;
-  CaptureDisentangledState(strategy, &recaptured);
-  EXPECT_EQ(state.global, recaptured.global);
-  EXPECT_EQ(state.deltas, recaptured.deltas);
+// Replaces token `index` (0 = the tag itself) of the line opened by `tag`.
+std::string WithToken(const std::string& text, const std::string& tag,
+                      std::size_t index, const std::string& value) {
+  std::size_t begin = text.find("\n" + tag + " ");
+  EXPECT_NE(std::string::npos, begin) << tag;
+  begin += 1;
+  for (std::size_t i = 0; i < index; ++i) begin = text.find(' ', begin) + 1;
+  const std::size_t end = text.find_first_of(" \n", begin);
+  return text.substr(0, begin) + value + text.substr(end);
+}
+
+// Decode, then build the learner from the decoded config and restore: the
+// whole warm-start path of one checkpoint.
+Status DecodeAndRestore(const std::string& text) {
+  std::istringstream is(text);
+  SessionState state;
+  FACTION_RETURN_IF_ERROR(DecodeSessionState(is, "probe", &state));
+  StreamingFaction faction(state.config);
+  return RestoreSessionState(state, &faction);
+}
+
+TEST(SessionCodecRefusal, EncodeRefusesNonFiniteValues) {
+  const SessionState good = CapturedState(SmallConfig(3), 40);
+  for (const double poison : {std::nan(""),
+                              std::numeric_limits<double>::infinity(),
+                              -std::numeric_limits<double>::infinity()}) {
+    SessionState state = good;
+    state.params[0].data()[0] = poison;
+    std::string bytes = "stale";
+    const Status encoded = EncodeSessionState(state, &bytes);
+    EXPECT_EQ(StatusCode::kNumericalError, encoded.code())
+        << encoded.ToString();
+    EXPECT_NE(std::string::npos, encoded.message().find("non-finite"));
+    EXPECT_TRUE(bytes.empty());
+  }
+  // -inf is legal exactly where the format carries it: the log-weight of
+  // a zero-mass mixture cell.
+  SessionState state = good;
+  ASSERT_TRUE(state.density.has_value);
+  state.density.cells[0].log_weight = -std::numeric_limits<double>::infinity();
+  std::string bytes;
+  EXPECT_TRUE(EncodeSessionState(state, &bytes).ok());
+  EXPECT_TRUE(DecodeAndRestore(bytes).ok());
+}
+
+// Encode refuses what Decode rejects, so a state Capture could never
+// produce cannot reach a checkpoint file either.
+TEST(SessionCodecRefusal, EncodeRefusesWhatDecodeRejects) {
+  const SessionState good = CapturedState(WindowedConfig(3), 80);
+  std::string bytes;
+  SessionState state = good;
+  state.config.density_decay = 2.0;
+  EXPECT_FALSE(EncodeSessionState(state, &bytes).ok());
+  state = good;
+  state.params.pop_back();
+  EXPECT_FALSE(EncodeSessionState(state, &bytes).ok());
+  state = good;
+  state.pool_labels[0] = 7;
+  EXPECT_FALSE(EncodeSessionState(state, &bytes).ok());
+  state = good;
+  ASSERT_GT(state.ring_size, 0u);
+  state.ring_weight[0] = 0.0;
+  EXPECT_FALSE(EncodeSessionState(state, &bytes).ok());
+  state = good;
+  state.density.domain.groups = {0, 1};
+  EXPECT_FALSE(EncodeSessionState(state, &bytes).ok());
+}
+
+// Each of these decoded as OK and then aborted the process while the
+// learner was built or restored.
+TEST(SessionCodecRefusal, OversizedPoolIsRejected) {
+  const std::string good = Encoded(CapturedState(SmallConfig(3), 40));
+  ASSERT_TRUE(DecodeAndRestore(good).ok());
+  EXPECT_FALSE(
+      DecodeAndRestore(WithToken(good, "pool", 1, "4611686018427387904"))
+          .ok());
+}
+
+TEST(SessionCodecRefusal, InputDimNotBackedByTensorsIsRejected) {
+  // A fresh session: empty pool, so the model line and the pool header
+  // can claim 2^40 inputs consistently.
+  const std::string good = Encoded(CapturedState(SmallConfig(3), 0));
+  ASSERT_TRUE(DecodeAndRestore(good).ok());
+  const std::string wide =
+      WithToken(WithToken(good, "model", 1, "1099511627776"), "pool", 2,
+                "1099511627776");
+  EXPECT_FALSE(DecodeAndRestore(wide).ok());
+  // A width small enough to pass every size bound still has to match the
+  // tensors the file carries.
+  const std::string seven =
+      WithToken(WithToken(good, "model", 1, "7"), "pool", 2, "7");
+  const Status status = DecodeAndRestore(seven);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(std::string::npos, status.message().find("architecture"))
+      << status.ToString();
+}
+
+TEST(SessionCodecRefusal, DensityDecayOutsideUnitIntervalIsRejected) {
+  const std::string good = Encoded(CapturedState(WindowedConfig(3), 40));
+  ASSERT_TRUE(DecodeAndRestore(good).ok());
+  for (const char* decay : {"2", "0", "-0x1p-1"}) {
+    EXPECT_FALSE(DecodeAndRestore(WithToken(good, "config", 8, decay)).ok())
+        << decay;
+  }
+}
+
+// The manager never commits a state it cannot read back: the manifest
+// stays on the previous generation, which WarmStart still restores.
+TEST(CheckpointEncodeFailure, ManifestStaysOnLastReadableGeneration) {
+  const std::string dir = MakeScratchDir("nonfinite");
+  CheckpointOptions ckpt;
+  ckpt.dir = dir;
+  ckpt.interval_steps = 1000;  // snapshots only on demand
+  ServeRuntimeOptions runtime_options;
+  runtime_options.workers = 0;
+  runtime_options.record_latency = false;
+  std::vector<Example> stream = MakeStream(8, 6, 8);
+  // Queried during warm start (12 labels), so the NaN lands in the pool
+  // before any refit could train on it.
+  stream[6].x[2] = std::nan("");
+  {
+    ServeRuntime runtime(runtime_options);
+    runtime.EnableCheckpoints(ckpt);
+    ServeSessionOptions options;
+    options.stream_id = 9;
+    options.faction = SmallConfig(17);
+    options.mailbox_capacity = 16;
+    ServeSession* session = runtime.CreateSession(options);
+    for (std::size_t i = 0; i < 6; ++i) {
+      ASSERT_TRUE(runtime.Offer(session, stream[i]));
+    }
+    runtime.Drain();
+    ASSERT_TRUE(runtime.checkpoints()->SnapshotNow(session));
+    runtime.checkpoints()->Flush();
+    ASSERT_EQ(0u, runtime.checkpoints()->failures());
+    for (std::size_t i = 6; i < 8; ++i) {
+      ASSERT_TRUE(runtime.Offer(session, stream[i]));
+    }
+    runtime.Drain();
+    SessionState poisoned;
+    CaptureSessionState(session->faction(), &poisoned);
+    std::string bytes;
+    ASSERT_EQ(StatusCode::kNumericalError,
+              EncodeSessionState(poisoned, &bytes).code());
+    ASSERT_TRUE(runtime.checkpoints()->SnapshotNow(session));
+    runtime.checkpoints()->Flush();
+    EXPECT_EQ(1u, runtime.checkpoints()->failures());
+  }
+  EXPECT_FALSE(FileExists(dir + "/session-9.gen2.ckpt"));
+  EXPECT_FALSE(FileExists(dir + "/session-9.gen2.ckpt.tmp"));
+  Result<std::vector<CheckpointManifestEntry>> manifest =
+      CheckpointManager::ReadManifest(dir + "/manifest");
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  ASSERT_EQ(1u, manifest.value().size());
+  EXPECT_EQ(1u, manifest.value()[0].generation);
+  EXPECT_EQ(6u, manifest.value()[0].steps);
+
+  ServeRuntime restored(runtime_options);
+  Result<WarmStartReport> report = restored.WarmStart(dir + "/manifest");
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(1u, report.value().sessions);
+  EXPECT_EQ(6u, report.value().total_steps);
+}
+
+// ---------------------------------------------------------------------------
+// Manifest reader and WarmStart hardening.
+
+// Writes two real session checkpoints (ids 1 and 2) plus their manifest.
+std::string WriteTwoSessionCheckpoint(const std::string& name) {
+  const std::string dir = MakeScratchDir(name);
+  CheckpointOptions ckpt;
+  ckpt.dir = dir;
+  ckpt.interval_steps = 1000;
+  ServeRuntimeOptions runtime_options;
+  runtime_options.workers = 0;
+  runtime_options.record_latency = false;
+  ServeRuntime runtime(runtime_options);
+  runtime.EnableCheckpoints(ckpt);
+  for (std::uint64_t id = 1; id <= 2; ++id) {
+    ServeSessionOptions options;
+    options.stream_id = id;
+    options.faction = SmallConfig(40 + id);
+    options.mailbox_capacity = 32;
+    ServeSession* session = runtime.CreateSession(options);
+    for (const Example& ex : MakeStream(24, 6, 70 + id)) {
+      EXPECT_TRUE(runtime.Offer(session, ex));
+    }
+    runtime.Drain();
+    EXPECT_TRUE(runtime.checkpoints()->SnapshotNow(session));
+  }
+  runtime.checkpoints()->Flush();
+  EXPECT_EQ(0u, runtime.checkpoints()->failures());
+  return dir;
+}
+
+void WriteManifest(const std::string& dir, const std::string& text) {
+  std::ofstream os(dir + "/manifest", std::ios::trunc);
+  os << text;
+}
+
+Status WarmStartStatus(const std::string& dir, std::size_t max_sessions) {
+  ServeRuntimeOptions runtime_options;
+  runtime_options.workers = 0;
+  runtime_options.max_sessions = max_sessions;
+  runtime_options.record_latency = false;
+  ServeRuntime runtime(runtime_options);
+  return runtime.WarmStart(dir + "/manifest").status();
+}
+
+TEST(ManifestHardening, HugeSessionCountIsRejected) {
+  const std::string dir = MakeScratchDir("manifest_count");
+  WriteManifest(dir, "faction-manifest v1\nsessions 1000000000000000000\n"
+                     "1 1 24 session-1.gen1.ckpt\n");
+  EXPECT_FALSE(CheckpointManager::ReadManifest(dir + "/manifest").ok());
+  EXPECT_FALSE(WarmStartStatus(dir, 8).ok());
+}
+
+TEST(ManifestHardening, MoreSessionsThanTheRuntimeHoldsIsAStatus) {
+  const std::string dir = WriteTwoSessionCheckpoint("manifest_full");
+  EXPECT_TRUE(WarmStartStatus(dir, 2).ok());
+  const Status status = WarmStartStatus(dir, 1);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(StatusCode::kResourceExhausted, status.code())
+      << status.ToString();
+}
+
+TEST(ManifestHardening, DuplicateStreamIdIsAStatus) {
+  const std::string dir = WriteTwoSessionCheckpoint("manifest_dup");
+  WriteManifest(dir, "faction-manifest v1\nsessions 2\n"
+                     "1 1 24 session-1.gen1.ckpt\n"
+                     "1 1 24 session-1.gen1.ckpt\n");
+  EXPECT_FALSE(WarmStartStatus(dir, 8).ok());
+}
+
+TEST(ManifestHardening, FilenameMustBeTheEntrysOwnCheckpoint) {
+  const std::string dir = WriteTwoSessionCheckpoint("manifest_name");
+  for (const char* entry : {"2 1 24 session-1.gen1.ckpt",
+                            "1 2 24 session-1.gen1.ckpt",
+                            "1 1 24 ../session-1.gen1.ckpt",
+                            "1 1 24 /tmp/session-1.gen1.ckpt",
+                            "1 1 24 session-1.gen1.ckpt.tmp",
+                            "1 1 24 session-01.gen1.ckpt"}) {
+    WriteManifest(dir, std::string("faction-manifest v1\nsessions 1\n") +
+                           entry + "\n");
+    EXPECT_FALSE(CheckpointManager::ReadManifest(dir + "/manifest").ok())
+        << entry;
+    EXPECT_FALSE(WarmStartStatus(dir, 8).ok()) << entry;
+  }
+  WriteManifest(dir, "faction-manifest v1\nsessions 1\n"
+                     "1 1 24 session-1.gen1.ckpt\n");
+  EXPECT_TRUE(WarmStartStatus(dir, 8).ok());
 }
 
 }  // namespace

@@ -1,7 +1,15 @@
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <set>
 #include <sstream>
+#include <string>
 
+#include "common/fsio.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -313,6 +321,77 @@ TEST(LoggingTest, LevelFilterRoundTrip) {
   SetLogLevel(LogLevel::kError);
   EXPECT_EQ(GetLogLevel(), LogLevel::kError);
   SetLogLevel(before);
+}
+
+// ------------------------------------------------------------------ fsio
+
+std::string ReadAll(const std::string& path) {
+  std::ifstream is(path);
+  std::ostringstream os;
+  os << is.rdbuf();
+  return os.str();
+}
+
+void WriteAll(const std::string& path, const std::string& text) {
+  std::ofstream os(path, std::ios::trunc);
+  os << text;
+}
+
+bool Exists(const std::string& path) {
+  struct stat st;
+  return ::stat(path.c_str(), &st) == 0;
+}
+
+std::string ScratchPath(const std::string& name) {
+  return "/tmp/faction_fsio_" + name + "_" +
+         std::to_string(static_cast<long long>(::getpid()));
+}
+
+// A rename alone is atomic but not durable: the commit must fsync the tmp
+// file before the rename and the parent directory after it.
+TEST(FsioTest, CommitFsyncsFileAndParentDirectory) {
+  const std::string path = ScratchPath("sync");
+  WriteAll(path + ".tmp", "first");
+  const std::uint64_t before = FsyncCallsForTest();
+  ASSERT_TRUE(CommitFileDurable(path + ".tmp", path).ok());
+  EXPECT_GE(FsyncCallsForTest(), before + 2)
+      << "a durable commit fsyncs the tmp file and the parent directory";
+  EXPECT_EQ("first", ReadAll(path));
+  EXPECT_FALSE(Exists(path + ".tmp"));
+  std::remove(path.c_str());
+}
+
+// FACTION_NO_FSYNC (bulk runs) skips every fsync but keeps the atomic
+// tmp+rename.
+TEST(FsioTest, NoFsyncEnvSkipsSyncsButStillRenames) {
+  const std::string path = ScratchPath("nosync");
+  WriteAll(path, "old");
+  WriteAll(path + ".tmp", "new");
+  ::setenv("FACTION_NO_FSYNC", "1", 1);
+  const std::uint64_t before = FsyncCallsForTest();
+  const Status committed = CommitFileDurable(path + ".tmp", path);
+  const std::uint64_t after = FsyncCallsForTest();
+  ::unsetenv("FACTION_NO_FSYNC");
+  ASSERT_TRUE(committed.ok()) << committed.ToString();
+  EXPECT_EQ(before, after);
+  EXPECT_EQ("new", ReadAll(path));
+  EXPECT_FALSE(Exists(path + ".tmp"));
+  std::remove(path.c_str());
+}
+
+// A commit that fails (here the rename: a directory cannot replace a file)
+// leaves the prior file byte-identical and removes its tmp.
+TEST(FsioTest, FailedCommitKeepsPriorFileAndRemovesTmp) {
+  const std::string path = ScratchPath("fail");
+  WriteAll(path, "good");
+  const std::string tmp = path + ".tmp";
+  ASSERT_EQ(0, ::mkdir(tmp.c_str(), 0755));
+  const Status committed = CommitFileDurable(tmp, path);
+  EXPECT_FALSE(committed.ok());
+  EXPECT_EQ("good", ReadAll(path));
+  EXPECT_FALSE(Exists(tmp));
+  std::remove(tmp.c_str());
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -4,13 +4,11 @@
 // machinery (Sec. IV-D), and model serialization.
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/rng.h"
 #include "density/fair_density.h"
 #include "fairness/individual.h"
 #include "gtest/gtest.h"
-#include "nn/serialize.h"
 #include "stream/incremental.h"
 #include "tensor/ops.h"
 
@@ -344,77 +342,6 @@ TEST(OnlineQueryDeciderTest, LowScoresQueriedMoreOften) {
     if (decider.ShouldQuery(0.95, &rng)) ++high_hits;
   }
   EXPECT_GT(low_hits, high_hits * 3);
-}
-
-// ------------------------------------------------------- Serialization
-
-MlpClassifier MakeModel(std::uint64_t seed, bool spectral = true) {
-  MlpConfig config;
-  config.input_dim = 6;
-  config.hidden_dims = {10, 4};
-  config.spectral.enabled = spectral;
-  config.spectral.coeff = 2.5;
-  Rng rng(seed);
-  return MlpClassifier(config, &rng);
-}
-
-TEST(SerializeTest, RoundTripPreservesOutputs) {
-  MlpClassifier model = MakeModel(10);
-  std::stringstream ss;
-  ASSERT_TRUE(SaveModel(model, ss).ok());
-  Result<MlpClassifier> loaded = LoadModel(ss);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  Rng rng(11);
-  Matrix x(7, 6);
-  for (std::size_t i = 0; i < x.size(); ++i) x.data()[i] = rng.Gaussian();
-  EXPECT_LT(MaxAbsDiff(model.Logits(x), loaded.value().Logits(x)), 1e-12);
-  EXPECT_EQ(loaded.value().config().spectral.coeff, 2.5);
-}
-
-TEST(SerializeTest, RoundTripLinearModel) {
-  MlpConfig config;
-  config.input_dim = 3;
-  config.hidden_dims = {};
-  Rng rng(12);
-  MlpClassifier model(config, &rng);
-  std::stringstream ss;
-  ASSERT_TRUE(SaveModel(model, ss).ok());
-  Result<MlpClassifier> loaded = LoadModel(ss);
-  ASSERT_TRUE(loaded.ok());
-  Matrix x(2, 3, 0.4);
-  EXPECT_LT(MaxAbsDiff(model.Logits(x), loaded.value().Logits(x)), 1e-12);
-}
-
-TEST(SerializeTest, RejectsGarbage) {
-  std::stringstream ss("not-a-model at all");
-  EXPECT_FALSE(LoadModel(ss).ok());
-}
-
-TEST(SerializeTest, RejectsTruncated) {
-  MlpClassifier model = MakeModel(13);
-  std::stringstream ss;
-  ASSERT_TRUE(SaveModel(model, ss).ok());
-  const std::string full = ss.str();
-  std::stringstream cut(full.substr(0, full.size() / 2));
-  EXPECT_FALSE(LoadModel(cut).ok());
-}
-
-TEST(SerializeTest, RejectsWrongVersion) {
-  std::stringstream ss("faction-mlp v99\ninput_dim 4\n");
-  const Result<MlpClassifier> loaded = LoadModel(ss);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("version"), std::string::npos);
-}
-
-TEST(SerializeTest, FileRoundTrip) {
-  MlpClassifier model = MakeModel(14);
-  const std::string path = "/tmp/faction_serialize_test.model";
-  ASSERT_TRUE(SaveModelToFile(model, path).ok());
-  Result<MlpClassifier> loaded = LoadModelFromFile(path);
-  ASSERT_TRUE(loaded.ok());
-  Matrix x(1, 6, 0.2);
-  EXPECT_LT(MaxAbsDiff(model.Logits(x), loaded.value().Logits(x)), 1e-12);
-  EXPECT_FALSE(LoadModelFromFile("/tmp/does_not_exist.model").ok());
 }
 
 }  // namespace

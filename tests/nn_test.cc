@@ -445,6 +445,18 @@ TEST(MlpTest, ParameterCount) {
   EXPECT_EQ(model.ParameterCount(), 94u);
 }
 
+TEST(MlpTest, ConstParametersMatchMutableParameters) {
+  Rng rng(6);
+  MlpClassifier model(SmallConfig(), &rng);
+  const std::vector<Matrix*> mut = model.Parameters();
+  const std::vector<const Matrix*> cons =
+      static_cast<const MlpClassifier&>(model).Parameters();
+  ASSERT_EQ(mut.size(), cons.size());
+  for (std::size_t i = 0; i < mut.size(); ++i) {
+    EXPECT_EQ(static_cast<const Matrix*>(mut[i]), cons[i]);
+  }
+}
+
 // ------------------------------------------------------------------ Loss
 
 TEST(LossTest, CrossEntropyKnownValue) {

@@ -11,7 +11,7 @@ Rules (each reported as file:line: [rule] message):
   no-assert        no bare assert(); use FACTION_CHECK* / FACTION_DCHECK*
                    from common/check.h so failures are logged before abort
   no-const-cast    no const_cast under src/ — add a const overload instead
-                   (the serializer's const Parameters() is the pattern)
+                   (MlpClassifier's const Parameters() is the pattern)
   no-alloc-in-hot  in TUs carrying a `// FACTION_HOT` marker, allocating
                    idioms (local vector/string/Matrix construction,
                    std::to_string, make_unique, ...) are banned outside
