@@ -233,19 +233,37 @@ Result<std::vector<CheckpointManifestEntry>> CheckpointManager::ReadManifest(
 
 namespace {
 
-/// Context of one parallel shard decode in MergeSufficientStats.
-struct ShardDecode {
+/// Context of one decode job in DecodeSessionFiles.
+struct DecodeJob {
   const std::string* path = nullptr;
-  SessionState state;
-  Status status;
+  DecodedSession* out = nullptr;
 };
 
-void DecodeShardJob(void* ctx) {
-  auto* shard = static_cast<ShardDecode*>(ctx);
-  shard->status = DecodeSessionStateFromFile(*shard->path, &shard->state);
+void RunDecodeJob(void* ctx) {
+  auto* job = static_cast<DecodeJob*>(ctx);
+  job->out->status = DecodeSessionStateFromFile(*job->path, &job->out->state);
 }
 
 }  // namespace
+
+std::vector<DecodedSession> DecodeSessionFiles(
+    const std::vector<std::string>& paths, JobSystem* jobs) {
+  std::vector<DecodedSession> decoded(paths.size());
+  std::vector<DecodeJob> contexts(paths.size());
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    contexts[i] = {&paths[i], &decoded[i]};
+  }
+  if (jobs != nullptr && paths.size() > 1) {
+    std::vector<JobSystem::JobHandle> handles(paths.size());
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+      handles[i] = jobs->Submit(&RunDecodeJob, &contexts[i]);
+    }
+    for (const JobSystem::JobHandle& handle : handles) jobs->Wait(handle);
+  } else {
+    for (DecodeJob& context : contexts) RunDecodeJob(&context);
+  }
+  return decoded;
+}
 
 Result<FairDensityEstimator> MergeSufficientStats(
     const std::vector<std::string>& checkpoint_paths,
@@ -253,20 +271,9 @@ Result<FairDensityEstimator> MergeSufficientStats(
   if (checkpoint_paths.empty()) {
     return Status::InvalidArgument("MergeSufficientStats: no shards given");
   }
-  std::vector<ShardDecode> shards(checkpoint_paths.size());
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    shards[i].path = &checkpoint_paths[i];
-  }
-  if (jobs != nullptr && shards.size() > 1) {
-    std::vector<JobSystem::JobHandle> handles(shards.size());
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-      handles[i] = jobs->Submit(&DecodeShardJob, &shards[i]);
-    }
-    for (const JobSystem::JobHandle& handle : handles) jobs->Wait(handle);
-  } else {
-    for (ShardDecode& shard : shards) DecodeShardJob(&shard);
-  }
-  for (const ShardDecode& shard : shards) {
+  const std::vector<DecodedSession> shards =
+      DecodeSessionFiles(checkpoint_paths, jobs);
+  for (const DecodedSession& shard : shards) {
     FACTION_RETURN_IF_ERROR(shard.status);
   }
   // Fold in path order: MergeFrom is additive, so the result is
@@ -274,7 +281,7 @@ Result<FairDensityEstimator> MergeSufficientStats(
   // order keeps repeated merges bitwise reproducible.
   std::optional<FairDensityEstimator> merged;
   std::optional<FairDensityEstimator> shard_density;
-  for (const ShardDecode& shard : shards) {
+  for (const DecodedSession& shard : shards) {
     if (!shard.state.density.has_value) continue;
     FACTION_RETURN_IF_ERROR(
         RestoreDensity(shard.state.density, config, &shard_density));

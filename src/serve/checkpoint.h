@@ -167,6 +167,19 @@ struct WarmStartReport {
   std::uint64_t total_steps = 0;
 };
 
+/// One checkpoint file read back by DecodeSessionFiles.
+struct DecodedSession {
+  SessionState state;
+  Status status;
+};
+
+/// Decodes every file in `paths` into the matching result entry: one job
+/// per file on `jobs` when given (inline otherwise). Every file is read
+/// even after a failure, so callers that walk the results in path order
+/// report the same first failure whatever the job timing.
+std::vector<DecodedSession> DecodeSessionFiles(
+    const std::vector<std::string>& paths, JobSystem* jobs);
+
 /// Cross-shard sufficient-stats merge (ROADMAP item 1): decodes each
 /// shard's session checkpoint (in parallel when `jobs` is given), then
 /// folds every shard density into one global estimator in path order via

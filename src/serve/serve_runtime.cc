@@ -3,6 +3,8 @@
 #include "serve/serve_runtime.h"
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "common/check.h"
 #include "common/telemetry.h"
@@ -61,16 +63,25 @@ Result<WarmStartReport> ServeRuntime::WarmStart(
         std::to_string(entries.size()) + " sessions, more than the runtime "
         "has room for");
   }
-  WarmStartReport report;
-  SessionState state;
+  // Decode every checkpoint on the job system, then create and restore
+  // the sessions in manifest order: the first failure in that order wins,
+  // exactly as if each entry were decoded just before its session.
+  std::vector<std::string> paths;
+  paths.reserve(entries.size());
   for (const CheckpointManifestEntry& entry : entries) {
+    paths.push_back(dir + "/" + entry.filename);
+  }
+  std::vector<DecodedSession> decoded = DecodeSessionFiles(paths, &jobs_);
+  WarmStartReport report;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const CheckpointManifestEntry& entry = entries[i];
     if (registry_.Find(entry.stream_id) != nullptr) {
       return Status::InvalidArgument(
           "WarmStart: " + manifest_path + " lists stream id " +
           std::to_string(entry.stream_id) + " that is already served");
     }
-    FACTION_RETURN_IF_ERROR(
-        DecodeSessionStateFromFile(dir + "/" + entry.filename, &state));
+    FACTION_RETURN_IF_ERROR(decoded[i].status);
+    const SessionState& state = decoded[i].state;
     if (state.stream_id != entry.stream_id) {
       return Status::InvalidArgument(
           "WarmStart: checkpoint " + entry.filename +
@@ -94,6 +105,7 @@ Result<WarmStartReport> ServeRuntime::WarmStart(
     ++report.sessions;
     report.max_generation = std::max(report.max_generation, state.generation);
     report.total_steps += state.steps;
+    decoded[i] = DecodedSession();  // the session holds its own copy now
   }
   return report;
 }

@@ -82,6 +82,10 @@ class ServeRuntime {
   /// Offer. A manifest listing more sessions than the runtime has room
   /// for (ResourceExhausted), a stream id already served, or any checkpoint
   /// that fails to decode or restore stops the warm start with its Status.
+  /// The checkpoints decode in parallel on the job system, but sessions
+  /// are created and restored in manifest order: the first failing entry
+  /// in that order is the one reported, and exactly the entries before it
+  /// are served, at any worker count.
   Result<WarmStartReport> WarmStart(const std::string& manifest_path,
                                     const WarmStartOptions& options = {});
 

@@ -8,14 +8,15 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string_view>
+#include <system_error>
 #include <type_traits>
 #include <utility>
 
 #include "common/check.h"
+#include "common/hexfloat.h"
 #include "common/workspace.h"
 #include "data/dataset.h"
 #include "nn/linear.h"
@@ -438,9 +439,10 @@ std::size_t FeatureDim(const MlpConfig& model) {
 }
 
 /// Writes the "faction-session v1" text: every token is preceded by one
-/// space unless it opens a line. Doubles print as hexfloat, which
-/// round-trips every finite double bit-for-bit. The first failed check
-/// sticks and turns every later call into a no-op.
+/// space unless it opens a line. Doubles print as hexfloat tokens built
+/// from their bits (common/hexfloat.h), which round-trip every finite
+/// double bit-for-bit. The first failed check sticks and turns every
+/// later call into a no-op.
 class Writer {
  public:
   static constexpr bool kReading = false;
@@ -469,12 +471,12 @@ class Writer {
       status_ = Status::NumericalError("EncodeSessionState: " +
                                        Describe("non-finite", what));
     }
-    // snprintf rather than iostream hexfloat: the serializer runs on the
-    // shared job system next to drain work, and printf formatting is
-    // several times cheaper than the locale-aware ostream path.
-    char buf[32];
-    const int n = std::snprintf(buf, sizeof(buf), "%a", v);
-    Put(std::string_view(buf, static_cast<std::size_t>(n)));
+    // The serializer runs on the shared job system next to drain work, so
+    // the token comes straight from the bits: printf("%a")'s bytes at a
+    // fraction of its cost.
+    char buf[kHexDoubleMaxChars];
+    Put(std::string_view(
+        buf, static_cast<std::size_t>(FormatHexDouble(buf, v) - buf)));
   }
 
   /// The writer's containers already hold their data, so a count the
@@ -529,8 +531,8 @@ class Reader {
   bool ok() const { return status_.ok(); }
   const Status& status() const { return status_; }
 
-  void Tag(std::string_view tag) {
-    if (tag.empty()) return;
+  void Tag(const char* tag) {
+    if (*tag == '\0') return;
     const std::string_view token = Next(tag);
     if (ok() && token != tag) {
       Fail("expected '" + std::string(tag) + "', got '" + std::string(token) +
@@ -553,15 +555,13 @@ class Reader {
     Check(x == 0 || x == 1, "non-boolean", what);
     if (ok()) v = x == 1;
   }
-  /// strtod takes hexfloat and the infinities; trailing garbage fails.
+  /// Only the writer's canonical hexfloat tokens parse (common/hexfloat.h):
+  /// decimal text, uppercase hex and every other spelling fail.
   void Double(double& v, const char* what, bool allow_neg_inf = false) {
     const std::string_view token = Next(what);
     if (!ok()) return;
-    // Whitespace or the buffer's terminating NUL follows every token, so
-    // strtod cannot read past it.
-    char* end = nullptr;
-    const double x = std::strtod(token.data(), &end);
-    if (end != token.data() + token.size()) {
+    double x = 0.0;
+    if (!ParseHexDouble(token, &x)) {
       Bad(what, token);
     } else if (!Representable(x, allow_neg_inf)) {
       Fail(Describe("non-finite", what) + " '" + std::string(token) + "'");
@@ -606,12 +606,13 @@ class Reader {
     return c == ' ' || (c >= '\t' && c <= '\r');
   }
 
-  std::string_view Next(std::string_view what) {
+  /// The label stays a C string: it is only measured to build a failure.
+  std::string_view Next(const char* what) {
     if (!ok()) return {};
     while (pos_ < text_.size() && IsSpace(text_[pos_])) ++pos_;
     const std::size_t begin = pos_;
     while (pos_ < text_.size() && !IsSpace(text_[pos_])) ++pos_;
-    if (pos_ == begin) Fail("truncated " + std::string(what));
+    if (pos_ == begin) Fail(std::string("truncated ") + what);
     return std::string_view(text_).substr(begin, pos_ - begin);
   }
 
@@ -947,6 +948,17 @@ Status EncodeSessionState(const SessionState& state, std::string* out) {
   return writer.status();
 }
 
+namespace {
+
+Status DecodeText(std::string text, std::streamoff base,
+                  const std::string& source, SessionState* out) {
+  Reader reader(std::move(text), base, source);
+  Visit(reader, *out);
+  return reader.status();
+}
+
+}  // namespace
+
 Status DecodeSessionState(std::istream& is, const std::string& source,
                           SessionState* out) {
   const std::streamoff base = is.tellg();
@@ -956,19 +968,24 @@ Status DecodeSessionState(std::istream& is, const std::string& source,
     is.read(chunk, sizeof(chunk));
     text.append(chunk, static_cast<std::size_t>(is.gcount()));
   } while (is);
-  Reader reader(std::move(text), base, source);
-  Visit(reader, *out);
-  return reader.status();
+  return DecodeText(std::move(text), base, source, out);
 }
 
 Status DecodeSessionStateFromFile(const std::string& path,
                                   SessionState* out) {
-  std::ifstream is(path);
+  std::ifstream is(path, std::ios::binary);
   if (!is.is_open()) {
     return Status::NotFound("DecodeSessionStateFromFile: cannot open " +
                             path);
   }
-  return DecodeSessionState(is, path, out);
+  // One read into a buffer sized from the file's length. What has no
+  // length (a directory, say) reads as empty and fails as truncated.
+  std::error_code error;
+  const std::uintmax_t size = std::filesystem::file_size(path, error);
+  std::string text(error ? 0 : static_cast<std::size_t>(size), '\0');
+  is.read(text.data(), static_cast<std::streamsize>(text.size()));
+  text.resize(static_cast<std::size_t>(is.gcount()));
+  return DecodeText(std::move(text), 0, path, out);
 }
 
 // FACTION_COLD_END

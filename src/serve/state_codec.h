@@ -21,8 +21,10 @@
 // counter — into a plain-data SessionState, and restores it such that the
 // restored learner's future outputs are bitwise identical to the
 // uninterrupted one's. The text format is "faction-session v1": every
-// double is printed as hexfloat and round-trips bit-for-bit, and decode
-// errors name the source and byte offset. One templated Visit per
+// double is a hexfloat token built from its bits by common/hexfloat.h
+// (printf("%a")'s bytes) and round-trips bit-for-bit; the decoder accepts
+// only that canonical spelling, and its errors name the source and byte
+// offset. One templated Visit per
 // snapshot type (state_codec.cc) drives both directions, so the encoder
 // and decoder cannot drift apart and every decode check also gates the
 // encoder.

@@ -249,6 +249,13 @@ TEST(CheckpointCodec, DecodeErrorsNameSourceAndByteOffset) {
   EXPECT_NE(std::string::npos,
             missing.message().find("/tmp/no_such_faction_ckpt.ckpt"))
       << missing.ToString();
+
+  // A directory opens but has no file length: it decodes as empty.
+  const std::string dir = MakeScratchDir("dir_as_ckpt");
+  const Status directory = DecodeSessionStateFromFile(dir, &out);
+  ASSERT_FALSE(directory.ok());
+  EXPECT_NE(std::string::npos, directory.message().find(dir + " @byte 0"))
+      << directory.ToString();
 }
 
 // ---------------------------------------------------------------------------
@@ -767,6 +774,35 @@ TEST(SessionCodecRefusal, DensityDecayOutsideUnitIntervalIsRejected) {
   }
 }
 
+// Doubles decode only in the writer's own hexfloat spelling. Each token
+// below names a value (or spells one the writer spells otherwise) and
+// must fail with a Status naming the field and the byte offset.
+TEST(SessionCodecRefusal, NonCanonicalDoubleTokensAreRejected) {
+  const std::string good = Encoded(CapturedState(WindowedConfig(3), 40));
+  for (const char* token :
+       {"0X1P+0", "0x1.8Ap+1", "0x2p+0", "0x1.00000000000000p+0", "+0x1p+0",
+        "0x1p+1024", "0x0.8p-1021", "1.5", "-inf"}) {
+    const Status status = DecodeAndRestore(WithToken(good, "config", 1, token));
+    ASSERT_FALSE(status.ok()) << token;
+    EXPECT_NE(std::string::npos, status.message().find("lambda"))
+        << status.ToString();
+    EXPECT_NE(std::string::npos, status.message().find("@byte"))
+        << status.ToString();
+  }
+  // The v1 bytes themselves (the encoder's output is pinned by
+  // SessionCodecFingerprint) decode, restore, and re-encode to the same
+  // bytes, through the decoded state and through the restored learner.
+  std::istringstream is(good);
+  SessionState state;
+  ASSERT_TRUE(DecodeSessionState(is, "good", &state).ok());
+  EXPECT_EQ(good, Encoded(state));
+  StreamingFaction faction(state.config);
+  ASSERT_TRUE(RestoreSessionState(state, &faction).ok());
+  SessionState recaptured;
+  CaptureSessionState(faction, &recaptured);
+  EXPECT_EQ(good, Encoded(recaptured));
+}
+
 // The manager never commits a state it cannot read back: the manifest
 // stays on the previous generation, which WarmStart still restores.
 TEST(CheckpointEncodeFailure, ManifestStaysOnLastReadableGeneration) {
@@ -868,6 +904,73 @@ Status WarmStartStatus(const std::string& dir, std::size_t max_sessions) {
   runtime_options.record_latency = false;
   ServeRuntime runtime(runtime_options);
   return runtime.WarmStart(dir + "/manifest").status();
+}
+
+// WarmStart decodes the checkpoints on the job system, yet it stops at the
+// first bad entry in manifest order with that entry's Status, having
+// served exactly the entries before it — at any worker count.
+TEST(ServeWarmStart, FirstFailureInManifestOrderWinsAtAnyWorkerCount) {
+  constexpr std::uint64_t kEntries = 7;
+  const std::string dir = MakeScratchDir("warm_order");
+  {
+    CheckpointOptions ckpt;
+    ckpt.dir = dir;
+    ckpt.interval_steps = 1000;
+    ServeRuntimeOptions runtime_options;
+    runtime_options.workers = 0;
+    runtime_options.record_latency = false;
+    ServeRuntime runtime(runtime_options);
+    runtime.EnableCheckpoints(ckpt);
+    for (std::uint64_t id = 0; id < kEntries; ++id) {
+      ServeSessionOptions options;
+      options.stream_id = id;
+      options.faction = SmallConfig(60 + id);
+      options.mailbox_capacity = 32;
+      ServeSession* session = runtime.CreateSession(options);
+      for (const Example& ex : MakeStream(24, 6, 80 + id)) {
+        ASSERT_TRUE(runtime.Offer(session, ex));
+      }
+      runtime.Drain();
+      ASSERT_TRUE(runtime.checkpoints()->SnapshotNow(session));
+    }
+    runtime.checkpoints()->Flush();
+    ASSERT_EQ(0u, runtime.checkpoints()->failures());
+  }
+  // Entry 3 loses its second half; entry 5 carries a decimal double.
+  for (const std::uint64_t id : {3u, 5u}) {
+    const std::string path =
+        dir + "/session-" + std::to_string(id) + ".gen1.ckpt";
+    std::string text;
+    {
+      std::ifstream is(path);
+      std::ostringstream os;
+      os << is.rdbuf();
+      text = os.str();
+    }
+    text = id == 3 ? text.substr(0, text.size() / 2)
+                   : WithToken(text, "config", 1, "1.5");
+    std::ofstream os(path, std::ios::trunc);
+    os << text;
+  }
+  std::string first_status;
+  for (const int workers : {0, 4}) {
+    ServeRuntimeOptions runtime_options;
+    runtime_options.workers = workers;
+    runtime_options.max_sessions = kEntries;
+    runtime_options.record_latency = false;
+    ServeRuntime runtime(runtime_options);
+    const Status status = runtime.WarmStart(dir + "/manifest").status();
+    ASSERT_FALSE(status.ok()) << "workers " << workers;
+    EXPECT_NE(std::string::npos, status.message().find("session-3.gen1.ckpt"))
+        << status.ToString();
+    if (first_status.empty()) first_status = status.ToString();
+    EXPECT_EQ(first_status, status.ToString()) << "workers " << workers;
+    EXPECT_EQ(3u, runtime.registry().size()) << "workers " << workers;
+    for (std::uint64_t id = 0; id < kEntries; ++id) {
+      EXPECT_EQ(id < 3, runtime.registry().Find(id) != nullptr)
+          << "session " << id << " workers " << workers;
+    }
+  }
 }
 
 TEST(ManifestHardening, HugeSessionCountIsRejected) {

@@ -1,13 +1,16 @@
 // Deterministic mutation fuzz of everything a warm start reads from disk
 // (DESIGN.md §17): the "faction-session v1" decoder, session restore, the
-// manifest reader and ServeRuntime::WarmStart. The seed corpus is real
-// grow-only and windowed checkpoints plus a real manifest. Mutations are
-// bit flips, truncations, splices, and numeric tokens replaced by edge
+// manifest reader and ServeRuntime::WarmStart; and of the scenario DSL
+// (DESIGN.md §16). The seed corpus is real grow-only and windowed
+// checkpoints, a real manifest, and the preset scenario specs the CI
+// smoke drives end to end. Mutations are bit flips, truncations, splices,
+// and (for checkpoints and manifests) numeric tokens replaced by edge
 // values (0, -1, 2^63, 2^64-1, nan, inf); every draw comes from a stream
 // seeded by SubSeed, so each run replays the same inputs. Every input must
-// either fail with a Status or restore and serve 20 arrivals. An abort or
-// a sanitizer report fails the test, and so does a decoded state that
-// does not re-encode: Encode refuses exactly what Decode rejects.
+// either fail with a Status or restore and serve 20 arrivals (a scenario:
+// build a stream). An abort or a sanitizer report fails the test, and so
+// does a decoded state that does not re-encode: Encode refuses exactly
+// what Decode rejects.
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -26,6 +29,8 @@
 #include "common/rng.h"
 #include "core/streaming_faction.h"
 #include "data/dataset.h"
+#include "data/scenario.h"
+#include "data/streams.h"
 #include "serve/checkpoint.h"
 #include "serve/serve_runtime.h"
 #include "serve/session.h"
@@ -322,6 +327,53 @@ TEST(CodecFuzz, MutatedManifestsFailWithAStatusOrWarmStart) {
   EXPECT_GT(tally.rejected, 0);
   EXPECT_GT(tally.served, 0);
   std::remove(manifest_path.c_str());
+}
+
+TEST(CodecFuzz, MutatedScenarioSpecsFailWithAStatusOrBuildAStream) {
+  const std::vector<std::string> corpus = {
+      "stationary",
+      "rcmnist;drift=recurring:2;order=adversarial",
+      "nysf;drift=gradual:2",
+      "fairface;order=shuffle;label_noise=0.05",
+      "celeba;label_delay=1;imbalance=0.3",
+  };
+  StreamScale tiny;
+  tiny.samples_per_task = 4;
+  const char* const kKinds[] = {"bitflip", "truncate", "splice"};
+  Tally tallies[3];
+  for (std::size_t c = 0; c < corpus.size(); ++c) {
+    for (int kind = 0; kind < 3; ++kind) {
+      Tally& tally = tallies[kind];
+      for (int i = 0; i < kMutationsPerKind; ++i) {
+        Rng rng(SubSeed(0, "codec-fuzz/scenario/" + std::to_string(c) + "/" +
+                               kKinds[kind] + "/" + std::to_string(i)));
+        const std::string input = Mutate(corpus[c], corpus, kind, &rng);
+        SCOPED_TRACE(testing::Message() << "spec '" << input << "'");
+        const Result<ScenarioConfig> config = ParseScenario(input);
+        if (!config.ok()) {
+          ++tally.rejected;
+          continue;
+        }
+        // What parses has a canonical spelling that parses to itself.
+        const std::string canonical = CanonicalScenarioSpec(config.value());
+        const Result<ScenarioConfig> reparsed = ParseScenario(canonical);
+        ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+        ASSERT_EQ(canonical, CanonicalScenarioSpec(reparsed.value()));
+        const Result<std::vector<Dataset>> stream =
+            MakeScenarioStream(config.value(), tiny);
+        if (!stream.ok()) {
+          ++tally.rejected;
+          continue;
+        }
+        ASSERT_FALSE(stream.value().empty());
+        ++tally.served;
+      }
+    }
+  }
+  for (int kind = 0; kind < 3; ++kind) {
+    EXPECT_GT(tallies[kind].rejected, 0) << kKinds[kind];
+    EXPECT_GT(tallies[kind].served, 0) << kKinds[kind];
+  }
 }
 
 }  // namespace

@@ -1,15 +1,21 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "common/fsio.h"
+#include "common/hexfloat.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -392,6 +398,63 @@ TEST(FsioTest, FailedCommitKeepsPriorFileAndRemovesTmp) {
   EXPECT_FALSE(Exists(tmp));
   std::remove(tmp.c_str());
   std::remove(path.c_str());
+}
+
+// -------------------------------------------------------------- hexfloat
+
+// libc is the reference here and nowhere else: FormatHexDouble must write
+// printf("%a")'s bytes, and ParseHexDouble must read them back to the
+// same bits, which strtod must agree with.
+void ExpectHexRoundTrip(double v) {
+  char expected[64];
+  const int n = std::snprintf(expected, sizeof(expected), "%a", v);
+  ASSERT_GT(n, 0);
+  char buf[kHexDoubleMaxChars];
+  const std::string_view token(buf,
+                               static_cast<std::size_t>(
+                                   FormatHexDouble(buf, v) - buf));
+  const std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
+  ASSERT_EQ(std::string_view(expected, static_cast<std::size_t>(n)), token)
+      << std::hex << bits;
+  if (std::isnan(v)) return;
+  double parsed = 0.0;
+  ASSERT_TRUE(ParseHexDouble(token, &parsed)) << token;
+  ASSERT_EQ(bits, std::bit_cast<std::uint64_t>(parsed)) << token;
+  ASSERT_EQ(bits, std::bit_cast<std::uint64_t>(std::strtod(expected, nullptr)))
+      << token;
+}
+
+TEST(HexFloatTest, MatchesLibcOnEdgeValues) {
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double min_subnormal = std::numeric_limits<double>::denorm_min();
+  for (const double v :
+       {0.0, -0.0, min_subnormal, -min_subnormal,
+        std::nextafter(DBL_MIN, 0.0), DBL_MIN, DBL_MAX, -DBL_MAX, 1.0, -3.5,
+        0.1, kInf, -kInf, std::nan(""), -std::nan("")}) {
+    ExpectHexRoundTrip(v);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(HexFloatTest, MatchesLibcOnRandomBitPatterns) {
+  Rng rng(SubSeed(0, "hexfloat/random-bits"));
+  for (int i = 0; i < 1000000; ++i) {
+    ExpectHexRoundTrip(std::bit_cast<double>(rng.NextU64()));
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(HexFloatTest, RejectsEveryNonCanonicalToken) {
+  for (const char* token :
+       {"", "-", "1.5", "0", "nan", "-nan", "+inf", "infinity", "0X1P+0",
+        "0x1.8Ap+1", "0x2p+0", "0x1.00000000000000p+0", "+0x1p+0",
+        "0x1p+1024", "0x1p-1023", "0x0.8p-1021", "0x0p-1022", "0x0.0p-1022",
+        "0x1.0p+0", "0x1.p+0", "0x1p-0", "0x1p+01", "0x1p", "0x1p+",
+        "0x1p+1 ", " 0x1p+1", "0x1.8p+1x", "--0x1p+0"}) {
+    double out = 42.0;
+    EXPECT_FALSE(ParseHexDouble(token, &out)) << "'" << token << "'";
+    EXPECT_EQ(42.0, out) << "'" << token << "'";
+  }
 }
 
 }  // namespace

@@ -34,6 +34,11 @@ Rules (each reported as file:line: [rule] message):
                    (DESIGN.md §12). The kernel names are parsed from the
                    SimdKernels struct, the pinned set from the CMake
                    set_source_files_properties calls.
+  serve-float-text under src/serve, doubles are text only through
+                   common/hexfloat.h: strtod/strtof/strtold, std::stod and
+                   friends, printf `%a` conversions and std::hexfloat are
+                   banned, so the slow libc path cannot come back into the
+                   checkpoint codec (DESIGN.md §17).
   no-wallclock     wall-clock reads (time(), clock(), gettimeofday,
                    std::chrono::*_clock) are banned outside common/timer.h
                    — timing flows through faction::Timer so determinism
@@ -115,12 +120,13 @@ class FileContext:
         return rule in self.allows.get(lineno, set())
 
 
-def strip_comments_and_strings(text: str) -> str:
+def strip_comments_and_strings(text: str, keep_strings: bool = False) -> str:
     """Blanks out comments and string/char literals, preserving line breaks.
 
     Keeps the remaining code at the same line/column so findings point at
     the true location. Handles // and /* */ comments, ordinary and raw
-    string literals (R"delim(...)delim"), and char literals.
+    string literals (R"delim(...)delim"), and char literals. With
+    `keep_strings` only the comments are blanked.
     """
     out = []
     i, n = 0, len(text)
@@ -149,17 +155,18 @@ def strip_comments_and_strings(text: str) -> str:
                 if m:
                     raw_terminator = ")" + m.group(1) + '"'
                     state = "raw_string"
-                    out.append(" " * len(m.group(0)))
+                    out.append(m.group(0) if keep_strings
+                               else " " * len(m.group(0)))
                     i += len(m.group(0))
                     continue
             if ch == '"':
                 state = "string"
-                out.append(" ")
+                out.append(ch if keep_strings else " ")
                 i += 1
                 continue
             if ch == "'" and not (out and (out[-1].isdigit())):
                 state = "char"
-                out.append(" ")
+                out.append(ch if keep_strings else " ")
                 i += 1
                 continue
             out.append(ch)
@@ -178,21 +185,22 @@ def strip_comments_and_strings(text: str) -> str:
             out.append("\n" if ch == "\n" else " ")
         elif state == "raw_string":
             if text.startswith(raw_terminator, i):
-                out.append(" " * len(raw_terminator))
+                out.append(raw_terminator if keep_strings
+                           else " " * len(raw_terminator))
                 i += len(raw_terminator)
                 state = "code"
                 raw_terminator = None
                 continue
-            out.append("\n" if ch == "\n" else " ")
+            out.append(ch if keep_strings or ch == "\n" else " ")
         elif state in ("string", "char"):
             quote = '"' if state == "string" else "'"
             if ch == "\\":
-                out.append("  ")
+                out.append(text[i:i + 2].ljust(2) if keep_strings else "  ")
                 i += 2
                 continue
             if ch == quote:
                 state = "code"
-            out.append("\n" if ch == "\n" else " ")
+            out.append(ch if keep_strings or ch == "\n" else " ")
         i += 1
     return "".join(out)
 
@@ -322,6 +330,40 @@ def check_serve_hot(ctx: FileContext, findings: list) -> None:
              f"the serve dispatch path; put setup/teardown inside "
              f"{COLD_BEGIN}/{COLD_END} fences instead of dropping the "
              f"marker"))
+
+
+# Float text through libc under src/serve (serve-float-text): the parsers
+# and std::hexfloat are matched in code, printf's %a conversion inside
+# string literals.
+SERVE_FLOAT_TEXT_RES = (
+    (re.compile(r"\bstrto(?:d|f|ld)\b"), "strtod/strtof/strtold"),
+    (re.compile(r"\bstd\s*::\s*sto(?:d|f|ld)\b"), "std::stod/stof/stold"),
+    (re.compile(r"\bhexfloat\b"), "std::hexfloat"),
+)
+PRINTF_HEX_RE = re.compile(
+    r"(?<!%)%[-+ #0]*(?:\d+|\*)?(?:\.(?:\d+|\*)?)?[lL]?[aA]")
+
+
+def check_serve_float_text(ctx: FileContext, findings: list) -> None:
+    if ctx.rel.parts[:2] != ("src", "serve"):
+        return
+    # String literal bodies only: what comment stripping keeps but string
+    # stripping blanks.
+    kept = strip_comments_and_strings(ctx.text, keep_strings=True)
+    literals = "".join(k if c == " " else c if c == "\n" else " "
+                       for k, c in zip(kept, ctx.code))
+    for lineno, (line, literal) in enumerate(
+            zip(ctx.code_lines, literals.splitlines()), start=1):
+        if ctx.allowed(lineno, "serve-float-text"):
+            continue
+        hits = [what for pattern, what in SERVE_FLOAT_TEXT_RES
+                if pattern.search(line)]
+        if PRINTF_HEX_RE.search(literal):
+            hits.append("a printf %a conversion")
+        for what in hits:
+            findings.append((ctx.rel, lineno, "serve-float-text",
+                             f"{what} banned under src/serve; format and "
+                             f"parse doubles with common/hexfloat.h"))
 
 
 def check_hot_allocations(ctx: FileContext, findings: list) -> None:
@@ -454,6 +496,7 @@ def run_lint(contexts: list) -> list:
             check_include_guard(ctx, findings)
         check_code_rules(ctx, findings)
         check_serve_hot(ctx, findings)
+        check_serve_float_text(ctx, findings)
         check_hot_allocations(ctx, findings)
     check_ffp_contract(contexts, findings)
     return findings

@@ -203,6 +203,56 @@ class ServeHot(unittest.TestCase):
             self.assertEqual([], findings, msg=str(rel))
 
 
+class ServeFloatText(unittest.TestCase):
+    def run_serve(self, text: str, rel: str = "src/serve/fake.cc") -> list:
+        findings = []
+        lint.check_serve_float_text(ctx(text, rel=rel), findings)
+        return findings
+
+    def test_libc_parsers_flagged(self):
+        for snippet in ("double x = std::strtod(p, &end);\n",
+                        "float x = strtof(p, nullptr);\n",
+                        "long double x = strtold(p, nullptr);\n",
+                        "double x = std::stod(token);\n",
+                        "auto parse = &std::strtod;\n"):
+            self.assertIn("serve-float-text",
+                          rules_of(self.run_serve(snippet)), snippet)
+
+    def test_printf_hex_conversions_flagged(self):
+        for snippet in ('std::snprintf(buf, n, "%a", v);\n',
+                        'std::snprintf(buf, n, "%.13a", v);\n',
+                        'std::printf("x=%La\\n", v);\n',
+                        'std::snprintf(buf, n, "%A", v);\n'):
+            self.assertIn("serve-float-text",
+                          rules_of(self.run_serve(snippet)), snippet)
+
+    def test_hexfloat_manipulator_flagged(self):
+        self.assertIn("serve-float-text", rules_of(
+            self.run_serve("os << std::hexfloat << v;\n")))
+
+    def test_reports_the_offending_line(self):
+        findings = self.run_serve('int a;\nint b;\nprintf("%a", v);\n')
+        self.assertEqual([3], [line for _, line, _, _ in findings])
+
+    def test_mentions_and_lookalikes_not_flagged(self):
+        text = ("// strtod and snprintf(\"%a\") are gone\n"
+                "/* std::hexfloat */ int strtodx = 0;\n"
+                'std::printf("%d alpha %s 100%%a", n, s);\n'
+                "char* FormatHexDouble(char* out, double v);\n"
+                "int r = i % a;\n")
+        self.assertEqual([], self.run_serve(text))
+
+    def test_not_enforced_outside_serve(self):
+        self.assertEqual([], self.run_serve(
+            "double x = std::strtod(p, &end);\n",
+            rel="src/data/scenario.cc"))
+
+    def test_serve_headers_covered(self):
+        self.assertIn("serve-float-text", rules_of(self.run_serve(
+            "inline double F(const char* p) { return strtod(p, 0); }\n",
+            rel="src/serve/fake.h")))
+
+
 class FfpContract(unittest.TestCase):
     def test_kernel_names_parsed_from_header(self):
         names = lint.simd_kernel_names()
