@@ -3,9 +3,6 @@
 // scoring, training steps, metric evaluation, and clustering.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
 #include <vector>
 
 #include "common/workspace.h"
@@ -184,26 +181,6 @@ Matrix RandomMatrix(std::size_t rows, std::size_t cols, Rng* rng) {
   return m;
 }
 
-// The pre-parallel serial GEMM (seed ops.cc, ikj order with the zero-skip
-// branch), kept verbatim as the speedup baseline for BENCH_PR2.json.
-Matrix SeedMatMul(const Matrix& a, const Matrix& b) {
-  FACTION_CHECK_EQ(a.cols(), b.rows());
-  Matrix out(a.rows(), b.cols());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const double* arow = a.row_data(i);
-    double* orow = out.row_data(i);
-    for (std::size_t k = 0; k < a.cols(); ++k) {
-      const double aik = arow[k];
-      if (aik == 0.0) continue;
-      const double* brow = b.row_data(k);
-      for (std::size_t j = 0; j < b.cols(); ++j) {
-        orow[j] += aik * brow[j];
-      }
-    }
-  }
-  return out;
-}
-
 void BM_MatMul(benchmark::State& state) {
   Rng rng(31);
   const Matrix a = RandomMatrix(800, 256, &rng);
@@ -215,18 +192,6 @@ void BM_MatMul(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 800 * 256 * 256);
 }
 BENCHMARK(BM_MatMul);
-
-void BM_MatMulSeed(benchmark::State& state) {
-  Rng rng(31);
-  const Matrix a = RandomMatrix(800, 256, &rng);
-  const Matrix b = RandomMatrix(256, 256, &rng);
-  for (auto _ : state) {
-    Matrix c = SeedMatMul(a, b);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 800 * 256 * 256);
-}
-BENCHMARK(BM_MatMulSeed);
 
 void BM_Conv2dApply(benchmark::State& state) {
   Rng rng(33);
@@ -261,82 +226,7 @@ void BM_PoolScoring(benchmark::State& state) {
 }
 BENCHMARK(BM_PoolScoring);
 
-// The legacy per-sample scoring loop (pre-batching): a marginal-density
-// solve per sample plus a second per-component solve pass for the fairness
-// term — the BENCH_PR2.json baseline for BM_PoolScoring.
-void BM_PoolScoringPerSample(benchmark::State& state) {
-  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-  const std::size_t n = 2000;
-  const Dataset pool = MakePool(400, 16, 35);
-  const Dataset candidates = MakePool(n, 16, 36);
-  CovarianceConfig config;
-  Result<FairDensityEstimator> fit = FairDensityEstimator::Fit(
-      pool.features(), pool.labels(), pool.sensitive(), config);
-  FACTION_CHECK(fit.ok());
-  const FairDensityEstimator& est = fit.value();
-  Matrix proba(n, 2, 0.5);
-  for (auto _ : state) {
-    std::vector<double> log_density(n), log_unfair(n, kNegInf);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::vector<double> z = candidates.features().Row(i);
-      log_density[i] = est.LogMarginalDensity(z);
-      std::vector<double> terms;
-      for (int c = 0; c < est.domain().num_classes; ++c) {
-        const double lp = est.LogComponentDensity(z, c, 1);
-        const double ln = est.LogComponentDensity(z, c, -1);
-        double log_delta = kNegInf;
-        if (std::isfinite(lp) && std::isfinite(ln)) {
-          const double hi = lp > ln ? lp : ln;
-          const double gap = hi - (lp > ln ? ln : lp);
-          if (gap >= 1e-300) log_delta = hi + std::log1p(-std::exp(-gap));
-        } else if (std::isfinite(lp) || std::isfinite(ln)) {
-          log_delta = std::isfinite(lp) ? lp : ln;
-        }
-        const double pc = proba(i, static_cast<std::size_t>(c));
-        if (std::isfinite(log_delta) && pc > 1e-12) {
-          terms.push_back(std::log(pc) + log_delta);
-        }
-      }
-      if (!terms.empty()) log_unfair[i] = LogSumExp(terms);
-    }
-    benchmark::DoNotOptimize(log_density.data());
-    benchmark::DoNotOptimize(log_unfair.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<long>(n));
-}
-BENCHMARK(BM_PoolScoringPerSample);
-
-// ---------------- GEMM conv, workspace trainer, incremental refits (PR 3)
-
-// Serial naive convolution loops: the bitwise-parity baseline for the
-// im2col/GEMM lowering (speedup pair for BENCH_PR3.json).
-void BM_Conv2dNaive(benchmark::State& state) {
-  Rng rng(33);
-  const ImageShape shape{3, 16, 16};
-  Conv2d conv(shape, 8, &rng);
-  const Matrix x = RandomMatrix(128, shape.Flat(), &rng);
-  for (auto _ : state) {
-    Matrix y = conv.ApplyNaive(x);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 128);
-}
-BENCHMARK(BM_Conv2dNaive);
-
-// Same convolution through the im2col-lowered GEMM path (identical inputs
-// and — bitwise — identical outputs to BM_Conv2dNaive).
-void BM_Conv2dIm2col(benchmark::State& state) {
-  Rng rng(33);
-  const ImageShape shape{3, 16, 16};
-  Conv2d conv(shape, 8, &rng);
-  const Matrix x = RandomMatrix(128, shape.Flat(), &rng);
-  for (auto _ : state) {
-    Matrix y = conv.ForwardInference(x);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 128);
-}
-BENCHMARK(BM_Conv2dIm2col);
+// ------------------------------------------------ workspace trainer
 
 // One full training pass over an 800-row pool of `input_dim` features with
 // the persistent Workspace the online learner uses: steady-state
@@ -370,54 +260,6 @@ void BM_TrainStep(benchmark::State& state) {
   RunTrainStep(state, static_cast<std::size_t>(state.range(0)));
 }
 BENCHMARK(BM_TrainStep)->Arg(12)->Arg(16);
-
-// Full batch refit of the GDA estimator on a pool of `n` rows — the cost
-// FACTION used to pay every acquisition round.
-void BM_DensityRefitBatch(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const Dataset pool = MakePool(n, 16, 41);
-  CovarianceConfig config;
-  for (auto _ : state) {
-    Result<FairDensityEstimator> est = FairDensityEstimator::Fit(
-        pool.features(), pool.labels(), pool.sensitive(), config);
-    benchmark::DoNotOptimize(est);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<long>(n));
-}
-BENCHMARK(BM_DensityRefitBatch)->Arg(2400);
-
-// Incremental refit: one acquisition round folds A=25 new rows into the
-// sufficient statistics of a pool already holding `n` rows. Cost is
-// O(A d^2) + one Cholesky per touched component, independent of n.
-void BM_DensityRefitIncremental(benchmark::State& state) {
-  constexpr std::size_t kAcquisition = 25;
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const std::size_t dim = 16;
-  const Dataset pool = MakePool(n, dim, 41);
-  const Dataset fresh = MakePool(400, dim, 42);
-  CovarianceConfig config;
-  Result<FairDensityEstimator> est = FairDensityEstimator::Fit(
-      pool.features(), pool.labels(), pool.sensitive(), config);
-  FACTION_CHECK(est.ok());
-  Matrix rows(kAcquisition, dim);
-  std::vector<int> ys(kAcquisition), ss(kAcquisition);
-  std::size_t cursor = 0;
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < kAcquisition; ++i) {
-      const std::size_t idx = (cursor + i) % fresh.size();
-      std::copy(fresh.features().row_data(idx),
-                fresh.features().row_data(idx) + dim, rows.row_data(i));
-      ys[i] = fresh.labels()[idx];
-      ss[i] = fresh.sensitive()[idx];
-    }
-    cursor = (cursor + kAcquisition) % fresh.size();
-    const Status updated = est.value().Update(rows, ys, ss, config);
-    FACTION_CHECK(updated.ok());
-    benchmark::DoNotOptimize(est);
-  }
-  state.SetItemsProcessed(state.iterations() * kAcquisition);
-}
-BENCHMARK(BM_DensityRefitIncremental)->Arg(2400);
 
 // --------------------------- SIMD micro-kernel compute layer (PR 5)
 
@@ -506,24 +348,19 @@ BENCHMARK(BM_TrainStepSimd)->ArgsProduct({{0, 1, 2}, {12, 16}});
 
 // ---------------- sliding-window density forgetting (PR 8)
 
-// Forgetting-mode covariance (ridge regularization): the mode every
-// windowed/decayed estimator runs in, where downdates are exact O(d^2)
-// rank-1 factor updates.
-CovarianceConfig ForgettingConfig() {
-  CovarianceConfig config;
-  config.forgetting = true;
-  return config;
-}
-
 // Pure eviction cost: rank-1 downdating A=25 previously folded rows out
 // of an estimator holding `n`. The paused phase folds the same rows back
-// so the estimator is identical at every iteration's start.
+// so the estimator is identical at every iteration's start. Runs in
+// forgetting mode (ridge regularization), the mode every windowed or
+// decayed estimator runs in, where downdates are exact O(d^2) rank-1
+// factor updates.
 void BM_DensityDowndate(benchmark::State& state) {
   constexpr std::size_t kAcquisition = 25;
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::size_t dim = 16;
   const Dataset pool = MakePool(n, dim, 41);
-  const CovarianceConfig config = ForgettingConfig();
+  CovarianceConfig config;
+  config.forgetting = true;
   Result<FairDensityEstimator> est = FairDensityEstimator::Fit(
       pool.features(), pool.labels(), pool.sensitive(), config);
   FACTION_CHECK(est.ok());
@@ -551,82 +388,6 @@ void BM_DensityDowndate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kAcquisition);
 }
 BENCHMARK(BM_DensityDowndate)->Arg(2400);
-
-// Windowed batch refit: each acquisition round slides a W=2048 window by
-// A=25 over an n-row stream and refits the estimator from scratch on the
-// window contents — the parity-oracle path (FactionStrategy with
-// incremental_density=false and density_window set). O(W d^2) per round.
-void BM_WindowedTrainStepBatch(benchmark::State& state) {
-  constexpr std::size_t kAcquisition = 25;
-  constexpr std::size_t kWindow = 2048;
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const std::size_t dim = 16;
-  const Dataset pool = MakePool(n, dim, 43);
-  const CovarianceConfig config = ForgettingConfig();
-  Matrix window(kWindow, dim);
-  std::vector<int> ys(kWindow), ss(kWindow);
-  std::size_t cursor = 0;
-  for (auto _ : state) {
-    cursor = (cursor + kAcquisition) % n;
-    for (std::size_t i = 0; i < kWindow; ++i) {
-      const std::size_t idx = (cursor + i) % n;
-      std::copy(pool.features().row_data(idx),
-                pool.features().row_data(idx) + dim, window.row_data(i));
-      ys[i] = pool.labels()[idx];
-      ss[i] = pool.sensitive()[idx];
-    }
-    Result<FairDensityEstimator> est =
-        FairDensityEstimator::Fit(window, ys, ss, config);
-    FACTION_CHECK(est.ok());
-    benchmark::DoNotOptimize(est);
-  }
-  state.SetItemsProcessed(state.iterations() * kAcquisition);
-}
-BENCHMARK(BM_WindowedTrainStepBatch)->Arg(2400);
-
-// Incremental window slide over the same stream: the A=25 arrivals evict
-// the 25 oldest rows (rank-1 downdates) and fold the 25 newest (rank-1
-// updates) — O(A d^2) per round, independent of the window length. The
-// speedup of this over BM_WindowedTrainStepBatch is the
-// density_windowed_slide_vs_batch pair in BENCH_PR8.json.
-void BM_WindowedTrainStepIncremental(benchmark::State& state) {
-  constexpr std::size_t kAcquisition = 25;
-  constexpr std::size_t kWindow = 2048;
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const std::size_t dim = 16;
-  const Dataset pool = MakePool(n, dim, 43);
-  const CovarianceConfig config = ForgettingConfig();
-  Matrix window(kWindow, dim);
-  std::vector<int> ys(kWindow), ss(kWindow);
-  for (std::size_t i = 0; i < kWindow; ++i) {
-    std::copy(pool.features().row_data(i), pool.features().row_data(i) + dim,
-              window.row_data(i));
-    ys[i] = pool.labels()[i];
-    ss[i] = pool.sensitive()[i];
-  }
-  Result<FairDensityEstimator> est =
-      FairDensityEstimator::Fit(window, ys, ss, config);
-  FACTION_CHECK(est.ok());
-  std::size_t oldest = 0;
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < kAcquisition; ++i) {
-      const std::size_t evict = (oldest + i) % n;
-      const std::size_t fold = (oldest + kWindow + i) % n;
-      const Status evicted = est.value().DowndateOne(
-          pool.features().row_data(evict), pool.labels()[evict],
-          pool.sensitive()[evict], config);
-      FACTION_CHECK(evicted.ok());
-      const Status folded = est.value().UpdateOne(
-          pool.features().row_data(fold), pool.labels()[fold],
-          pool.sensitive()[fold], config);
-      FACTION_CHECK(folded.ok());
-    }
-    oldest = (oldest + kAcquisition) % n;
-    benchmark::DoNotOptimize(est);
-  }
-  state.SetItemsProcessed(state.iterations() * kAcquisition);
-}
-BENCHMARK(BM_WindowedTrainStepIncremental)->Arg(2400);
 
 }  // namespace
 }  // namespace faction

@@ -48,8 +48,8 @@ class Conv2d {
   const Matrix& bias() const { return b_; }
 
   /// Serial naive-loop forward, retained as the bitwise-parity reference
-  /// for the GEMM-lowered path (parity pinned by tests and benchmarked as
-  /// BM_Conv2dNaive).
+  /// for the GEMM-lowered path (parity pinned by tests, speedup by
+  /// tests/speed_guard_test).
   Matrix ApplyNaive(const Matrix& x) const;
 
   static constexpr std::size_t kKernel = 3;

@@ -109,27 +109,6 @@ Status TraceWriter::WriteRunStart(const std::string& strategy_name,
   return Flush();
 }
 
-Status TraceWriter::WriteRunStart(const std::string& strategy_name,
-                                  const ServeInfo& serve,
-                                  const DensityInfo& density,
-                                  const ScenarioInfo& scenario,
-                                  const CheckpointInfo& checkpoint) {
-  *os_ << "{\"type\":\"run_start\",\"schema_version\":" << kTraceSchemaVersion
-       << ",\"strategy\":\"" << JsonEscape(strategy_name)
-       << "\",\"simd_level\":\"" << ActiveSimd().name
-       << "\",\"alloc_audit\":\"" << AllocAuditMode()
-       << "\",\"density\":{\"window\":" << density.window
-       << ",\"decay\":" << JsonNumber(density.decay)
-       << "},\"scenario\":{\"spec\":\"" << JsonEscape(scenario.spec)
-       << "\",\"world_seed\":" << scenario.world_seed
-       << "},\"checkpoint\":{\"enabled\":"
-       << (checkpoint.enabled ? "true" : "false")
-       << ",\"interval_steps\":" << checkpoint.interval_steps
-       << "},\"serve\":{\"workers\":" << serve.workers
-       << ",\"sessions\":" << serve.sessions << "}}\n";
-  return Flush();
-}
-
 Status TraceWriter::WriteTask(const TaskTraceRecord& r) {
   *os_ << "{\"type\":\"task\""
        << ",\"task_index\":" << r.task_index

@@ -18,8 +18,9 @@ namespace faction {
 /// v3: run_start gained "alloc_audit" ("on"/"off" — whether the build
 ///     interposes the allocator; see common/alloc_audit.h).
 /// v4: run_start gained the optional "serve" object ({"workers":N,
-///     "sessions":N}) stamped by multi-stream serving runs (src/serve,
-///     bench/serve_loadgen); absent for single-stream runs.
+///     "sessions":N}) for multi-stream serving runs; absent for
+///     single-stream runs. No writer stamps it any more, and validators
+///     still accept it so older traces stay valid.
 /// v5: run_start gained the always-present "density" object
 ///     ({"window":N,"decay":g}) — the run's density-forgetting
 ///     configuration (DESIGN.md §15). {"window":0,"decay":1} when the
@@ -120,13 +121,6 @@ class TraceWriter {
   TraceWriter(const TraceWriter&) = delete;
   TraceWriter& operator=(const TraceWriter&) = delete;
 
-  /// Serving-runtime facts stamped into run_start by multi-stream runs
-  /// (schema v4).
-  struct ServeInfo {
-    int workers = 0;
-    std::size_t sessions = 0;
-  };
-
   /// See TraceDensityInfo; aliased here so call sites read
   /// TraceWriter::DensityInfo.
   using DensityInfo = TraceDensityInfo;
@@ -139,13 +133,6 @@ class TraceWriter {
 
   /// {"type":"run_start","schema_version":...,"strategy":...}
   Status WriteRunStart(const std::string& strategy_name,
-                       const DensityInfo& density = {},
-                       const ScenarioInfo& scenario = {},
-                       const CheckpointInfo& checkpoint = {});
-
-  /// Same, plus the "serve" object: {"workers":...,"sessions":...}.
-  Status WriteRunStart(const std::string& strategy_name,
-                       const ServeInfo& serve,
                        const DensityInfo& density = {},
                        const ScenarioInfo& scenario = {},
                        const CheckpointInfo& checkpoint = {});

@@ -208,28 +208,6 @@ TEST_F(TelemetryTest, TraceSchemaGolden) {
   EXPECT_EQ(os.str(), expected);
 }
 
-TEST_F(TelemetryTest, TraceRunStartServeObjectGolden) {
-  std::ostringstream os;
-  TraceWriter writer(&os);
-  TraceWriter::ServeInfo serve;
-  serve.workers = 8;
-  serve.sessions = 512;
-  TraceWriter::DensityInfo density;
-  density.window = 256;
-  density.decay = 0.875;
-  ASSERT_TRUE(writer.WriteRunStart("serve_loadgen", serve, density).ok());
-  const std::string expected =
-      "{\"type\":\"run_start\",\"schema_version\":7,"
-      "\"strategy\":\"serve_loadgen\",\"simd_level\":\"" +
-      std::string(SimdLevelName(ActiveSimdLevel())) + "\",\"alloc_audit\":\"" +
-      std::string(AllocAuditMode()) +
-      "\",\"density\":{\"window\":256,\"decay\":0.875},"
-      "\"scenario\":{\"spec\":\"none\",\"world_seed\":0},"
-      "\"checkpoint\":{\"enabled\":false,\"interval_steps\":0},"
-      "\"serve\":{\"workers\":8,\"sessions\":512}}\n";
-  EXPECT_EQ(os.str(), expected);
-}
-
 TEST_F(TelemetryTest, TraceRunStartScenarioObjectGolden) {
   std::ostringstream os;
   TraceWriter writer(&os);
