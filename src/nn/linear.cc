@@ -41,21 +41,18 @@ Matrix Linear::Forward(const Matrix& x) {
   return y;
 }
 
-void Linear::ForwardInto(const Matrix& x, Matrix* y) {
+void Linear::ForwardInto(const Matrix& x, Matrix* y, Matrix* relu_mask) {
   FACTION_CHECK_EQ(x.cols(), in_dim());
   RefreshSpectralScale();
   cached_input_ = x;  // vector copy-assign: reuses capacity, no alloc
-  MatMulBtInto(x, w_, y);
-  if (scale_ != 1.0) {
-    for (std::size_t i = 0; i < y->size(); ++i) y->data()[i] *= scale_;
+  GemmEpilogue ep;
+  ep.scale = scale_;
+  ep.bias = &b_;
+  if (relu_mask != nullptr) {
+    ep.act = GemmAct::kReluTrain;
+    ep.relu_mask = relu_mask;
   }
-  // Bias broadcast straight from b_'s storage (the vector-building
-  // AddRowBroadcast overload would allocate per call).
-  const double* bias = b_.row_data(0);
-  for (std::size_t i = 0; i < y->rows(); ++i) {
-    double* r = y->row_data(i);
-    for (std::size_t j = 0; j < y->cols(); ++j) r[j] += bias[j];
-  }
+  MatMulBtInto(x, w_, y, ep);
 }
 
 Matrix Linear::ForwardInference(const Matrix& x) const {
@@ -64,19 +61,14 @@ Matrix Linear::ForwardInference(const Matrix& x) const {
   return y;
 }
 
-void Linear::ForwardInferenceInto(const Matrix& x, Matrix* y) const {
+void Linear::ForwardInferenceInto(const Matrix& x, Matrix* y,
+                                  bool relu) const {
   FACTION_CHECK_EQ(x.cols(), in_dim());
-  MatMulBtInto(x, w_, y);
-  if (scale_ != 1.0) {
-    for (std::size_t i = 0; i < y->size(); ++i) y->data()[i] *= scale_;
-  }
-  // Bias broadcast straight from b_'s storage: the same per-element adds
-  // as AddRowBroadcast over a copied bias row, without the copies.
-  const double* bias = b_.row_data(0);
-  for (std::size_t i = 0; i < y->rows(); ++i) {
-    double* r = y->row_data(i);
-    for (std::size_t j = 0; j < y->cols(); ++j) r[j] += bias[j];
-  }
+  GemmEpilogue ep;
+  ep.scale = scale_;
+  ep.bias = &b_;
+  if (relu) ep.act = GemmAct::kReluInference;
+  MatMulBtInto(x, w_, y, ep);
 }
 
 Matrix Linear::Backward(const Matrix& dy) {
@@ -85,21 +77,26 @@ Matrix Linear::Backward(const Matrix& dy) {
   return dx;
 }
 
-void Linear::BackwardInto(const Matrix& dy, Matrix* dx) {
+void Linear::BackwardInto(const Matrix& dy, Matrix* dx,
+                          const Matrix* dx_mask) {
   FACTION_CHECK_EQ(dy.rows(), cached_input_.rows());
   FACTION_CHECK_EQ(dy.cols(), out_dim());
   // dW_eff = dy^T x; with W_eff = scale*W (scale treated as constant),
-  // dW = scale * dW_eff.
-  MatMulAtInto(dy, cached_input_, &dw_scratch_);
-  AddScaled(&gw_, dw_scratch_, scale_);
+  // dW = scale * dW_eff, accumulated straight into the gradient.
+  MatMulAtAccumulateInto(dy, cached_input_, scale_, &gw_);
   ColSumsInto(dy, &db_scratch_);
-  for (std::size_t j = 0; j < b_.cols(); ++j) gb_(0, j) += db_scratch_[j];
+  double* gb = gb_.data();
+  const double* db = db_scratch_.data();
+  for (std::size_t j = 0; j < b_.cols(); ++j) gb[j] += db[j];
   if (dx == nullptr) return;
-  // dx = dy * W_eff = scale * dy * W.
-  MatMulInto(dy, w_, dx);
-  if (scale_ != 1.0) {
-    for (std::size_t i = 0; i < dx->size(); ++i) dx->data()[i] *= scale_;
+  // dx = dy * W_eff = scale * dy * W, then the lower ReLU's mask.
+  GemmEpilogue ep;
+  ep.scale = scale_;
+  if (dx_mask != nullptr) {
+    ep.act = GemmAct::kMask;
+    ep.grad_mask = dx_mask;
   }
+  MatMulInto(dy, w_, dx, ep);
 }
 
 void Linear::ZeroGrad() {

@@ -28,6 +28,10 @@ struct SpectralNormConfig {
 
 /// Fully connected layer y = x * W_eff^T + b with optional spectral
 /// normalization and cached activations for layer-wise backpropagation.
+/// Each pass is one GEMM whose epilogue applies the scale, the bias and an
+/// optional fused ReLU per element (tensor/ops.h GemmEpilogue), in the
+/// order the separate element passes used to: y = x*W^T, y *= scale when
+/// scale != 1, y += b, then the ReLU.
 ///
 /// Shapes: x is (n x in), W is (out x in), b is (1 x out), y is (n x out).
 class Linear {
@@ -45,7 +49,11 @@ class Linear {
 
   /// Allocation-free training forward: writes the output into *y (resized,
   /// capacity retained; must not alias x). Value-identical to Forward.
-  void ForwardInto(const Matrix& x, Matrix* y);
+  /// With a relu_mask the training ReLU is fused in: y = 0 < v ? v : +0.0
+  /// (NaN and -0.0 become +0.0), and *relu_mask (resized) holds 1.0 where
+  /// the activation passed, else 0.0 — the mask BackwardInto of the layer
+  /// above takes as its dx_mask.
+  void ForwardInto(const Matrix& x, Matrix* y, Matrix* relu_mask = nullptr);
 
   /// Forward pass without caching (const). Uses the effective (normalized)
   /// weight computed from the current persistent power-iteration state.
@@ -53,7 +61,10 @@ class Linear {
 
   /// Allocation-free inference forward: writes into *y (resized, capacity
   /// retained; must not alias x). Bitwise-identical to ForwardInference.
-  void ForwardInferenceInto(const Matrix& x, Matrix* y) const;
+  /// With relu the inference ReLU is fused in: y = v < 0 ? +0.0 : v, which
+  /// keeps NaN and -0.0.
+  void ForwardInferenceInto(const Matrix& x, Matrix* y,
+                            bool relu = false) const;
 
   /// Backpropagates dL/dy, accumulating weight gradients, and returns
   /// dL/dx. Must follow a Forward call with the matching batch.
@@ -64,8 +75,10 @@ class Linear {
   /// A null dx accumulates the weight and bias gradients only, skipping
   /// the dy * W product: for a network's first layer, whose input
   /// gradient nobody reads. The accumulated gradients are bitwise those
-  /// of a call with a dx buffer.
-  void BackwardInto(const Matrix& dy, Matrix* dx);
+  /// of a call with a dx buffer. A dx_mask (the lower layer's ReLU mask)
+  /// multiplies into dL/dx after the scale: the ReLU backward, fused.
+  void BackwardInto(const Matrix& dy, Matrix* dx,
+                    const Matrix* dx_mask = nullptr);
 
   /// Clears accumulated gradients.
   void ZeroGrad();
@@ -100,7 +113,6 @@ class Linear {
   Matrix gw_;  // gradient accumulator, same shape as w_
   Matrix gb_;  // gradient accumulator, same shape as b_
   Matrix cached_input_;
-  Matrix dw_scratch_;              // dy^T x temporary, reused across steps
   std::vector<double> db_scratch_;  // column sums of dy, reused across steps
   // Persistent power-iteration state: u doubles as the classic warm-start
   // vector, and PowerIterationInto reuses u/v as working buffers so a

@@ -15,7 +15,6 @@ MlpClassifier::MlpClassifier(const MlpConfig& config, Rng* rng)
   for (std::size_t width : config_.hidden_dims) {
     hidden_.push_back(
         std::make_unique<Linear>(in, width, config_.spectral, rng));
-    relus_.emplace_back();
     in = width;
   }
   // The classification head is never spectrally normalized: the Lipschitz
@@ -23,6 +22,7 @@ MlpClassifier::MlpClassifier(const MlpConfig& config, Rng* rng)
   SpectralNormConfig no_sn;
   head_ = std::make_unique<Linear>(in, config_.num_classes, no_sn, rng);
   acts_.resize(hidden_.size());
+  masks_.resize(hidden_.size());
 }
 
 Matrix MlpClassifier::Forward(const Matrix& x) {
@@ -35,20 +35,17 @@ void MlpClassifier::ForwardInto(const Matrix& x, Matrix* out) {
   FACTION_CHECK_EQ(x.cols(), config_.input_dim);
   const Matrix* h = &x;
   for (std::size_t i = 0; i < hidden_.size(); ++i) {
-    hidden_[i]->ForwardInto(*h, &acts_[i]);
-    relus_[i].ForwardInPlace(&acts_[i]);
+    hidden_[i]->ForwardInto(*h, &acts_[i], &masks_[i]);
     h = &acts_[i];
   }
-  last_features_ = *h;  // reuses capacity across same-shape batches
   head_->ForwardInto(*h, out);
 }
 
 Matrix MlpClassifier::Logits(const Matrix& x) const {
-  Matrix h = x;
-  for (const auto& lin : hidden_) {
-    h = Relu::ForwardInference(lin->ForwardInference(h));
-  }
-  return head_->ForwardInference(h);
+  Workspace ws;
+  Matrix logits;
+  LogitsInto(x, &ws, &logits);
+  return logits;
 }
 
 void MlpClassifier::LogitsInto(const Matrix& x, Workspace* ws,
@@ -60,11 +57,10 @@ void MlpClassifier::LogitsInto(const Matrix& x, Workspace* ws,
 }
 
 Matrix MlpClassifier::ExtractFeatures(const Matrix& x) const {
-  Matrix h = x;
-  for (const auto& lin : hidden_) {
-    h = Relu::ForwardInference(lin->ForwardInference(h));
-  }
-  return h;
+  Workspace ws;
+  Matrix features;
+  ExtractFeaturesInto(x, &ws, &features);
+  return features;
 }
 
 void MlpClassifier::ExtractFeaturesInto(const Matrix& x, Workspace* ws,
@@ -82,8 +78,7 @@ void MlpClassifier::ExtractFeaturesInto(const Matrix& x, Workspace* ws,
   Matrix* b = ws->MatrixFor("mlp.infer_b", 0, 0);
   for (std::size_t i = 0; i < hidden_.size(); ++i) {
     Matrix* target = i + 1 == hidden_.size() ? out : a;
-    hidden_[i]->ForwardInferenceInto(*h, target);
-    Relu::ForwardInferenceInPlace(target);
+    hidden_[i]->ForwardInferenceInto(*h, target, /*relu=*/true);
     h = target;
     std::swap(a, b);
   }
@@ -101,12 +96,16 @@ void MlpClassifier::ExtractFeaturesAndProbaInto(const Matrix& x,
 }
 
 void MlpClassifier::Backward(const Matrix& dlogits) {
-  // The first layer's dL/dx has no reader, so it gets a null dx.
-  head_->BackwardInto(dlogits, hidden_.empty() ? nullptr : &dbuf_);
-  for (std::size_t ii = hidden_.size(); ii > 0; --ii) {
+  // Each layer's dL/dx leaves its GEMM already through the lower layer's
+  // ReLU mask. The first layer's dL/dx has no reader, so it gets a null
+  // dx.
+  const std::size_t n = hidden_.size();
+  head_->BackwardInto(dlogits, n == 0 ? nullptr : &dbuf_,
+                      n == 0 ? nullptr : &masks_[n - 1]);
+  for (std::size_t ii = n; ii > 0; --ii) {
     const std::size_t i = ii - 1;
-    relus_[i].BackwardInPlace(&dbuf_);
-    hidden_[i]->BackwardInto(dbuf_, i == 0 ? nullptr : &dbuf_swap_);
+    hidden_[i]->BackwardInto(dbuf_, i == 0 ? nullptr : &dbuf_swap_,
+                             i == 0 ? nullptr : &masks_[i - 1]);
     std::swap(dbuf_, dbuf_swap_);
   }
 }

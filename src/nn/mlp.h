@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "nn/activation.h"
 #include "nn/classifier.h"
 #include "nn/linear.h"
 #include "tensor/matrix.h"
@@ -84,9 +83,6 @@ class MlpClassifier : public FeatureClassifier {
                                    Matrix* features,
                                    Matrix* proba) const override;
 
-  /// The cached feature activations from the last training Forward.
-  const Matrix& last_features() const { return last_features_; }
-
   /// Backpropagates dL/dlogits from the last Forward, accumulating
   /// parameter gradients.
   void Backward(const Matrix& dlogits) override;
@@ -109,14 +105,14 @@ class MlpClassifier : public FeatureClassifier {
 
   MlpConfig config_;
   std::vector<std::unique_ptr<Linear>> hidden_;
-  std::vector<Relu> relus_;
   std::unique_ptr<Linear> head_;
-  Matrix last_features_;
   // Persistent training buffers (reused across minibatches): one
-  // activation per hidden layer, plus a gradient ping-pong pair for
-  // Backward. Capacity is retained, so steady-state steps allocate only
-  // the returned logits matrix.
+  // activation and one ReLU mask per hidden layer (each hidden Linear
+  // fuses its ReLU), plus a gradient ping-pong pair for Backward.
+  // Capacity is retained, so steady-state steps allocate only the
+  // returned logits matrix.
   std::vector<Matrix> acts_;
+  std::vector<Matrix> masks_;
   Matrix dbuf_;
   Matrix dbuf_swap_;
 };

@@ -19,25 +19,30 @@ void SgdOptimizer::Step(const std::vector<Matrix*>& params,
                         const std::vector<Matrix*>& grads) {
   FACTION_CHECK_LEN(grads, params.size());
   Prepare(params);
+  // Hyperparameters and the decay factor live in locals: member reads
+  // would be reloaded on every element (they may alias the stores), which
+  // keeps these loops from vectorizing. Same values, same per-element ops.
+  const double lr = lr_;
+  const double momentum = momentum_;
+  const double decay = 1.0 - lr_ * weight_decay_;
   for (std::size_t i = 0; i < params.size(); ++i) {
     Matrix& p = *params[i];
     const Matrix& g = *grads[i];
     FACTION_CHECK_SAME_SHAPE(p, g);
+    double* pd = p.data();
+    const double* gd = g.data();
+    const std::size_t n = p.size();
     if (weight_decay_ != 0.0) {
-      for (std::size_t k = 0; k < p.size(); ++k) {
-        p.data()[k] *= 1.0 - lr_ * weight_decay_;
-      }
+      for (std::size_t k = 0; k < n; ++k) pd[k] *= decay;
     }
-    if (momentum_ != 0.0) {
-      Matrix& vel = velocity_[i];
-      for (std::size_t k = 0; k < p.size(); ++k) {
-        vel.data()[k] = momentum_ * vel.data()[k] + g.data()[k];
-        p.data()[k] -= lr_ * vel.data()[k];
+    if (momentum != 0.0) {
+      double* vd = velocity_[i].data();
+      for (std::size_t k = 0; k < n; ++k) {
+        vd[k] = momentum * vd[k] + gd[k];
+        pd[k] -= lr * vd[k];
       }
     } else {
-      for (std::size_t k = 0; k < p.size(); ++k) {
-        p.data()[k] -= lr_ * g.data()[k];
-      }
+      for (std::size_t k = 0; k < n; ++k) pd[k] -= lr * gd[k];
     }
   }
 }

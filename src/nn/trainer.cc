@@ -51,6 +51,12 @@ Result<TrainReport> TrainClassifier(FeatureClassifier* model,
   std::vector<double>* row_loss = arena.DoublesFor("trainer.row_loss",
                                                    max_bs);
   std::vector<std::size_t>* order = arena.SizesFor("trainer.order", n);
+  // Dataset::features() is an out-of-line call (it compacts lazily): read
+  // the columns once, not per gathered row.
+  const Matrix& features = labeled.features();
+  const std::vector<int>& labels = labeled.labels();
+  const std::vector<int>& sensitive = labeled.sensitive();
+  const std::size_t dim = labeled.dim();
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
     rng->Permutation(n, order);
     double epoch_loss = 0.0, epoch_ce = 0.0, epoch_pen = 0.0;
@@ -58,16 +64,15 @@ Result<TrainReport> TrainClassifier(FeatureClassifier* model,
     for (std::size_t start = 0; start < n; start += config.batch_size) {
       const std::size_t end = std::min(n, start + config.batch_size);
       const std::size_t bs = end - start;
-      x->ResizeForOverwrite(bs, labeled.dim());
+      x->ResizeForOverwrite(bs, dim);
       y->resize(bs);
       s->resize(bs);
       for (std::size_t i = 0; i < bs; ++i) {
         const std::size_t idx = (*order)[start + i];
-        std::copy(labeled.features().row_data(idx),
-                  labeled.features().row_data(idx) + labeled.dim(),
-                  x->row_data(i));
-        (*y)[i] = labeled.labels()[idx];
-        (*s)[i] = labeled.sensitive()[idx];
+        const double* row = features.row_data(idx);
+        std::copy(row, row + dim, x->row_data(i));
+        (*y)[i] = labels[idx];
+        (*s)[i] = sensitive[idx];
       }
       model->ForwardInto(*x, logits);
       const double ce = FusedSoftmaxCrossEntropy(*logits, *y, dlogits,

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/telemetry.h"
+#include "common/workspace.h"
 #include "fairness/metrics.h"
 #include "nn/loss.h"
 #include "tensor/ops.h"
@@ -39,7 +40,11 @@ Result<TaskMetrics> EvaluateOnTask(const FeatureClassifier& model,
   TaskMetrics m;
   m.environment = task.environments()[0];
 
-  const Matrix logits = model.Logits(task.features());
+  // One fused trunk pass through the allocation-free path; the logits and
+  // probabilities live in this call's workspace.
+  Workspace ws;
+  Matrix& logits = *ws.MatrixFor("evaluator.logits", 0, 0);
+  model.LogitsInto(task.features(), &ws, &logits);
   std::vector<int> yhat(task.size());
   for (std::size_t i = 0; i < task.size(); ++i) {
     yhat[i] = logits(i, 1) > logits(i, 0) ? 1 : 0;
@@ -65,7 +70,8 @@ Result<TaskMetrics> EvaluateOnTask(const FeatureClassifier& model,
 
   // Violation term of Theorem 1: [v(D_t, theta_t)]_+ on the relaxed notion,
   // scored with the model's class-1 probabilities.
-  const Matrix proba = SoftmaxRows(logits);
+  Matrix& proba = *ws.MatrixFor("evaluator.proba", 0, 0);
+  SoftmaxRowsInto(logits, &proba);
   std::vector<double> scores(task.size());
   for (std::size_t i = 0; i < task.size(); ++i) scores[i] = proba(i, 1);
   const Result<double> v =

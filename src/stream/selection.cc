@@ -50,24 +50,43 @@ void BernoulliSelectInto(const std::vector<double>& omega, double alpha,
                          std::vector<std::size_t>* out) {
   SelectionScratch local;
   SelectionScratch* s = scratch != nullptr ? scratch : &local;
-  s->order.resize(omega.size());
+  const std::size_t n = omega.size();
+  s->order.resize(n);
   std::iota(s->order.begin(), s->order.end(), std::size_t{0});
-  std::stable_sort(s->order.begin(), s->order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return SortKey(omega[a]) > SortKey(omega[b]);
-                   });
+  // Visit order: descending SortKey, ties by ascending index — a strict
+  // total order, so any sorted prefix equals the stable sort's. A round
+  // usually visits only about `batch` candidates, so the order is sorted
+  // lazily: a prefix first, extended (doubling) only when a pass or the
+  // exhaustion fallback reaches its end.
+  const auto before = [&](std::size_t a, std::size_t b) {
+    const double ka = SortKey(omega[a]);
+    const double kb = SortKey(omega[b]);
+    return ka > kb || (ka == kb && a < b);
+  };
+  std::size_t sorted = 0;
+  const auto sorted_at = [&](std::size_t pos) {
+    if (pos >= sorted) {
+      const std::size_t end =
+          std::min(n, std::max(pos + 1, std::max(2 * batch, 2 * sorted)));
+      std::partial_sort(s->order.begin() + static_cast<std::ptrdiff_t>(sorted),
+                        s->order.begin() + static_cast<std::ptrdiff_t>(end),
+                        s->order.end(), before);
+      sorted = end;
+    }
+    return s->order[pos];
+  };
   std::vector<std::size_t>& accepted = *out;
   accepted.clear();
-  s->taken.assign(omega.size(), 0);
-  const std::size_t want = std::min(batch, omega.size());
+  s->taken.assign(n, 0);
+  const std::size_t want = std::min(batch, n);
   // Cycle over the (sorted) pool until the acquisition batch is filled.
   // When alpha and all omegas are 0 the trials never fire; guard with a
   // pass counter that falls back to deterministic acceptance.
   int passes_without_progress = 0;
   while (accepted.size() < want && passes_without_progress < 64) {
     bool progressed = false;
-    for (std::size_t idx : s->order) {
-      if (accepted.size() >= want) break;
+    for (std::size_t pos = 0; pos < n && accepted.size() < want; ++pos) {
+      const std::size_t idx = sorted_at(pos);
       if (s->taken[idx] != 0) continue;
       const double raw = alpha * omega[idx];
       // NaN omega (or alpha) yields p = 0: the candidate can only enter
@@ -83,13 +102,11 @@ void BernoulliSelectInto(const std::vector<double>& omega, double alpha,
   }
   // Degenerate probabilities: fill deterministically in omega order so the
   // learner still honors its acquisition size.
-  if (accepted.size() < want) {
-    for (std::size_t idx : s->order) {
-      if (accepted.size() >= want) break;
-      if (s->taken[idx] == 0) {
-        s->taken[idx] = 1;
-        accepted.push_back(idx);
-      }
+  for (std::size_t pos = 0; pos < n && accepted.size() < want; ++pos) {
+    const std::size_t idx = sorted_at(pos);
+    if (s->taken[idx] == 0) {
+      s->taken[idx] = 1;
+      accepted.push_back(idx);
     }
   }
 }

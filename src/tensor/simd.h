@@ -21,6 +21,34 @@ enum class SimdLevel : int {
   kAvx512 = 2,
 };
 
+/// Per-element step a GEMM kernel applies after scale and bias (see
+/// SimdEpilogue). The two ReLU forms keep the element loops they replace
+/// bit for bit: the training form tests `0 < v`, so NaN, -0.0 and
+/// negatives all become +0.0 with a 0.0 mask; the inference form tests
+/// `v < 0`, so NaN and -0.0 pass through.
+enum class GemmAct : int {
+  kNone = 0,
+  kReluTrain = 1,      ///< mask = 0 < v ? 1.0 : 0.0; v = 0 < v ? v : +0.0
+  kReluInference = 2,  ///< v = v < 0 ? +0.0 : v
+  kMask = 3,           ///< v = v * mask (a ReLU backward)
+};
+
+/// Epilogue the GEMM kernels apply to each accumulated element `acc` of
+/// output (i, j) before the single store, as separate rounded operations
+/// (no FMA), each skipped when unset:
+///   v = acc; v = v * scale when scale != 1; v = v + bias[j]; then act.
+/// Masks are row-major with the output's row stride. With `accumulate`
+/// the kernel instead stores c = c + v (matmul_at_cols only; bias and act
+/// unused). The default epilogue stores acc unchanged.
+struct SimdEpilogue {
+  double scale = 1.0;
+  const double* bias = nullptr;
+  GemmAct act = GemmAct::kNone;
+  double* relu_mask = nullptr;        ///< written by kReluTrain
+  const double* grad_mask = nullptr;  ///< read by kMask
+  bool accumulate = false;
+};
+
 /// Function-pointer table of the level-specialized kernels. One table per
 /// compiled tier; ActiveSimd() returns the dispatched one. All kernels are
 /// deterministic for any thread count and bitwise-identical across levels.
@@ -44,19 +72,33 @@ struct SimdKernels {
   /// Rows [r0, r1) of c = a * b from packed panels. Per output element the
   /// k order is the blocked reference's: ascending 4-wide quads combined
   /// (a0*b0 + a1*b1) + (a2*b2 + a3*b3), then a scalar tail.
+  /// Then the epilogue (scale and act only).
   void (*matmul_rows)(const double* a, const double* bp, double* c,
                       std::size_t r0, std::size_t r1, std::size_t n,
-                      std::size_t kk);
+                      std::size_t kk, const SimdEpilogue& ep);
   /// Rows [r0, r1) of c = a * b^T from pack_bt panels. Per element: four
-  /// quad partial sums combined (s0+s1)+(s2+s3), then a scalar tail.
+  /// quad partial sums combined (s0+s1)+(s2+s3), then a scalar tail, then
+  /// the epilogue.
   void (*matmul_bt_rows)(const double* a, const double* btp, double* c,
                          std::size_t r0, std::size_t r1, std::size_t bn,
-                         std::size_t kk);
+                         std::size_t kk, const SimdEpilogue& ep);
+  /// matmul_bt_rows for outputs narrower than a panel (bn <= narrow_max),
+  /// reading b (bn x kk row-major) unpacked. The four partial sums of an
+  /// element sit in the four lanes of one vector over consecutive k, so
+  /// the per-element order is matmul_bt_rows' exactly.
+  void (*matmul_bt_narrow_rows)(const double* a, const double* b, double* c,
+                                std::size_t r0, std::size_t r1,
+                                std::size_t bn, std::size_t kk,
+                                const SimdEpilogue& ep);
+  /// Widest output the narrow kernel is dispatched for.
+  std::size_t narrow_max;
   /// Output rows [c0, c1) of c = a^T * b (a is m x ac) from pack_b panels
-  /// of b (m x n). Per element: single mul-add per ascending k from zero.
+  /// of b (m x n). Per element: single mul-add per ascending k from zero,
+  /// then the epilogue (scale and accumulate only).
   void (*matmul_at_cols)(const double* a, std::size_t ac, const double* bp,
                          double* c, std::size_t m, std::size_t n,
-                         std::size_t c0, std::size_t c1);
+                         std::size_t c0, std::size_t c1,
+                         const SimdEpilogue& ep);
   /// y (oc x ohw) = w (oc x patch) @ col (patch x ohw) + bias broadcast.
   /// Per element: acc = bias, then single mul-add per ascending k — the
   /// naive conv kernel's order.

@@ -1,9 +1,14 @@
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <string>
+#include <utility>
 
 #include "common/rng.h"
 #include "core/presets.h"
 #include "data/streams.h"
 #include "gtest/gtest.h"
+#include "nn/mlp.h"
 #include "stream/online_learner.h"
 #include "stream/strategy.h"
 
@@ -224,6 +229,81 @@ TEST(OnlineLearnerTest, PerTaskSecondsPositive) {
   }
   EXPECT_GE(run.value().total_seconds,
             run.value().per_task[0].seconds);
+}
+
+// Appends the raw bytes of v: the fingerprint below hashes bits, not text.
+void AppendBits(double v, std::string* bytes) {
+  char raw[sizeof v];
+  std::memcpy(raw, &v, sizeof v);
+  bytes->append(raw, sizeof v);
+}
+
+// Hashes the final parameters into *bytes when the learner drops the model
+// at the end of Run.
+class FingerprintedMlp : public MlpClassifier {
+ public:
+  FingerprintedMlp(const MlpConfig& config, Rng* rng, std::string* bytes)
+      : MlpClassifier(config, rng), bytes_(bytes) {}
+  ~FingerprintedMlp() override {
+    for (const Matrix* p : std::as_const(*this).Parameters()) {
+      for (std::size_t i = 0; i < p->size(); ++i) {
+        AppendBits(p->data()[i], bytes_);
+      }
+    }
+  }
+
+ private:
+  std::string* bytes_;
+};
+
+// FACTION with its fairness penalty over a short NYSF stream at the
+// benchmark's shape (12 -> 48 -> 16 -> 2, batch 64, 3 epochs, spectral
+// normalization on): the per-task metrics and the final weights must not
+// change by one bit. This pins the whole training step — fused dense
+// layers, ReLU masks, SGD — and the selection path end to end. The value
+// is SubSeed's FNV-1a over the raw bytes, recorded before the dense layers
+// were fused.
+TEST(OnlineLearnerFingerprint, FactionNysfBitsArePinned) {
+  StreamScale scale;
+  scale.samples_per_task = 400;
+  scale.seed = 3;
+  Result<StreamBlueprint> blueprint = MakePaperBlueprint("nysf", scale);
+  ASSERT_TRUE(blueprint.ok()) << blueprint.status().ToString();
+  blueprint.value().plan.resize(3);
+  Result<std::vector<Dataset>> stream = MaterializeStream(blueprint.value());
+  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+  ASSERT_EQ(12u, stream.value().front().dim());
+
+  const ExperimentDefaults defaults;
+  OnlineLearnerConfig config =
+      MakeLearnerConfig(defaults, 12, "FACTION", /*seed=*/17);
+  ASSERT_TRUE(config.train.use_fairness_penalty);
+  ASSERT_EQ(64u, config.train.batch_size);
+  ASSERT_EQ(3, config.train.epochs);
+  std::string weights;
+  const MlpConfig model = config.model;
+  config.model_factory = [model, &weights](Rng* rng) {
+    return std::make_unique<FingerprintedMlp>(model, rng, &weights);
+  };
+  Result<std::unique_ptr<QueryStrategy>> strategy =
+      MakeStrategy("FACTION", defaults);
+  ASSERT_TRUE(strategy.ok());
+  const Result<RunResult> run =
+      OnlineLearner(config, strategy.value().get()).Run(stream.value());
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+
+  std::string bytes;
+  for (const TaskMetrics& m : run.value().per_task) {
+    for (const double v : {m.accuracy, m.ddp, m.eod, m.mi, m.nll,
+                           m.fairness_violation}) {
+      AppendBits(v, &bytes);
+    }
+    AppendBits(static_cast<double>(m.queries_used), &bytes);
+  }
+  ASSERT_EQ(3u, run.value().per_task.size());
+  ASSERT_FALSE(weights.empty());
+  EXPECT_EQ(0x5476e88adb4c63f7ull, SubSeed(0, bytes)) << "per-task metrics";
+  EXPECT_EQ(0x9753fafddd3a089full, SubSeed(0, weights)) << "final weights";
 }
 
 }  // namespace

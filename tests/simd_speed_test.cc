@@ -4,9 +4,9 @@
 // yet that is exactly what a code-generation defect looks like, e.g. tier
 // loads routed through memcpy paying a store-forwarding stall on every
 // access (DESIGN.md §12). This guard times the two kernels the FACTION
-// acquisition path spends its time in and the training step's
-// weight-gradient GEMM, at the shapes the NYSF workloads run, and fails
-// when a wide tier is more than 1.5x the generic tier.
+// acquisition path spends its time in and the training step's fused
+// forward and weight-gradient GEMMs, at the shapes the NYSF workloads
+// run, and fails when a wide tier is more than 1.5x the generic tier.
 //
 // Timing is min-of-N with the tiers interleaved inside one process, so a
 // slow phase of the host slows every tier alike. Registered only in
@@ -122,7 +122,7 @@ TEST(SimdTierSpeed, MatMulBtRowsNoSlowerThanGeneric) {
       for (std::size_t t = 0; t < tables.size(); ++t) {
         Timer timer;
         tables[t]->matmul_bt_rows(a.data(), packed[t].data(), c.data(), 0,
-                                  s.rows, s.bn, s.kk);
+                                  s.rows, s.bn, s.kk, SimdEpilogue{});
         best[t] = std::min(best[t], timer.ElapsedSeconds());
       }
     }
@@ -132,6 +132,43 @@ TEST(SimdTierSpeed, MatMulBtRowsNoSlowerThanGeneric) {
                              std::to_string(s.bn);
     ExpectNoSlowerThanGeneric(tables, best, what.c_str());
   }
+}
+
+// The fused training forward of the MLP's first layer on one 64-row NYSF
+// batch, x(64x12) w(48x12)^T: scale, bias and the training ReLU with its
+// mask in the GEMM's epilogue, packing included, as MatMulBtInto runs it.
+TEST(SimdTierSpeed, FusedDenseForwardNoSlowerThanGeneric) {
+  const std::vector<const SimdKernels*> tables = SupportedTables();
+  if (tables.size() < 2) GTEST_SKIP() << "no wide tier on this host";
+  constexpr std::size_t kRows = 64, kIn = 12, kOut = 48;
+  constexpr int kReps = 2000;
+  Rng rng(20);
+  const std::vector<double> x = Gaussians(kRows * kIn, &rng);
+  const std::vector<double> w = Gaussians(kOut * kIn, &rng);
+  const std::vector<double> bias = Gaussians(kOut, &rng);
+  std::vector<std::vector<double>> packed(tables.size());
+  for (std::size_t t = 0; t < tables.size(); ++t) {
+    packed[t].resize(SimdPackedCount(*tables[t], kIn, kOut));
+  }
+  std::vector<double> y(kRows * kOut), mask(kRows * kOut);
+  SimdEpilogue ep;
+  ep.scale = 0.8;
+  ep.bias = bias.data();
+  ep.act = GemmAct::kReluTrain;
+  ep.relu_mask = mask.data();
+  std::vector<double> best(tables.size(),
+                           std::numeric_limits<double>::infinity());
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (std::size_t t = 0; t < tables.size(); ++t) {
+      Timer timer;
+      tables[t]->pack_bt(w.data(), kOut, kIn, packed[t].data());
+      tables[t]->matmul_bt_rows(x.data(), packed[t].data(), y.data(), 0,
+                                kRows, kOut, kIn, ep);
+      best[t] = std::min(best[t], timer.ElapsedSeconds());
+    }
+  }
+  ExpectNoSlowerThanGeneric(tables, best,
+                            "fused dense forward 64x12 -> 48 (ReLU)");
 }
 
 // The MLP weight-gradient GEMMs of one 64-row NYSF training step,
@@ -161,7 +198,8 @@ TEST(SimdTierSpeed, MatMulAtColsNoSlowerThanGeneric) {
         Timer timer;
         tables[t]->pack_b(b.data(), s.m, s.n, packed[t].data());
         tables[t]->matmul_at_cols(a.data(), s.ac, packed[t].data(),
-                                  c.data(), s.m, s.n, 0, s.ac);
+                                  c.data(), s.m, s.n, 0, s.ac,
+                                  SimdEpilogue{});
         best[t] = std::min(best[t], timer.ElapsedSeconds());
       }
     }

@@ -157,6 +157,82 @@ TEST(BernoulliSelectTest, ZeroAlphaFallsBackDeterministically) {
   EXPECT_EQ(picked, (std::vector<std::size_t>{0, 3}));
 }
 
+// The eager form the lazy prefix sort replaced: the whole pool
+// stable-sorted up front (NaN as -inf), then the same pass loop and
+// exhaustion fallback.
+std::vector<std::size_t> EagerBernoulliSelect(const std::vector<double>& omega,
+                                              double alpha, std::size_t batch,
+                                              Rng* rng) {
+  const auto key = [](double v) {
+    return std::isnan(v) ? -std::numeric_limits<double>::infinity() : v;
+  };
+  std::vector<std::size_t> order(omega.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return key(omega[a]) > key(omega[b]);
+                   });
+  std::vector<std::size_t> accepted;
+  std::vector<char> taken(omega.size(), 0);
+  const std::size_t want = std::min(batch, omega.size());
+  int idle = 0;
+  while (accepted.size() < want && idle < 64) {
+    bool progressed = false;
+    for (std::size_t idx : order) {
+      if (accepted.size() >= want) break;
+      if (taken[idx] != 0) continue;
+      const double raw = alpha * omega[idx];
+      if (rng->Bernoulli(std::isnan(raw) ? 0.0 : std::min(raw, 1.0))) {
+        taken[idx] = 1;
+        accepted.push_back(idx);
+        progressed = true;
+      }
+    }
+    idle = progressed ? 0 : idle + 1;
+  }
+  for (std::size_t idx : order) {
+    if (accepted.size() >= want) break;
+    if (taken[idx] == 0) {
+      taken[idx] = 1;
+      accepted.push_back(idx);
+    }
+  }
+  return accepted;
+}
+
+// The lazily sorted visit order must reproduce the full stable sort's
+// picks and RNG consumption exactly: over tie-heavy omegas with NaN, in
+// one pass (large alpha), over many passes (tiny alpha, so the prefix
+// grows to the whole pool) and through the exhaustion fallback (alpha 0,
+// and NaN alpha).
+TEST(BernoulliSelectTest, LazyOrderMatchesFullStableSort) {
+  Rng data(41);
+  SelectionScratch scratch;
+  std::vector<std::size_t> lazy;
+  for (const std::size_t n : {0u, 1u, 7u, 100u, 1000u, 3000u}) {
+    std::vector<double> omega(n);
+    for (double& w : omega) {
+      // Two decimals: many exact ties. About one in nine is NaN.
+      w = std::round(data.Uniform() * 100.0) / 100.0;
+      if (data.Uniform() < 0.11) w = std::numeric_limits<double>::quiet_NaN();
+    }
+    for (const double alpha :
+         {3.0, 0.8, 0.002, 0.0, std::numeric_limits<double>::quiet_NaN()}) {
+      for (const std::size_t batch : {0u, 1u, 5u, 50u, 400u, 5000u}) {
+        Rng eager_rng(n * 7919 + batch);
+        Rng lazy_rng(n * 7919 + batch);
+        const std::vector<std::size_t> eager =
+            EagerBernoulliSelect(omega, alpha, batch, &eager_rng);
+        BernoulliSelectInto(omega, alpha, batch, &lazy_rng, &scratch, &lazy);
+        ASSERT_EQ(eager, lazy) << "n " << n << " alpha " << alpha
+                               << " batch " << batch;
+        ASSERT_EQ(eager_rng.NextU64(), lazy_rng.NextU64())
+            << "n " << n << " alpha " << alpha << " batch " << batch;
+      }
+    }
+  }
+}
+
 TEST(BernoulliSelectTest, PrefersHighProbabilityCandidates) {
   // Across many trials, omega = 1 candidates are accepted far more often
   // than omega ~ 0 candidates.
