@@ -113,14 +113,6 @@ TEST(OpsTest, AddSubHadamardScale) {
   EXPECT_EQ(Scale(a, 2.0)(0, 1), 4.0);
 }
 
-TEST(OpsTest, AddScaledAxpy) {
-  Matrix a = {{1, 1}};
-  const Matrix b = {{2, 3}};
-  AddScaled(&a, b, 0.5);
-  EXPECT_EQ(a(0, 0), 2.0);
-  EXPECT_EQ(a(0, 1), 2.5);
-}
-
 TEST(OpsTest, AddRowBroadcast) {
   Matrix m = {{1, 2}, {3, 4}};
   AddRowBroadcast(&m, {10, 20});
