@@ -35,6 +35,7 @@ struct AllocationStats {
 };
 
 /// True when the binary interposes the allocator (FACTION_ALLOC_AUDIT=ON).
+// lint-allow(test-only-api): tests pick the audit build's expectations with it
 constexpr bool AllocAuditEnabled() {
 #if defined(FACTION_ALLOC_AUDIT)
   return true;
@@ -48,6 +49,7 @@ constexpr bool AllocAuditEnabled() {
 const char* AllocAuditMode();
 
 /// Snapshot of the calling thread's counters (all zero when audit is off).
+// lint-allow(test-only-api): tests assert the steady state allocates nothing
 AllocationStats ThreadAllocationStats();
 
 /// RAII guard marking a region that must not allocate on this thread.

@@ -1,6 +1,5 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -9,12 +8,8 @@ namespace faction {
 
 namespace {
 
-std::atomic<int> g_min_level{static_cast<int>(LogLevel::kInfo)};
-
 const char* LevelName(LogLevel level) {
   switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
     case LogLevel::kInfo:
       return "INFO";
     case LogLevel::kWarning:
@@ -32,20 +27,8 @@ const char* Basename(const char* path) {
 
 }  // namespace
 
-void SetLogLevel(LogLevel level) {
-  g_min_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(g_min_level.load(std::memory_order_relaxed));
-}
-
 void LogMessage(LogLevel level, const char* file, int line,
                 const std::string& message) {
-  if (static_cast<int>(level) <
-      g_min_level.load(std::memory_order_relaxed)) {
-    return;
-  }
   std::fprintf(stderr, "[%s %s:%d] %s\n", LevelName(level), Basename(file),
                line, message.c_str());
 }

@@ -7,15 +7,9 @@
 namespace faction {
 
 /// Log severities, ascending.
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
+enum class LogLevel { kInfo, kWarning, kError };
 
-/// Sets the global minimum severity that is emitted. Defaults to kInfo.
-void SetLogLevel(LogLevel level);
-
-/// Returns the current global minimum severity.
-LogLevel GetLogLevel();
-
-/// Emits one formatted log line to stderr if `level` passes the filter.
+/// Emits one formatted log line to stderr.
 void LogMessage(LogLevel level, const char* file, int line,
                 const std::string& message);
 

@@ -80,6 +80,7 @@ class Telemetry {
   std::uint64_t CounterValue(const std::string& name) const;
 
   /// Current value of a gauge; 0.0 when it was never set.
+  // lint-allow(test-only-api): tests read back what TelemetryGauge recorded
   double GaugeValue(const std::string& name) const;
 
   /// Snapshot of a histogram; zero-count snapshot when it was never

@@ -61,13 +61,6 @@ void Dataset::Reserve(std::size_t rows) {
   features_ = std::move(grown);
 }
 
-Status Dataset::AppendAll(const Dataset& other) {
-  for (std::size_t i = 0; i < other.size(); ++i) {
-    FACTION_RETURN_IF_ERROR(Append(other.Get(i)));
-  }
-  return Status::Ok();
-}
-
 Example Dataset::Get(std::size_t i) const {
   Example e;
   GetInto(i, &e);
@@ -107,29 +100,6 @@ double Dataset::PositiveFraction() const {
     if (y == 1) ++pos;
   }
   return static_cast<double>(pos) / static_cast<double>(size());
-}
-
-std::size_t Dataset::CountGroup(int label, int sensitive) const {
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < size(); ++i) {
-    if (labels_[i] == label && sensitive_[i] == sensitive) ++count;
-  }
-  return count;
-}
-
-double Dataset::JointProbability(int label, int sensitive) const {
-  if (empty()) return 0.0;
-  return static_cast<double>(CountGroup(label, sensitive)) /
-         static_cast<double>(size());
-}
-
-bool Dataset::HasAllGroups() const {
-  for (int y : {0, 1}) {
-    for (int s : {-1, 1}) {
-      if (CountGroup(y, s) == 0) return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace faction

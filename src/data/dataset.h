@@ -54,9 +54,6 @@ class Dataset {
   /// streaming pipeline reserves at the end of each refit).
   void Reserve(std::size_t rows);
 
-  /// Appends every row of `other` (dimensions must agree).
-  Status AppendAll(const Dataset& other);
-
   /// Returns the i-th example by value.
   Example Get(std::size_t i) const;
 
@@ -71,17 +68,8 @@ class Dataset {
   double GroupFraction() const;
 
   /// Fraction of examples with label == 1; 0 when empty.
+  // lint-allow(test-only-api): tests assert the generators' label balance
   double PositiveFraction() const;
-
-  /// Number of examples with the given (label, sensitive) combination.
-  std::size_t CountGroup(int label, int sensitive) const;
-
-  /// Empirical joint probability p(y, s) (Eq. 3's mixture weights).
-  double JointProbability(int label, int sensitive) const;
-
-  /// True when both sensitive groups and both labels are present — the
-  /// precondition for fitting the C x S density estimator.
-  bool HasAllGroups() const;
 
  private:
   // The checkpoint codec reads features_ directly: calling features()

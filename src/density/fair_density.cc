@@ -343,7 +343,7 @@ double FairDensityEstimator::LogDeltaG(const double* row, int label) const {
 }
 
 // FACTION_COLD_BEGIN: vector conveniences (tests, baselines, one-off
-// callers) and the cross-shard merge — never inside a steady-state ban.
+// callers) — never inside a steady-state ban.
 std::vector<double> FairDensityEstimator::ComponentRow(
     const std::vector<double>& z) const {
   FACTION_DCHECK_LEN(z, dim_);
@@ -381,44 +381,6 @@ double FairDensityEstimator::DeltaG(const std::vector<double>& z,
                                     int label) const {
   if (label < 0 || label >= domain_.num_classes) return 0.0;
   return std::exp(LogDeltaG(ComponentRow(z).data(), label));
-}
-
-Status FairDensityEstimator::MergeFrom(const FairDensityEstimator& other,
-                                       const CovarianceConfig& config) {
-  if (other.total_ == 0) return Status::Ok();
-  if (total_ == 0) {
-    *this = other;
-    TelemetryCount("density.fair_merge");
-    return Status::Ok();
-  }
-  if (other.dim_ != dim_ || other.domain_ != domain_) {
-    return Status::InvalidArgument(
-        "FairDensityEstimator::MergeFrom: dimension or domain mismatch");
-  }
-  if (other.forgetting_ != forgetting_) {
-    return Status::InvalidArgument(
-        "FairDensityEstimator::MergeFrom: forgetting-mode mismatch");
-  }
-  for (std::size_t idx = 0; idx < components_.size(); ++idx) {
-    if (other.present_[idx]) {
-      if (present_[idx]) {
-        FACTION_RETURN_IF_ERROR(
-            components_[idx].MergeFrom(other.components_[idx], config));
-      } else {
-        // Only one shard saw this (y, s) cell: its fitted component *is*
-        // the union fit — copy it wholesale, factor included.
-        components_[idx] = other.components_[idx];
-        present_[idx] = true;
-      }
-    }
-    counts_[idx] += other.counts_[idx];
-    wcounts_[idx] += other.wcounts_[idx];
-  }
-  total_ += other.total_;
-  wtotal_ += other.wtotal_;
-  RefreshWeights();
-  TelemetryCount("density.fair_merge");
-  return Status::Ok();
 }
 // FACTION_COLD_END
 

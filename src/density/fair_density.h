@@ -97,16 +97,6 @@ class FairDensityEstimator {
   /// scale. Forgetting mode (CovarianceConfig::forgetting) only.
   void Decay(double gamma);
 
-  /// Folds another shard's estimator into this one — the cross-shard
-  /// sufficient-stats merge. Per cell: components present on both sides
-  /// merge via Gaussian::MergeFrom (O(d^2) additions + one
-  /// re-factorization per touched component), components present only on
-  /// `other` are copied wholesale, and the mixture masses (counts, decayed
-  /// weights, totals) add before one weight refresh. Both sides must
-  /// share dim(), domain() and the forgetting mode.
-  Status MergeFrom(const FairDensityEstimator& other,
-                   const CovarianceConfig& config);
-
   /// Rows currently absorbed: Fit plus every update, minus every eviction.
   std::size_t total_count() const { return total_; }
 
@@ -122,14 +112,17 @@ class FairDensityEstimator {
 
   /// True when the (y, s) component was fitted from at least one sample;
   /// false outside the domain.
+  // lint-allow(test-only-api): tests assert which cells a fit covers
   bool HasComponent(int label, int sensitive) const;
 
   /// log g(z | y, s); -infinity for missing components and outside the
   /// domain.
+  // lint-allow(test-only-api): per-row oracle for the batched scorer
   double LogComponentDensity(const std::vector<double>& z, int label,
                              int sensitive) const;
 
   /// Mixture weight p(y, s); 0 outside the domain.
+  // lint-allow(test-only-api): tests assert the fitted mixture weights
   double Weight(int label, int sensitive) const;
 
   /// One sample's component log-densities: row[ComponentIndex(y, s)] =
@@ -161,6 +154,7 @@ class FairDensityEstimator {
   double LogDeltaG(const double* row, int label) const;
 
   /// log g(z) for one sample.
+  // lint-allow(test-only-api): per-row oracle for the batched scorer
   double LogMarginalDensity(const std::vector<double>& z) const;
 
   /// Batched marginal over the rows of `zs`.
@@ -168,6 +162,7 @@ class FairDensityEstimator {
 
   /// Direct (unshifted) Delta g_c(z); 0 outside the domain. Convenient for
   /// tests and small-dimensional use; may underflow far from the data.
+  // lint-allow(test-only-api): per-row oracle for the batched Eq. 6 term
   double DeltaG(const std::vector<double>& z, int label) const;
 
  private:

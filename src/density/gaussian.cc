@@ -536,43 +536,4 @@ std::vector<double> Gaussian::LogPdfBatch(const Matrix& zs) const {
 }
 // FACTION_COLD_END
 
-// FACTION_COLD_BEGIN: cross-shard merge — warm-start / aggregation
-// cadence, never on the per-arrival path.
-Status Gaussian::MergeFrom(const Gaussian& other,
-                           const CovarianceConfig& config,
-                           double fallback_scale) {
-  if (count_ == 0 || other.count_ == 0) {
-    return Status::FailedPrecondition(
-        "Gaussian::MergeFrom requires both sides fitted");
-  }
-  if (other.dim() != dim()) {
-    return Status::InvalidArgument(
-        "Gaussian::MergeFrom: dimension mismatch");
-  }
-  if (other.forgetting_ != forgetting_) {
-    return Status::InvalidArgument(
-        "Gaussian::MergeFrom: forgetting-mode mismatch");
-  }
-  // The sufficient statistics are additive across shards: each side's
-  // count/sum/scatter describe disjoint sample sets, so a single O(d^2)
-  // accumulation followed by one refactor reproduces what a joint fit on
-  // the union of the rows computes from its own moments.
-  count_ += other.count_;
-  const std::size_t d = dim();
-  for (std::size_t j = 0; j < d; ++j) sum_[j] += other.sum_[j];
-  double* s = scatter_.data();
-  const double* os = other.scatter_.data();
-  for (std::size_t i = 0; i < d * d; ++i) s[i] += os[i];
-  if (forgetting_) {
-    // Ridges add as Wishart pseudo-observation mass (see the header): the
-    // merged covariance (M_a + M_b + (r_a + r_b) I) / (w_a + w_b) weights
-    // each shard's regularizer by the mass it contributed.
-    weight_ += other.weight_;
-    ridge_ += other.ridge_;
-    return RefreshRidge(config);
-  }
-  return RefreshFromMoments(config, fallback_scale);
-}
-// FACTION_COLD_END
-
 }  // namespace faction

@@ -133,19 +133,6 @@ class Gaussian {
   const std::vector<double>& mean() const { return mean_; }
   double log_det() const { return log_det_; }
 
-  /// Folds another Gaussian's additive sufficient statistics (count, sums,
-  /// scatter, effective weight, tracked ridge) into this one — the
-  /// cross-shard merge (ROADMAP item 1): O(d^2) statistic additions plus a
-  /// single re-factorization, regardless of how many samples either side
-  /// absorbed. Both sides must share the dimension and the forgetting
-  /// mode. Ridges add because each shard's ridge is a Wishart-style
-  /// pseudo-observation mass: the merged covariance
-  /// (M_a + M_b + (r_a + r_b) I) / (w_a + w_b) weights each shard's
-  /// regularizer by the mass it contributed, and Decay keeps scaling the
-  /// merged ridge consistently.
-  Status MergeFrom(const Gaussian& other, const CovarianceConfig& config,
-                   double fallback_scale = 1.0);
-
  private:
   friend struct StateCodecAccess;
 

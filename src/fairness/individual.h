@@ -43,6 +43,7 @@ Result<double> AddIndividualFairnessPenalty(
     const IndividualFairnessConfig& config, Matrix* dlogits);
 
 /// The penalty value alone (no gradient): used for evaluation and tests.
+// lint-allow(test-only-api): finite-difference oracle for the gradient
 Result<double> IndividualFairnessPenalty(
     const Matrix& inputs, const Matrix& logits,
     const IndividualFairnessConfig& config);

@@ -1,6 +1,5 @@
 #include "fairness/metrics.h"
 
-#include <array>
 #include <cmath>
 
 namespace faction {
@@ -105,44 +104,6 @@ Result<double> MutualInformation(const std::vector<int>& yhat,
   }
   // Clamp tiny negative values caused by floating-point rounding.
   return mi < 0.0 ? 0.0 : mi;
-}
-
-Result<double> GroupCalibrationGap(const std::vector<double>& scores,
-                                   const std::vector<int>& labels,
-                                   const std::vector<int>& sensitive,
-                                   std::size_t bins) {
-  FACTION_RETURN_IF_ERROR(
-      CheckSizes(scores.size(), labels.size(), "calibration"));
-  FACTION_RETURN_IF_ERROR(
-      CheckSizes(scores.size(), sensitive.size(), "calibration"));
-  if (bins == 0) {
-    return Status::InvalidArgument("calibration: bins must be positive");
-  }
-  // counts[b][g], positives[b][g] with g = 0 for s=-1 and 1 for s=+1.
-  std::vector<std::array<double, 2>> counts(bins, {0.0, 0.0});
-  std::vector<std::array<double, 2>> positives(bins, {0.0, 0.0});
-  for (std::size_t i = 0; i < scores.size(); ++i) {
-    double s = scores[i];
-    if (s < 0.0) s = 0.0;
-    if (s > 1.0) s = 1.0;
-    std::size_t b = static_cast<std::size_t>(s * static_cast<double>(bins));
-    if (b == bins) b = bins - 1;
-    const int g = sensitive[i] == 1 ? 1 : 0;
-    counts[b][g] += 1.0;
-    if (labels[i] == 1) positives[b][g] += 1.0;
-  }
-  double worst = -1.0;
-  for (std::size_t b = 0; b < bins; ++b) {
-    if (counts[b][0] == 0.0 || counts[b][1] == 0.0) continue;
-    const double gap = std::fabs(positives[b][1] / counts[b][1] -
-                                 positives[b][0] / counts[b][0]);
-    if (gap > worst) worst = gap;
-  }
-  if (worst < 0.0) {
-    return Status::FailedPrecondition(
-        "calibration: no bin contains both sensitive groups");
-  }
-  return worst;
 }
 
 Result<double> Accuracy(const std::vector<int>& yhat,

@@ -37,17 +37,6 @@ Result<double> MutualInformation(const std::vector<int>& yhat,
 Result<double> Accuracy(const std::vector<int>& yhat,
                         const std::vector<int>& labels);
 
-/// Group-wise calibration gap (the fair online learning literature's
-/// calibration notion): bin the positive-class scores into `bins` equal
-/// intervals and take the maximum, over bins populated by both sensitive
-/// groups, of | P(y=1 | bin, s=+1) - P(y=1 | bin, s=-1) |. Zero means the
-/// score is equally calibrated for both groups. Returns an error when no
-/// bin is comparable.
-Result<double> GroupCalibrationGap(const std::vector<double>& scores,
-                                   const std::vector<int>& labels,
-                                   const std::vector<int>& sensitive,
-                                   std::size_t bins = 10);
-
 }  // namespace faction
 
 #endif  // FACTION_FAIRNESS_METRICS_H_

@@ -11,24 +11,12 @@ class Relu {
   /// Elementwise max(0, x); caches the active mask.
   Matrix Forward(const Matrix& x);
 
-  /// In-place training forward: clamps *x to max(0, x) and caches the
-  /// active mask. Value-identical to Forward; used on the allocation-free
-  /// training path (MlpClassifier buffer chain).
-  void ForwardInPlace(Matrix* x);
-
   /// Elementwise max(0, x) without caching (inference path).
   static Matrix ForwardInference(const Matrix& x);
 
-  /// In-place inference clamp: *x = max(0, *x), no mask. Value-identical
-  /// to ForwardInference; used on the allocation-free inference chain.
-  static void ForwardInferenceInPlace(Matrix* x);
-
-  /// Backpropagates through the cached mask. Must follow a matching
-  /// Forward.
+  /// Backpropagates through the cached mask: dy * mask elementwise. Must
+  /// follow a matching Forward.
   Matrix Backward(const Matrix& dy) const;
-
-  /// In-place variant of Backward: *dy *= mask elementwise.
-  void BackwardInPlace(Matrix* dy) const;
 
  private:
   Matrix mask_;  // 1.0 where the input was positive, else 0.0

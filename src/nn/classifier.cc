@@ -67,10 +67,4 @@ std::vector<int> FeatureClassifier::Predict(const Matrix& x) const {
   return out;
 }
 
-std::size_t FeatureClassifier::ParameterCount() const {
-  std::size_t count = 0;
-  for (const Matrix* p : Parameters()) count += p->size();
-  return count;
-}
-
 }  // namespace faction

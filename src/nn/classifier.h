@@ -89,9 +89,6 @@ class FeatureClassifier {
 
   /// Argmax class predictions (inference path).
   std::vector<int> Predict(const Matrix& x) const;
-
-  /// Total scalar parameter count.
-  std::size_t ParameterCount() const;
 };
 
 }  // namespace faction

@@ -50,6 +50,7 @@ class Conv2d {
   /// Serial naive-loop forward, retained as the bitwise-parity reference
   /// for the GEMM-lowered path (parity pinned by tests, speedup by
   /// tests/speed_guard_test).
+  // lint-allow(test-only-api): naive-loop parity oracle for Apply
   Matrix ApplyNaive(const Matrix& x) const;
 
   static constexpr std::size_t kKernel = 3;

@@ -45,6 +45,7 @@ void NaiveConvForward(const ConvGeometry& g, std::size_t out_channels,
 /// skipped, matching the seed's post-ReLU sparsity shortcut): gb[oc] += dy;
 /// then ascending k: gw[oc][k] += dy * tap, dx[tap] += dy * w[oc][k].
 /// dx is zeroed first; gw/gb accumulate.
+// lint-allow(test-only-api): naive-loop parity oracle for the GEMM backward
 void NaiveConvBackward(const ConvGeometry& g, std::size_t out_channels,
                        const double* x, const double* w, const double* dy,
                        double* dx, double* gw, double* gb);

@@ -1,7 +1,5 @@
 #include "nn/optimizer.h"
 
-#include <cmath>
-
 #include "common/check.h"
 
 namespace faction {
@@ -43,45 +41,6 @@ void SgdOptimizer::Step(const std::vector<Matrix*>& params,
       }
     } else {
       for (std::size_t k = 0; k < n; ++k) pd[k] -= lr * gd[k];
-    }
-  }
-}
-
-AdamOptimizer::AdamOptimizer(double lr, double beta1, double beta2, double eps,
-                             double weight_decay)
-    : lr_(lr),
-      beta1_(beta1),
-      beta2_(beta2),
-      eps_(eps),
-      weight_decay_(weight_decay) {}
-
-void AdamOptimizer::Step(const std::vector<Matrix*>& params,
-                         const std::vector<Matrix*>& grads) {
-  FACTION_CHECK_LEN(grads, params.size());
-  if (m_.empty()) {
-    for (Matrix* p : params) {
-      m_.emplace_back(p->rows(), p->cols());
-      v_.emplace_back(p->rows(), p->cols());
-    }
-  }
-  ++step_;
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(step_));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(step_));
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    Matrix& p = *params[i];
-    const Matrix& g = *grads[i];
-    FACTION_CHECK_SAME_SHAPE(p, g);
-    Matrix& m = m_[i];
-    Matrix& v = v_[i];
-    for (std::size_t k = 0; k < p.size(); ++k) {
-      const double gk = g.data()[k];
-      m.data()[k] = beta1_ * m.data()[k] + (1.0 - beta1_) * gk;
-      v.data()[k] = beta2_ * v.data()[k] + (1.0 - beta2_) * gk * gk;
-      const double mhat = m.data()[k] / bc1;
-      const double vhat = v.data()[k] / bc2;
-      double update = mhat / (std::sqrt(vhat) + eps_);
-      if (weight_decay_ != 0.0) update += weight_decay_ * p.data()[k];
-      p.data()[k] -= lr_ * update;
     }
   }
 }

@@ -1,35 +1,17 @@
 #ifndef FACTION_NN_OPTIMIZER_H_
 #define FACTION_NN_OPTIMIZER_H_
 
-#include <memory>
 #include <vector>
 
 #include "tensor/matrix.h"
 
 namespace faction {
 
-/// Interface for first-order optimizers over a fixed list of parameter
-/// tensors. Implementations keep per-parameter state indexed by position, so
-/// the same parameter list (same order, same shapes) must be passed on every
+/// SGD with optional momentum and decoupled weight decay over a fixed list
+/// of parameter tensors. The momentum state is indexed by position, so the
+/// same parameter list (same order, same shapes) must be passed on every
 /// step.
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-
-  /// Applies one update step: params[i] is updated in place using grads[i].
-  virtual void Step(const std::vector<Matrix*>& params,
-                    const std::vector<Matrix*>& grads) = 0;
-
-  /// Current base learning rate.
-  virtual double learning_rate() const = 0;
-
-  /// Overrides the base learning rate (used by schedules such as the
-  /// gamma_t sequence in Theorem 1).
-  virtual void set_learning_rate(double lr) = 0;
-};
-
-/// SGD with optional momentum and decoupled weight decay.
-class SgdOptimizer : public Optimizer {
+class SgdOptimizer {
  public:
   explicit SgdOptimizer(double lr, double momentum = 0.0,
                         double weight_decay = 0.0);
@@ -39,38 +21,15 @@ class SgdOptimizer : public Optimizer {
   /// lazily when Prepare was not called.
   void Prepare(const std::vector<Matrix*>& params);
 
+  /// Applies one update step: params[i] is updated in place using grads[i].
   void Step(const std::vector<Matrix*>& params,
-            const std::vector<Matrix*>& grads) override;
-  double learning_rate() const override { return lr_; }
-  void set_learning_rate(double lr) override { lr_ = lr; }
+            const std::vector<Matrix*>& grads);
 
  private:
   double lr_;
   double momentum_;
   double weight_decay_;
   std::vector<Matrix> velocity_;
-};
-
-/// Adam (Kingma & Ba) with decoupled weight decay (AdamW-style).
-class AdamOptimizer : public Optimizer {
- public:
-  explicit AdamOptimizer(double lr, double beta1 = 0.9, double beta2 = 0.999,
-                         double eps = 1e-8, double weight_decay = 0.0);
-
-  void Step(const std::vector<Matrix*>& params,
-            const std::vector<Matrix*>& grads) override;
-  double learning_rate() const override { return lr_; }
-  void set_learning_rate(double lr) override { lr_ = lr; }
-
- private:
-  double lr_;
-  double beta1_;
-  double beta2_;
-  double eps_;
-  double weight_decay_;
-  long step_ = 0;
-  std::vector<Matrix> m_;
-  std::vector<Matrix> v_;
 };
 
 }  // namespace faction

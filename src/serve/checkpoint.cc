@@ -1,6 +1,6 @@
 // FACTION_HOT: MaybeSnapshot/SnapshotNow run on the drain path (the holder
 // flips a snapshot buffer between drains). Serialization, manifest I/O,
-// and the cross-shard merge are background-job / warm-start cold paths
+// and the warm-start decode are background-job / warm-start cold paths
 // inside FACTION_COLD fences.
 #include "serve/checkpoint.h"
 
@@ -263,39 +263,6 @@ std::vector<DecodedSession> DecodeSessionFiles(
     for (DecodeJob& context : contexts) RunDecodeJob(&context);
   }
   return decoded;
-}
-
-Result<FairDensityEstimator> MergeSufficientStats(
-    const std::vector<std::string>& checkpoint_paths,
-    const CovarianceConfig& config, JobSystem* jobs) {
-  if (checkpoint_paths.empty()) {
-    return Status::InvalidArgument("MergeSufficientStats: no shards given");
-  }
-  const std::vector<DecodedSession> shards =
-      DecodeSessionFiles(checkpoint_paths, jobs);
-  for (const DecodedSession& shard : shards) {
-    FACTION_RETURN_IF_ERROR(shard.status);
-  }
-  // Fold in path order: MergeFrom is additive, so the result is
-  // independent of the order up to floating-point association, but a fixed
-  // order keeps repeated merges bitwise reproducible.
-  std::optional<FairDensityEstimator> merged;
-  std::optional<FairDensityEstimator> shard_density;
-  for (const DecodedSession& shard : shards) {
-    if (!shard.state.density.has_value) continue;
-    FACTION_RETURN_IF_ERROR(
-        RestoreDensity(shard.state.density, config, &shard_density));
-    if (!merged.has_value()) {
-      merged = std::move(shard_density);
-    } else {
-      FACTION_RETURN_IF_ERROR(merged->MergeFrom(*shard_density, config));
-    }
-  }
-  if (!merged.has_value()) {
-    return Status::FailedPrecondition(
-        "MergeSufficientStats: no shard carries a density estimator");
-  }
-  return std::move(*merged);
 }
 // FACTION_COLD_END
 

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "density/fair_density.h"
 #include "serve/state_codec.h"
 
 // Background checkpoint/state streaming (DESIGN.md §17). The drain holder
@@ -179,17 +178,6 @@ struct DecodedSession {
 /// report the same first failure whatever the job timing.
 std::vector<DecodedSession> DecodeSessionFiles(
     const std::vector<std::string>& paths, JobSystem* jobs);
-
-/// Cross-shard sufficient-stats merge (ROADMAP item 1): decodes each
-/// shard's session checkpoint (in parallel when `jobs` is given), then
-/// folds every shard density into one global estimator in path order via
-/// FairDensityEstimator::MergeFrom — O(A * d^2) additions plus a single
-/// re-factorization per touched component, independent of how many samples
-/// each shard absorbed. Fails when no shard carries a density estimator or
-/// the shards disagree on dimension/forgetting mode.
-Result<FairDensityEstimator> MergeSufficientStats(
-    const std::vector<std::string>& checkpoint_paths,
-    const CovarianceConfig& config, JobSystem* jobs = nullptr);
 
 }  // namespace faction
 

@@ -19,10 +19,10 @@ namespace {
 thread_local JobSystem* tl_worker_system = nullptr;
 thread_local int tl_worker_index = -1;
 
-// Minimal TTAS spinlock over std::atomic_flag. Critical sections here are
-// a handful of loads/stores (free-list pop, continuation registration), so
-// spinning beats a mutex and keeps the lock allocation-free and usable
-// under the steady-state allocation ban.
+// Minimal TTAS spinlock over std::atomic_flag. The critical sections here
+// (free-list push/pop) are a handful of loads/stores, so spinning beats a
+// mutex and keeps the lock allocation-free and usable under the
+// steady-state allocation ban.
 class SpinGuard {
  public:
   explicit SpinGuard(std::atomic_flag* flag) : flag_(flag) {
@@ -163,8 +163,7 @@ JobSystem::~JobSystem() {
 }
 // FACTION_COLD_END
 
-std::uint32_t JobSystem::Allocate(JobFn fn, void* ctx,
-                                  std::uint32_t pending) {
+std::uint32_t JobSystem::Allocate(JobFn fn, void* ctx) {
   std::uint32_t index;
   {
     SpinGuard guard(&free_lock_);
@@ -181,9 +180,7 @@ std::uint32_t JobSystem::Allocate(JobFn fn, void* ctx,
   job.done.store(false, std::memory_order_seq_cst);
   job.fn = fn;
   job.ctx = ctx;
-  job.num_continuations = 0;
   job.next_free = UINT32_MAX;
-  job.pending.store(pending, std::memory_order_seq_cst);
   in_flight_.fetch_add(1, std::memory_order_seq_cst);
   return index;
 }
@@ -214,8 +211,8 @@ bool JobSystem::PopInjected(std::uint32_t* index) {
 
 void JobSystem::Enqueue(std::uint32_t index) {
   if (options_.workers == 0) {
-    Execute(index);  // synchronous mode: run inline, recursing through any
-    return;          // continuations this unblocks
+    Execute(index);  // synchronous mode: run inline
+    return;
   }
   if (tl_worker_system == this &&
       deques_[static_cast<std::size_t>(tl_worker_index)]->Push(index)) {
@@ -245,27 +242,8 @@ void JobSystem::Execute(std::uint32_t index) {
     job.fn(job.ctx);
   }
   TelemetryCount("serve.jobs.executed", 1);
-  std::uint32_t continuations[kMaxContinuations];
-  std::uint32_t num_continuations;
-  {
-    // Completion and continuation registration are mutually exclusive:
-    // after done=true is published under this lock, SubmitAfter counts
-    // this dependency as satisfied instead of registering.
-    SpinGuard guard(&job.cont_lock);
-    num_continuations = job.num_continuations;
-    for (std::uint32_t i = 0; i < num_continuations; ++i) {
-      continuations[i] = job.continuations[i];
-    }
-    job.num_continuations = 0;
-    job.done.store(true, std::memory_order_seq_cst);
-  }
+  job.done.store(true, std::memory_order_seq_cst);
   Release(index);
-  for (std::uint32_t i = 0; i < num_continuations; ++i) {
-    const std::uint32_t c = continuations[i];
-    if (jobs_[c].pending.fetch_sub(1, std::memory_order_seq_cst) == 1) {
-      Enqueue(c);
-    }
-  }
   if (in_flight_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
     // Transition to zero: wake WaitIdle callers. Taking idle_mu_ orders
     // this notify after any waiter's in_flight_ re-check under the lock.
@@ -321,58 +299,13 @@ void JobSystem::WorkerMain(int worker_index) {
 }
 
 JobSystem::JobHandle JobSystem::Submit(JobFn fn, void* ctx) {
-  const std::uint32_t index = Allocate(fn, ctx, /*pending=*/1);
-  // Read the generation before dropping the submission guard: in
-  // synchronous mode the job (and its recycling) completes inside
-  // Enqueue, after which the slot's generation may move on.
+  const std::uint32_t index = Allocate(fn, ctx);
+  // Read the generation before enqueueing: in synchronous mode the job
+  // (and its recycling) completes inside Enqueue, after which the slot's
+  // generation may move on.
   const JobHandle handle{
       index, jobs_[index].generation.load(std::memory_order_seq_cst)};
-  if (jobs_[index].pending.fetch_sub(1, std::memory_order_seq_cst) == 1) {
-    Enqueue(index);
-  }
-  return handle;
-}
-
-JobSystem::JobHandle JobSystem::SubmitAfter(const JobHandle* deps,
-                                            std::size_t ndeps, JobFn fn,
-                                            void* ctx) {
-  // pending = ndeps + 1: the +1 submission guard keeps the job from
-  // launching while dependencies are still being registered, even if they
-  // all finish mid-loop.
-  const std::uint32_t index =
-      Allocate(fn, ctx, static_cast<std::uint32_t>(ndeps) + 1);
-  const JobHandle handle{
-      index, jobs_[index].generation.load(std::memory_order_seq_cst)};
-  std::uint32_t satisfied = 0;
-  for (std::size_t i = 0; i < ndeps; ++i) {
-    const JobHandle& dep = deps[i];
-    if (dep.index == UINT32_MAX ||
-        dep.index >= static_cast<std::uint32_t>(jobs_.size())) {
-      ++satisfied;
-      continue;
-    }
-    Job& dep_job = jobs_[dep.index];
-    bool registered = false;
-    {
-      SpinGuard guard(&dep_job.cont_lock);
-      // Same lock as completion in Execute: either we register before the
-      // dependency publishes done (and it will decrement us), or we
-      // observe done/recycled and count the dependency as satisfied.
-      if (dep_job.generation.load(std::memory_order_seq_cst) ==
-              dep.generation &&
-          !dep_job.done.load(std::memory_order_seq_cst)) {
-        FACTION_CHECK(dep_job.num_continuations < kMaxContinuations);
-        dep_job.continuations[dep_job.num_continuations++] = index;
-        registered = true;
-      }
-    }
-    if (!registered) ++satisfied;
-  }
-  if (jobs_[index].pending.fetch_sub(satisfied + 1,
-                                     std::memory_order_seq_cst) ==
-      satisfied + 1) {
-    Enqueue(index);
-  }
+  Enqueue(index);
   return handle;
 }
 

@@ -32,10 +32,9 @@
 //
 // Allocation discipline: every job node lives in a pre-sized arena and
 // every queue is a pre-sized ring, all built in the constructor. Submit,
-// dependency registration, execution, completion, and recycling perform
-// zero heap allocations, which keeps the whole scheduler legal inside the
-// steady-state allocation ban (alloc_audit.h; gated by
-// tests/alloc_audit_test.cc).
+// execution, completion, and recycling perform zero heap allocations,
+// which keeps the whole scheduler legal inside the steady-state
+// allocation ban (alloc_audit.h; gated by tests/alloc_audit_test.cc).
 
 namespace faction {
 
@@ -62,6 +61,7 @@ class WorkStealingDeque {
   bool Steal(std::uint32_t* value);
 
   /// Approximate occupancy; exact when no concurrent operations run.
+  // lint-allow(test-only-api): tests assert deque occupancy
   std::size_t SizeEstimate() const;
 
   std::size_t capacity() const { return mask_ + 1; }
@@ -75,18 +75,17 @@ class WorkStealingDeque {
   alignas(64) std::atomic<std::int64_t> bottom_{0};
 };
 
-/// Work-stealing job scheduler with task-graph dependencies.
+/// Work-stealing job scheduler.
 ///
 /// Jobs are plain function pointer + context (no std::function, so
-/// submission never allocates). A job becomes runnable when all of its
-/// dependencies have finished; per-session FIFO ordering in the serve
-/// layer is built on top of this via session mailboxes (session.h), not by
-/// job priorities.
+/// submission never allocates) and runnable as soon as they are submitted;
+/// per-session FIFO ordering in the serve layer is built on top of this
+/// via session mailboxes (session.h), not by job priorities.
 ///
-/// `workers == 0` selects synchronous mode: Submit runs the job (and any
-/// continuations it unblocks) inline on the calling thread before
-/// returning. The serve determinism tests and the allocation-audit gate
-/// use this mode as the single-threaded reference execution.
+/// `workers == 0` selects synchronous mode: Submit runs the job inline on
+/// the calling thread before returning. The serve determinism tests and
+/// the allocation-audit gate use this mode as the single-threaded
+/// reference execution.
 class JobSystem {
  public:
   using JobFn = void (*)(void* ctx);
@@ -113,24 +112,14 @@ class JobSystem {
     std::size_t deque_capacity = 1024;
   };
 
-  /// A job may fan into at most this many dependent jobs registered via
-  /// SubmitAfter while it is still running; FACTION_CHECK-enforced.
-  static constexpr std::size_t kMaxContinuations = 8;
-
   explicit JobSystem(const Options& options);
   ~JobSystem();
 
   JobSystem(const JobSystem&) = delete;
   JobSystem& operator=(const JobSystem&) = delete;
 
-  /// Submits an immediately-runnable job.
+  /// Submits a job; it is runnable at once.
   JobHandle Submit(JobFn fn, void* ctx);
-
-  /// Submits a job that becomes runnable once every handle in
-  /// deps[0..ndeps) has finished. Already-finished (or recycled) handles
-  /// count as satisfied, so graphs can be built incrementally.
-  JobHandle SubmitAfter(const JobHandle* deps, std::size_t ndeps, JobFn fn,
-                        void* ctx);
 
   /// True once the job has finished (or its slot was recycled, which
   /// implies it finished).
@@ -147,31 +136,24 @@ class JobSystem {
   int workers() const { return static_cast<int>(workers_.size()); }
 
   /// Unfinished jobs (runnable, queued, or executing) at this instant.
+  // lint-allow(test-only-api): tests assert the scheduler drained
   std::size_t InFlight() const;
 
  private:
   struct Job {
     JobFn fn = nullptr;
     void* ctx = nullptr;
-    /// Unsatisfied dependencies + 1 submission guard; the job is enqueued
-    /// when this reaches zero.
-    std::atomic<std::uint32_t> pending{0};
     /// Bumped at allocation; a handle whose generation disagrees refers to
     /// a finished, recycled job.
     std::atomic<std::uint64_t> generation{0};
     std::atomic<bool> done{false};
-    /// Guards the continuation list against a dependent registering while
-    /// the job completes. (C++20 default-initializes the flag clear.)
-    std::atomic_flag cont_lock;
-    std::uint32_t num_continuations = 0;
-    std::uint32_t continuations[kMaxContinuations] = {};
     std::uint32_t next_free = UINT32_MAX;
   };
 
-  std::uint32_t Allocate(JobFn fn, void* ctx, std::uint32_t pending);
+  std::uint32_t Allocate(JobFn fn, void* ctx);
   void Release(std::uint32_t index);
-  /// Makes a zero-pending job runnable: own deque for workers, injection
-  /// queue (plus wakeup) otherwise. Synchronous mode executes inline.
+  /// Makes a job runnable: own deque for workers, injection queue (plus
+  /// wakeup) otherwise. Synchronous mode executes inline.
   void Enqueue(std::uint32_t index);
   void Execute(std::uint32_t index);
   /// Resolves one runnable job from the injection queue or by stealing.

@@ -21,11 +21,6 @@ ServeSession* SessionRegistry::Create(const ServeSessionOptions& options) {
   return raw;
 }
 
-bool SessionRegistry::Erase(std::uint64_t stream_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return sessions_.erase(stream_id) > 0;
-}
-
 std::vector<ServeSession*> SessionRegistry::Sessions() const {
   std::vector<ServeSession*> out;
   {

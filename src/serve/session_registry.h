@@ -16,8 +16,8 @@ namespace faction {
 /// session addresses stable for the lifetime of the registry, so the serve
 /// runtime and job contexts may hold raw ServeSession* across rehashes.
 ///
-/// Create/Erase are cold control-plane operations (they allocate and take
-/// the mutex); Find is hot-path legal (lookup only, no allocation).
+/// Create is a cold control-plane operation (it allocates and takes the
+/// mutex); Find is hot-path legal (lookup only, no allocation).
 class SessionRegistry {
  public:
   SessionRegistry() = default;
@@ -26,16 +26,11 @@ class SessionRegistry {
   SessionRegistry& operator=(const SessionRegistry&) = delete;
 
   /// Creates and registers a session; FACTION_CHECKs that the stream id is
-  /// unused. The returned pointer stays valid until Erase/destruction.
+  /// unused. The returned pointer stays valid until the registry is destroyed.
   ServeSession* Create(const ServeSessionOptions& options);
 
   /// Null when the stream id is unknown.
   ServeSession* Find(std::uint64_t stream_id) const;
-
-  /// True when a session existed and was destroyed. The caller must
-  /// guarantee no in-flight job still references it (ServeRuntime drains
-  /// first).
-  bool Erase(std::uint64_t stream_id);
 
   std::size_t size() const;
 

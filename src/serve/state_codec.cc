@@ -10,6 +10,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string_view>
 #include <system_error>
 #include <type_traits>
@@ -391,12 +392,6 @@ void CaptureSessionState(const StreamingFaction& faction, SessionState* out) {
 Status RestoreSessionState(const SessionState& state,
                            StreamingFaction* faction) {
   return StateCodecAccess::Restore(state, faction);
-}
-
-Status RestoreDensity(const DensitySnapshot& snapshot,
-                      const CovarianceConfig& config,
-                      std::optional<FairDensityEstimator>* out) {
-  return StateCodecAccess::RestoreDensityImpl(snapshot, config, out);
 }
 
 namespace {

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <istream>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,7 +38,7 @@
 namespace faction {
 
 /// Snapshot of one fitted Gaussian component: cached factorization plus
-/// the additive sufficient statistics the cross-shard merge folds.
+/// the additive sufficient statistics.
 struct GaussianSnapshot {
   std::size_t count = 0;
   double weight = 0.0;
@@ -166,13 +165,6 @@ Status DecodeSessionState(std::istream& is, const std::string& source,
 /// decode errors carry the path and byte offset.
 Status DecodeSessionStateFromFile(const std::string& path,
                                   SessionState* out);
-
-/// Rebuilds a FairDensityEstimator from a snapshot (reset when the
-/// snapshot is empty). Shared by session restore and the cross-shard
-/// merge; `config` is validated against the snapshot's forgetting mode.
-Status RestoreDensity(const DensitySnapshot& snapshot,
-                      const CovarianceConfig& config,
-                      std::optional<FairDensityEstimator>* out);
 
 }  // namespace faction
 

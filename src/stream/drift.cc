@@ -1,42 +1,21 @@
 #include "stream/drift.h"
 
-#include <cmath>
-
 #include "common/telemetry.h"
 
 namespace faction {
 
 bool DriftDetector::Observe(double value) {
   TelemetryCount("drift.observed");
-  if (cooldown_remaining_ > 0) {
-    // Post-fire suppression window (kCooldown): absorb the shifted regime
-    // without re-firing.
-    --cooldown_remaining_;
-    stats_.Add(value);
-    return false;
-  }
   if (stats_.count() >= config_.min_history) {
     const double spread =
         stats_.stddev() > config_.min_std ? stats_.stddev() : config_.min_std;
     if (value < stats_.mean() - config_.threshold * spread) {
       TelemetryCount("drift.fired");
-      switch (config_.rearm) {
-        case DriftReArm::kResetOnFire:
-          // The triggering value is the first observation of the new
-          // regime: restart the statistics from it so a sustained shift
-          // fires exactly once.
-          stats_ = RunningStat();
-          stats_.Add(value);
-          break;
-        case DriftReArm::kCooldown:
-          stats_.Add(value);
-          cooldown_remaining_ = config_.cooldown;
-          break;
-        case DriftReArm::kManual:
-          // Keep the pre-drift statistics intact; the caller re-arms via
-          // Reset().
-          break;
-      }
+      // The triggering value is the first observation of the new regime:
+      // restart the statistics from it so a sustained shift fires exactly
+      // once.
+      stats_ = RunningStat();
+      stats_.Add(value);
       return true;
     }
   }
@@ -44,26 +23,6 @@ bool DriftDetector::Observe(double value) {
   return false;
 }
 
-void DriftDetector::Reset() {
-  stats_ = RunningStat();
-  cooldown_remaining_ = 0;
-}
-
-double MeanLogDensity(const FairDensityEstimator& estimator,
-                      const Matrix& features) {
-  // Batched evaluation: one blocked solve per mixture component for the
-  // whole window instead of per-row solves.
-  const std::vector<double> lgs = estimator.LogMarginalDensityBatch(features);
-  double sum = 0.0;
-  std::size_t counted = 0;
-  for (const double lg : lgs) {
-    if (std::isfinite(lg)) {
-      sum += lg;
-      ++counted;
-    }
-  }
-  if (counted == 0) return -1e300;
-  return sum / static_cast<double>(counted);
-}
+void DriftDetector::Reset() { stats_ = RunningStat(); }
 
 }  // namespace faction

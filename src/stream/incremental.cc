@@ -27,16 +27,4 @@ void IncrementalNormalizer::Reset() {
   max_ = 0.0;
 }
 
-OnlineQueryDecider::OnlineQueryDecider(double alpha, std::size_t burn_in)
-    : alpha_(alpha), burn_in_(burn_in) {}
-
-bool OnlineQueryDecider::ShouldQuery(double score, Rng* rng) {
-  const bool warmed = normalizer_.count() >= burn_in_;
-  const double omega = 1.0 - normalizer_.Normalize(score);
-  normalizer_.Observe(score);
-  if (!warmed) return false;
-  const double p = std::min(alpha_ * omega, 1.0);
-  return rng->Bernoulli(p);
-}
-
 }  // namespace faction

@@ -3,8 +3,6 @@
 
 #include <cstddef>
 
-#include "common/rng.h"
-
 namespace faction {
 
 /// Incremental score normalizer for the single-sample arrival setting the
@@ -43,29 +41,6 @@ class IncrementalNormalizer {
   std::size_t count_ = 0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Per-sample query decision for the single-sample protocol: maintains the
-/// incremental range over u(x) scores and runs the paper's Bernoulli rule
-/// omega = 1 - Normalize(u), p = min(alpha * omega, 1) on each arrival.
-class OnlineQueryDecider {
- public:
-  /// `alpha` is the query-rate multiplier of Algorithm 1 line 29;
-  /// `burn_in` arrivals are always observed (never queried) so the range
-  /// is meaningful before the first decision.
-  OnlineQueryDecider(double alpha, std::size_t burn_in = 8);
-
-  /// Feeds one score; returns true when the sample's label should be
-  /// queried. The score is observed (range updated) in either case.
-  bool ShouldQuery(double score, Rng* rng);
-
-  std::size_t seen() const { return normalizer_.count(); }
-  const IncrementalNormalizer& normalizer() const { return normalizer_; }
-
- private:
-  double alpha_;
-  std::size_t burn_in_;
-  IncrementalNormalizer normalizer_;
 };
 
 }  // namespace faction

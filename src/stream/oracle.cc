@@ -5,12 +5,6 @@ namespace faction {
 LabelOracle::LabelOracle(const Dataset& task, std::size_t budget)
     : task_(&task), budget_(budget), labeled_(task.size(), false) {}
 
-std::vector<std::size_t> LabelOracle::UnlabeledIndices() const {
-  std::vector<std::size_t> out;
-  UnlabeledIndicesInto(&out);
-  return out;
-}
-
 void LabelOracle::UnlabeledIndicesInto(std::vector<std::size_t>* out) const {
   out->clear();
   out->reserve(task_->size() - num_labeled_);

@@ -22,15 +22,14 @@ class LabelOracle {
   std::size_t budget_remaining() const { return budget_; }
   std::size_t queries_used() const { return queries_; }
 
-  /// Indices (into the task) still unlabeled, in ascending order.
-  std::vector<std::size_t> UnlabeledIndices() const;
-
-  /// Allocation-aware variant: the indices are resized into *out so a
-  /// loop-carried buffer is reused across acquisition iterations.
+  /// Indices (into the task) still unlabeled, in ascending order, resized
+  /// into *out so a loop-carried buffer is reused across acquisition
+  /// iterations.
   void UnlabeledIndicesInto(std::vector<std::size_t>* out) const;
 
   std::size_t num_unlabeled() const { return task_->size() - num_labeled_; }
 
+  // lint-allow(test-only-api): tests assert what QueryLabel/RevealFree marked
   bool IsLabeled(std::size_t index) const { return labeled_[index]; }
 
   /// Reveals the label of the sample at `index`, consuming one budget unit.

@@ -61,6 +61,7 @@ void Im2ColRows(const double* img, const ConvGeometry& g, double* col);
 /// in conv_kernels.cc therefore uses a padded scatter instead. Col2Im is
 /// the general-purpose adjoint, used by tests to pin the im2col/col2im
 /// pair to the gather/scatter identity.
+// lint-allow(test-only-api): adjoint that pins Im2Col's gather/scatter identity
 void Col2Im(const double* col, const ConvGeometry& g, double* img);
 
 }  // namespace faction

@@ -143,20 +143,6 @@ Status CholeskyRank1DowndateInPlace(Matrix* l, double* v, std::size_t n) {
   return Status::Ok();
 }
 
-Result<Matrix> SpdInverse(const Matrix& a) {
-  FACTION_ASSIGN_OR_RETURN(Matrix l, Cholesky(a));
-  const std::size_t n = a.rows();
-  Matrix inv(n, n);
-  std::vector<double> e(n, 0.0);
-  for (std::size_t j = 0; j < n; ++j) {
-    e[j] = 1.0;
-    const std::vector<double> col = CholeskySolve(l, e);
-    for (std::size_t i = 0; i < n; ++i) inv(i, j) = col[i];
-    e[j] = 0.0;
-  }
-  return inv;
-}
-
 void PowerIterationInto(const Matrix& w, int iters, Rng* rng,
                         SpectralEstimate* est) {
   FACTION_CHECK(rng != nullptr);

@@ -12,6 +12,7 @@ namespace faction {
 /// Cholesky factor L (lower triangular, A = L L^T) of a symmetric
 /// positive-definite matrix. Fails with NumericalError when A is not SPD
 /// within tolerance.
+// lint-allow(test-only-api): value form of CholeskyInto, the factor oracle
 Result<Matrix> Cholesky(const Matrix& a);
 
 /// As Cholesky, writing the factor into *l (resized to n x n; capacity is
@@ -35,6 +36,7 @@ std::vector<double> BackSolveTranspose(const Matrix& lower,
                                        const std::vector<double>& y);
 
 /// Solves A x = b given the Cholesky factor of SPD A.
+// lint-allow(test-only-api): solve oracle for factor and downdate tests
 std::vector<double> CholeskySolve(const Matrix& lower,
                                   const std::vector<double>& b);
 
@@ -57,9 +59,6 @@ void CholeskyRank1UpdateInPlace(Matrix* l, double* v, std::size_t n);
 /// n) is clobbered.
 Status CholeskyRank1DowndateInPlace(Matrix* l, double* v, std::size_t n);
 
-/// Inverse of an SPD matrix via its Cholesky factorization.
-Result<Matrix> SpdInverse(const Matrix& a);
-
 /// Result of a power-iteration estimate of the largest singular value.
 struct SpectralEstimate {
   double sigma = 0.0;            ///< estimated largest singular value
@@ -71,6 +70,7 @@ struct SpectralEstimate {
 /// iteration, warm-started from `u0` when its size matches w.rows(). This is
 /// the primitive behind spectral normalization in the feature extractor
 /// (Miyato et al., as adopted by the paper's DDU-style backbone).
+// lint-allow(test-only-api): value form of PowerIterationInto, the sigma oracle
 SpectralEstimate PowerIteration(const Matrix& w, const std::vector<double>& u0,
                                 int iters, Rng* rng);
 

@@ -50,6 +50,7 @@ class Matrix {
   }
 
   /// Checked element access; aborts on out-of-range (programmer error).
+  // lint-allow(test-only-api): check_test pins the range-check abort through it
   double& At(std::size_t r, std::size_t c);
   double At(std::size_t r, std::size_t c) const;
 

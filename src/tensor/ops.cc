@@ -343,30 +343,6 @@ Matrix Add(const Matrix& a, const Matrix& b) {
   return out;
 }
 
-Matrix Sub(const Matrix& a, const Matrix& b) {
-  FACTION_CHECK_SAME_SHAPE(a, b);
-  Matrix out = a;
-  double* dst = out.data();
-  const double* src = b.data();
-  ParallelFor(0, out.size(), kElemGrain,
-              [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) dst[i] -= src[i];
-  });
-  return out;
-}
-
-Matrix Hadamard(const Matrix& a, const Matrix& b) {
-  FACTION_CHECK_SAME_SHAPE(a, b);
-  Matrix out = a;
-  double* dst = out.data();
-  const double* src = b.data();
-  ParallelFor(0, out.size(), kElemGrain,
-              [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) dst[i] *= src[i];
-  });
-  return out;
-}
-
 Matrix Scale(const Matrix& m, double s) {
   Matrix out = m;
   double* dst = out.data();
@@ -375,17 +351,6 @@ Matrix Scale(const Matrix& m, double s) {
     for (std::size_t i = lo; i < hi; ++i) dst[i] *= s;
   });
   return out;
-}
-
-void AddRowBroadcast(Matrix* m, const std::vector<double>& row) {
-  FACTION_CHECK_LEN(row, m->cols());
-  ParallelFor(0, m->rows(), kRowGrain,
-              [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t i = r0; i < r1; ++i) {
-      double* r = m->row_data(i);
-      for (std::size_t j = 0; j < m->cols(); ++j) r[j] += row[j];
-    }
-  });
 }
 
 // FACTION_COLD_BEGIN: value-returning convenience wrapper.
@@ -409,21 +374,6 @@ void ColSumsInto(const Matrix& m, std::vector<double>* out) {
     }
   });
 }
-
-// FACTION_COLD_BEGIN: value-returning helper (metrics/tests cadence).
-std::vector<double> RowSums(const Matrix& m) {
-  std::vector<double> out(m.rows(), 0.0);
-  double* sums = out.data();
-  ParallelFor(0, m.rows(), kRowGrain,
-              [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t i = r0; i < r1; ++i) {
-      const double* r = m.row_data(i);
-      for (std::size_t j = 0; j < m.cols(); ++j) sums[i] += r[j];
-    }
-  });
-  return out;
-}
-// FACTION_COLD_END
 
 double FrobeniusNorm2(const Matrix& m) {
   double acc = 0.0;

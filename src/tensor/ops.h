@@ -50,11 +50,13 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out,
                 const GemmEpilogue& ep = {});
 
 /// a * b^T without materializing the transpose.
+// lint-allow(test-only-api): value-form GEMM oracle over the Into kernels
 Matrix MatMulBt(const Matrix& a, const Matrix& b);
 void MatMulBtInto(const Matrix& a, const Matrix& b, Matrix* out,
                   const GemmEpilogue& ep = {});
 
 /// a^T * b without materializing the transpose.
+// lint-allow(test-only-api): value-form GEMM oracle over the Into kernels
 Matrix MatMulAt(const Matrix& a, const Matrix& b);
 void MatMulAtInto(const Matrix& a, const Matrix& b, Matrix* out);
 
@@ -67,46 +69,44 @@ void MatMulAtAccumulateInto(const Matrix& a, const Matrix& b, double scale,
 /// Retained pre-SIMD blocked kernels: the bitwise parity oracles the SIMD
 /// micro-kernels are tested against (tests/simd_test.cc). Same contracts
 /// as the dispatched entry points; not for production call sites.
+// lint-allow(test-only-api): blocked reference, the SIMD GEMM oracle
 void ReferenceMatMulInto(const Matrix& a, const Matrix& b, Matrix* out);
+// lint-allow(test-only-api): blocked reference, the SIMD GEMM oracle
 void ReferenceMatMulBtInto(const Matrix& a, const Matrix& b, Matrix* out);
+// lint-allow(test-only-api): blocked reference, the SIMD GEMM oracle
 void ReferenceMatMulAtInto(const Matrix& a, const Matrix& b, Matrix* out);
 
 /// Transpose.
+// lint-allow(test-only-api): value form of TransposeInto; tests compare with it
 Matrix Transpose(const Matrix& m);
 void TransposeInto(const Matrix& m, Matrix* out);
 
 /// Elementwise sum. Shapes must match.
 Matrix Add(const Matrix& a, const Matrix& b);
 
-/// Elementwise difference. Shapes must match.
-Matrix Sub(const Matrix& a, const Matrix& b);
-
-/// Elementwise (Hadamard) product. Shapes must match.
-Matrix Hadamard(const Matrix& a, const Matrix& b);
-
 /// Scalar multiple.
+// lint-allow(test-only-api): value form; tests build scaled fixtures with it
 Matrix Scale(const Matrix& m, double s);
 
-/// Adds a length-cols row vector to every row of m (broadcast), in place.
-void AddRowBroadcast(Matrix* m, const std::vector<double>& row);
-
 /// Column-wise sums: returns a vector of length m.cols().
+// lint-allow(test-only-api): value form of ColSumsInto; tests compare with it
 std::vector<double> ColSums(const Matrix& m);
 void ColSumsInto(const Matrix& m, std::vector<double>* out);
 
-/// Row-wise sums: returns a vector of length m.rows().
-std::vector<double> RowSums(const Matrix& m);
-
 /// Sum of squares of all elements (squared Frobenius norm).
+// lint-allow(test-only-api): comparison metric for tests
 double FrobeniusNorm2(const Matrix& m);
 
 /// Max |a - b| over matching elements; used heavily in tests.
+// lint-allow(test-only-api): comparison metric for tests
 double MaxAbsDiff(const Matrix& a, const Matrix& b);
 
 /// Dot product of equal-length vectors.
+// lint-allow(test-only-api): vector assertions; pins CHECK_LEN in check_test
 double Dot(const std::vector<double>& a, const std::vector<double>& b);
 
 /// Euclidean norm of a vector.
+// lint-allow(test-only-api): comparison metric for tests
 double Norm2(const std::vector<double>& v);
 
 /// Squared Euclidean distance between equal-length vectors.

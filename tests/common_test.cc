@@ -16,7 +16,6 @@
 
 #include "common/fsio.h"
 #include "common/hexfloat.h"
-#include "common/logging.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/status.h"
@@ -318,15 +317,6 @@ TEST(TableTest, FormatHelpers) {
   EXPECT_EQ(FormatCell(0.12345, 2), "0.12");
   EXPECT_EQ(FormatCell(1.0, 0), "1");
   EXPECT_EQ(FormatMeanStd(0.5, 0.25, 2), "0.50 ± 0.25");
-}
-
-// --------------------------------------------------------------- Logging
-
-TEST(LoggingTest, LevelFilterRoundTrip) {
-  const LogLevel before = GetLogLevel();
-  SetLogLevel(LogLevel::kError);
-  EXPECT_EQ(GetLogLevel(), LogLevel::kError);
-  SetLogLevel(before);
 }
 
 // ------------------------------------------------------------------ fsio

@@ -76,17 +76,7 @@ TEST(DatasetTest, SubsetPreservesOrder) {
   EXPECT_EQ(sub.features()(2, 0), 9.0);
 }
 
-TEST(DatasetTest, AppendAllConcatenates) {
-  Dataset a(1), b(1);
-  ASSERT_TRUE(a.Append(MakeExample({1.0}, 1, 0)).ok());
-  ASSERT_TRUE(b.Append(MakeExample({2.0}, -1, 1)).ok());
-  ASSERT_TRUE(b.Append(MakeExample({3.0}, 1, 0)).ok());
-  ASSERT_TRUE(a.AppendAll(b).ok());
-  EXPECT_EQ(a.size(), 3u);
-  EXPECT_EQ(a.features()(2, 0), 3.0);
-}
-
-TEST(DatasetTest, GroupCountsAndFractions) {
+TEST(DatasetTest, GroupAndPositiveFractions) {
   Dataset d(1);
   ASSERT_TRUE(d.Append(MakeExample({0.0}, 1, 1)).ok());
   ASSERT_TRUE(d.Append(MakeExample({0.0}, 1, 0)).ok());
@@ -94,14 +84,6 @@ TEST(DatasetTest, GroupCountsAndFractions) {
   ASSERT_TRUE(d.Append(MakeExample({0.0}, -1, 1)).ok());
   EXPECT_NEAR(d.GroupFraction(), 0.5, 1e-12);
   EXPECT_NEAR(d.PositiveFraction(), 0.75, 1e-12);
-  EXPECT_EQ(d.CountGroup(1, 1), 1u);
-  EXPECT_EQ(d.CountGroup(1, -1), 2u);
-  EXPECT_EQ(d.CountGroup(0, 1), 1u);
-  EXPECT_EQ(d.CountGroup(0, -1), 0u);
-  EXPECT_NEAR(d.JointProbability(1, -1), 0.5, 1e-12);
-  EXPECT_FALSE(d.HasAllGroups());
-  ASSERT_TRUE(d.Append(MakeExample({0.0}, -1, 0)).ok());
-  EXPECT_TRUE(d.HasAllGroups());
 }
 
 TEST(DatasetTest, EmptyDatasetDefaults) {
@@ -109,8 +91,6 @@ TEST(DatasetTest, EmptyDatasetDefaults) {
   EXPECT_TRUE(d.empty());
   EXPECT_EQ(d.GroupFraction(), 0.0);
   EXPECT_EQ(d.PositiveFraction(), 0.0);
-  EXPECT_EQ(d.JointProbability(0, 1), 0.0);
-  EXPECT_FALSE(d.HasAllGroups());
 }
 
 // ------------------------------------------------------------- Synthetic

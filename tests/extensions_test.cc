@@ -320,29 +320,5 @@ TEST(IncrementalNormalizerTest, ResetForgets) {
   EXPECT_EQ(norm.Normalize(5.0), 0.5);
 }
 
-TEST(OnlineQueryDeciderTest, BurnInNeverQueries) {
-  Rng rng(8);
-  OnlineQueryDecider decider(10.0, 5);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_FALSE(decider.ShouldQuery(static_cast<double>(i), &rng));
-  }
-  EXPECT_EQ(decider.seen(), 5u);
-}
-
-TEST(OnlineQueryDeciderTest, LowScoresQueriedMoreOften) {
-  Rng rng(9);
-  OnlineQueryDecider decider(1.0, 10);
-  // Prime the range with scores in [0, 1].
-  for (int i = 0; i <= 10; ++i) {
-    decider.ShouldQuery(i / 10.0, &rng);
-  }
-  int low_hits = 0, high_hits = 0;
-  for (int i = 0; i < 2000; ++i) {
-    if (decider.ShouldQuery(0.05, &rng)) ++low_hits;
-    if (decider.ShouldQuery(0.95, &rng)) ++high_hits;
-  }
-  EXPECT_GT(low_hits, high_hits * 3);
-}
-
 }  // namespace
 }  // namespace faction

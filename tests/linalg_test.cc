@@ -82,20 +82,6 @@ TEST(LogDetTest, MatchesKnownValue) {
   EXPECT_NEAR(LogDetFromCholesky(l.value()), std::log(36.0), 1e-12);
 }
 
-TEST(SpdInverseTest, ProducesInverse) {
-  Rng rng(7);
-  const Matrix a = RandomSpd(5, &rng);
-  const Result<Matrix> inv = SpdInverse(a);
-  ASSERT_TRUE(inv.ok());
-  const Matrix prod = MatMul(a, inv.value());
-  EXPECT_LT(MaxAbsDiff(prod, Matrix::Identity(5)), 1e-8);
-}
-
-TEST(SpdInverseTest, FailsOnIndefinite) {
-  const Matrix a = {{0.0, 1.0}, {1.0, 0.0}};
-  EXPECT_FALSE(SpdInverse(a).ok());
-}
-
 TEST(PowerIterationTest, DiagonalMatrix) {
   Rng rng(11);
   const Matrix w = {{3.0, 0.0}, {0.0, 1.0}};

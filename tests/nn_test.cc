@@ -250,17 +250,14 @@ TEST(ReluTest, EdgeValuesBitwise) {
                           sub,           0.0, 1.5,  0.0};
 
   Relu relu;
-  Matrix x = ReluEdgeMatrix();
-  relu.ForwardInPlace(&x);
-  Matrix y = ReluEdgeMatrix();
-  Relu::ForwardInferenceInPlace(&y);
+  const Matrix x = relu.Forward(ReluEdgeMatrix());
+  const Matrix y = Relu::ForwardInference(ReluEdgeMatrix());
   // dy cycles through finite, -0.0-producing and NaN-producing gradients.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double grads[] = {2.0, -3.0, inf, nan};
   Matrix dy(x.rows(), x.cols());
   for (std::size_t i = 0; i < dy.size(); ++i) dy.data()[i] = grads[i % 4];
-  Matrix dx = dy;
-  relu.BackwardInPlace(&dx);
+  const Matrix dx = relu.Backward(dy);
 
   for (std::size_t i = 0; i < x.size(); ++i) {
     const std::size_t e = i % kNumReluEdges;
@@ -441,7 +438,9 @@ TEST(MlpTest, ParameterCount) {
   Rng rng(14);
   MlpClassifier model(SmallConfig(), &rng);
   // 5->8 (48) + 8->4 (36) + 4->2 (10) = 94.
-  EXPECT_EQ(model.ParameterCount(), 94u);
+  std::size_t count = 0;
+  for (const Matrix* p : model.Parameters()) count += p->size();
+  EXPECT_EQ(count, 94u);
 }
 
 TEST(MlpTest, ConstParametersMatchMutableParameters) {
@@ -640,17 +639,6 @@ TEST(OptimizerTest, SgdWeightDecayShrinks) {
   EXPECT_NEAR(p(0, 0), 10.0 * (1.0 - 0.05), 1e-12);
 }
 
-TEST(OptimizerTest, AdamConvergesOnQuadratic) {
-  // Minimize f(x) = (x - 3)^2; gradient 2(x-3).
-  Matrix p = {{0.0}};
-  AdamOptimizer opt(0.1);
-  for (int i = 0; i < 500; ++i) {
-    Matrix g = {{2.0 * (p(0, 0) - 3.0)}};
-    opt.Step({&p}, {&g});
-  }
-  EXPECT_NEAR(p(0, 0), 3.0, 1e-3);
-}
-
 TEST(OptimizerTest, SgdConvergesOnQuadratic) {
   Matrix p = {{-5.0}};
   SgdOptimizer opt(0.1, 0.9);
@@ -659,13 +647,6 @@ TEST(OptimizerTest, SgdConvergesOnQuadratic) {
     opt.Step({&p}, {&g});
   }
   EXPECT_NEAR(p(0, 0), 3.0, 1e-4);
-}
-
-TEST(OptimizerTest, LearningRateMutable) {
-  SgdOptimizer opt(0.1);
-  EXPECT_EQ(opt.learning_rate(), 0.1);
-  opt.set_learning_rate(0.01);
-  EXPECT_EQ(opt.learning_rate(), 0.01);
 }
 
 // --------------------------------------------------------------- Trainer

@@ -1,6 +1,7 @@
 // Property-style parameterized sweeps over randomized inputs: invariants
 // that must hold for any size/seed combination.
 #include <cmath>
+#include <string>
 
 #include "common/rng.h"
 #include "density/gaussian.h"
@@ -18,6 +19,15 @@ struct SizeSeed {
   std::size_t size;
   std::uint64_t seed;
 };
+
+// Test-name generator: "n<size>". Built by appending, not as
+// `"n" + std::to_string(...)`, which GCC 12 at -O3 flags with a false
+// -Wrestrict (GCC bug 105329).
+std::string SizeName(const ::testing::TestParamInfo<SizeSeed>& info) {
+  std::string name = "n";
+  name += std::to_string(info.param.size);
+  return name;
+}
 
 Matrix RandomMatrix(std::size_t rows, std::size_t cols, Rng* rng) {
   Matrix m(rows, cols);
@@ -91,9 +101,7 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, TensorProperty,
     ::testing::Values(SizeSeed{2, 11}, SizeSeed{3, 22}, SizeSeed{5, 33},
                       SizeSeed{8, 44}, SizeSeed{13, 55}, SizeSeed{21, 66}),
-    [](const ::testing::TestParamInfo<SizeSeed>& info) {
-      return "n" + std::to_string(info.param.size);
-    });
+    SizeName);
 
 // ---------------------------------------------------- selection sweeps
 
@@ -156,9 +164,7 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, SelectionProperty,
     ::testing::Values(SizeSeed{1, 7}, SizeSeed{4, 17}, SizeSeed{16, 27},
                       SizeSeed{64, 37}, SizeSeed{256, 47}),
-    [](const ::testing::TestParamInfo<SizeSeed>& info) {
-      return "n" + std::to_string(info.param.size);
-    });
+    SizeName);
 
 // ------------------------------------------------------ fairness sweeps
 
@@ -242,9 +248,7 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, FairnessProperty,
     ::testing::Values(SizeSeed{8, 5}, SizeSeed{32, 15}, SizeSeed{128, 25},
                       SizeSeed{512, 35}),
-    [](const ::testing::TestParamInfo<SizeSeed>& info) {
-      return "n" + std::to_string(info.param.size);
-    });
+    SizeName);
 
 }  // namespace
 }  // namespace faction

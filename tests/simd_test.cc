@@ -279,10 +279,10 @@ Matrix UnfusedDense(const Matrix& product, double scale, const Matrix* bias,
   }
   if (act == GemmAct::kReluTrain) {
     Relu relu;
-    relu.ForwardInPlace(&y);
+    y = relu.Forward(y);
     *mask = relu.Backward(Matrix(y.rows(), y.cols(), 1.0));
   } else if (act == GemmAct::kReluInference) {
-    Relu::ForwardInferenceInPlace(&y);
+    y = Relu::ForwardInference(y);
   }
   return y;
 }

@@ -83,7 +83,9 @@ TEST(OracleTest, UnlabeledIndicesTrackState) {
   LabelOracle oracle(task, 5);
   ASSERT_TRUE(oracle.QueryLabel(1).ok());
   ASSERT_TRUE(oracle.QueryLabel(3).ok());
-  EXPECT_EQ(oracle.UnlabeledIndices(), (std::vector<std::size_t>{0, 2, 4}));
+  std::vector<std::size_t> unlabeled = {7};
+  oracle.UnlabeledIndicesInto(&unlabeled);
+  EXPECT_EQ(unlabeled, (std::vector<std::size_t>{0, 2, 4}));
 }
 
 // ------------------------------------------------------------- Selection

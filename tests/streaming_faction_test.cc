@@ -51,6 +51,37 @@ TEST(StreamingFactionTest, WarmStartAlwaysQueries) {
   EXPECT_TRUE(streaming.has_estimator());
 }
 
+// The first `burn_in` scored arrivals after warm start only seed the
+// incremental range: none is queried, even with the estimator fitted and
+// alpha so large that any later arrival below the running maximum is.
+TEST(StreamingFactionTest, BurnInArrivalsNeverQuery) {
+  StreamingFactionConfig config = SmallConfig();
+  config.alpha = 1e9;
+  StreamingFaction streaming(config);
+  Rng rng(4);
+  const EnvironmentSpec env = SmallEnv(6, &rng);
+  for (std::size_t i = 0; i < config.warm_start; ++i) {
+    Example e = SampleFromEnvironment(env, 0, &rng);
+    ASSERT_TRUE(streaming.ShouldQuery(e).value());
+    ASSERT_TRUE(streaming.ProvideLabel(e).ok());
+  }
+  ASSERT_TRUE(streaming.has_estimator());
+  for (std::size_t i = 0; i < config.burn_in; ++i) {
+    const Result<bool> query =
+        streaming.ShouldQuery(SampleFromEnvironment(env, 0, &rng));
+    ASSERT_TRUE(query.ok());
+    EXPECT_FALSE(query.value()) << "burn-in arrival " << i;
+  }
+  EXPECT_EQ(streaming.queries_made(), config.warm_start);
+  // Past burn-in the same rule queries.
+  bool queried = false;
+  for (int i = 0; i < 20 && !queried; ++i) {
+    queried = streaming.ShouldQuery(SampleFromEnvironment(env, 0, &rng))
+                  .value();
+  }
+  EXPECT_TRUE(queried);
+}
+
 TEST(StreamingFactionTest, QueriesAreSelectiveAfterWarmStart) {
   StreamingFactionConfig config = SmallConfig();
   config.alpha = 1.0;

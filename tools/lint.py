@@ -43,6 +43,12 @@ Rules (each reported as file:line: [rule] message):
                    std::chrono::*_clock) are banned outside common/timer.h
                    — timing flows through faction::Timer so determinism
                    audits have a single choke point.
+  test-only-api    a CamelCase class or function declared in a src/ header
+                   whose every use outside its declaration and definition
+                   is under tests/. perfbench/ counts as a caller (it is
+                   read, never linted). Parity oracles and assertion
+                   helpers that stay carry `// lint-allow(test-only-api):
+                   <why it stays>` on or just above their declaration.
 
 Exit status: 0 when clean, 1 when any finding is reported.
 """
@@ -473,11 +479,107 @@ def check_ffp_contract(contexts: list, findings: list) -> None:
                  "cross-tier bitwise parity (DESIGN.md §12)"))
 
 
+# ----------------------------------------------------- test-only public API
+
+TEST_ONLY_RULE = "test-only-api"
+CAMEL = r"[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*"
+CLASS_DECL_RE = re.compile(
+    r"^\s*(?:enum\s+)?(?:class|struct)\s+(?:alignas\s*\([^)]*\)\s+)?"
+    rf"(?P<name>{CAMEL})\b(?!\s*;)")
+FUNC_NAME_RE = re.compile(rf"(?<![\w:.>~])(?P<name>{CAMEL})\s*\(")
+# What may precede a declared function's name on its line: specifiers,
+# then a return type ending in whitespace, `*` or `&`.
+DECL_PREFIX_RE = re.compile(
+    r"^\s*(?:(?:static|virtual|inline|constexpr|friend|extern)\s+)*"
+    r"(?:const\s+)?[\w:]+(?:<[^()=;]*>)?(?:\s*[\*&]+|\s)\s*$")
+NOT_A_TYPE = {"return", "else", "case", "new", "delete", "throw", "using",
+              "typedef", "goto", "co_return", "sizeof"}
+# Code outside the linted directories that still calls into src/: the
+# benchmark drives the library through its public API. Read, never linted.
+CALLER_ONLY_DIRS = ("perfbench",)
+
+
+def declared_api(ctx: FileContext) -> dict:
+    """CamelCase class and function names declared in a src/ header.
+
+    Maps name -> 1-based lines of its declarations in this header.
+    """
+    names: dict = {}
+    for lineno, line in enumerate(ctx.code_lines, start=1):
+        m = CLASS_DECL_RE.match(line)
+        if m:
+            names.setdefault(m.group("name"), []).append(lineno)
+            continue
+        for m in FUNC_NAME_RE.finditer(line):
+            prefix = line[:m.start()]
+            if (DECL_PREFIX_RE.match(prefix)
+                    and prefix.split()[0] not in NOT_A_TYPE):
+                names.setdefault(m.group("name"), []).append(lineno)
+    return names
+
+
+def is_definition_site(line: str, start: int, end: int) -> bool:
+    """An occurrence on a column-0 line of a src/ TU that is qualified
+    (`X::Name`), qualifies (`Name::member`) or is called (`Name(`): the
+    out-of-line definition of Name or of one of its members."""
+    if not line or line[0].isspace():
+        return False
+    return (line[:start].endswith("::") or
+            re.match(r"\s*(::|\()", line[end:]) is not None)
+
+
+def check_test_only_api(contexts: list, findings: list,
+                        callers: list | None = None) -> None:
+    """Flags a public name whose every caller lives under tests/.
+
+    A name is used by whoever mentions it outside its declaring header and
+    outside its own definitions; uses in tests/ alone make it test-only.
+    Names shared by several classes count every mention, so the rule can
+    miss a test-only overload but never flags a name that code calls.
+    """
+    if callers is None:
+        callers = collect_contexts(CALLER_ONLY_DIRS)
+    api: dict = {}  # name -> [(header ctx, [lines])]
+    for ctx in contexts:
+        if ctx.rel.parts[0] == "src" and ctx.rel.suffix == ".h":
+            for name, lines in declared_api(ctx).items():
+                api.setdefault(name, []).append((ctx, lines))
+    if not api:
+        return
+    word_re = re.compile(r"(?<![\w])(" + "|".join(sorted(api)) + r")(?!\w)")
+    test_uses: set = set()
+    other_uses: set = set()
+    for ctx in contexts + callers:
+        in_src = ctx.rel.parts[0] == "src"
+        for line in ctx.code_lines:
+            for m in word_re.finditer(line):
+                name = m.group(1)
+                if any(h is ctx for h, _ in api[name]):
+                    continue
+                if in_src and is_definition_site(line, m.start(), m.end()):
+                    continue
+                if ctx.rel.parts[0] == "tests":
+                    test_uses.add(name)
+                else:
+                    other_uses.add(name)
+    for name in sorted(test_uses - other_uses):
+        sites = [(h, n) for h, lines in api[name] for n in lines]
+        if any(h.allowed(n, TEST_ONLY_RULE) or
+               h.allowed(n - 1, TEST_ONLY_RULE) for h, n in sites):
+            continue
+        header, lineno = sites[0]
+        findings.append(
+            (header.rel, lineno, TEST_ONLY_RULE,
+             f"`{name}` is public but only tests call it; delete it, or "
+             f"keep it as a test oracle with `// lint-allow({TEST_ONLY_RULE}"
+             f"): <why it stays>` on or just above its declaration"))
+
+
 # -------------------------------------------------------------------- main
 
-def collect_contexts() -> list:
+def collect_contexts(dirs: tuple = SOURCE_DIRS) -> list:
     contexts = []
-    for dirname in SOURCE_DIRS:
+    for dirname in dirs:
         base = ROOT / dirname
         if not base.is_dir():
             continue
@@ -499,6 +601,7 @@ def run_lint(contexts: list) -> list:
         check_serve_float_text(ctx, findings)
         check_hot_allocations(ctx, findings)
     check_ffp_contract(contexts, findings)
+    check_test_only_api(contexts, findings)
     return findings
 
 

@@ -308,6 +308,108 @@ class FfpContract(unittest.TestCase):
         self.assertEqual([], findings)
 
 
+class TestOnlyApi(unittest.TestCase):
+    HEADER = ("#ifndef FACTION_A_WIDGET_H_\n"
+              "#define FACTION_A_WIDGET_H_\n"
+              "class Widget {\n"
+              " public:\n"
+              "  int Spin(int x) const;\n"
+              "  static double Measure();\n"
+              "};\n"
+              "Result<Widget> MakeWidget(int n);\n"
+              "#endif  // FACTION_A_WIDGET_H_\n")
+    SOURCE = ("#include \"a/widget.h\"\n"
+              "int Widget::Spin(int x) const { return x + 1; }\n"
+              "double Widget::Measure() { return 1.0; }\n"
+              "Result<Widget> MakeWidget(int n) {\n"
+              "  return Widget();\n"
+              "}\n")
+
+    def flagged(self, *files, callers=()) -> set:
+        contexts = [ctx(self.HEADER, "src/a/widget.h"),
+                    ctx(self.SOURCE, "src/a/widget.cc")]
+        contexts += [ctx(text, rel) for rel, text in files]
+        findings = []
+        lint.check_test_only_api(
+            contexts, findings,
+            callers=[ctx(text, rel) for rel, text in callers])
+        self.assertEqual({"test-only-api"} if findings else set(),
+                         rules_of(findings))
+        return {msg.split("`")[1] for _, _, _, msg in findings}
+
+    def test_names_used_only_by_tests_flagged(self):
+        test = ("tests/widget_test.cc",
+                "TEST(W, S) { Widget w = MakeWidget(2).value();\n"
+                "  EXPECT_EQ(w.Spin(1), 2); Widget::Measure(); }\n")
+        # Widget itself is constructed inside MakeWidget's body.
+        self.assertEqual({"MakeWidget", "Spin", "Measure"},
+                         self.flagged(test))
+
+    def test_definitions_are_not_uses(self):
+        # The column-0 definitions in widget.cc (Widget::Spin, MakeWidget)
+        # do not rescue a name; the call inside MakeWidget's body does.
+        test = ("tests/widget_test.cc", "void F() { MakeWidget(1); }\n")
+        flagged = self.flagged(test)
+        self.assertIn("MakeWidget", flagged)
+        self.assertNotIn("Widget", flagged)  # constructed in MakeWidget
+
+    def test_library_caller_clears_name(self):
+        test = ("tests/widget_test.cc",
+                "void F() { MakeWidget(1); Widget::Measure(); }\n")
+        user = ("src/b/user.cc",
+                "double G() {\n  return Widget::Measure();\n}\n")
+        self.assertEqual({"MakeWidget"}, self.flagged(test, user))
+
+    def test_perfbench_counts_as_caller(self):
+        test = ("tests/widget_test.cc", "void F() { MakeWidget(1); }\n")
+        bench = ("perfbench/widget_bench.cc",
+                 "void B() { MakeWidget(8); }\n")
+        self.assertNotIn("MakeWidget", self.flagged(test, callers=[bench]))
+
+    def test_comments_and_strings_are_not_uses(self):
+        test = ("tests/widget_test.cc", "void F() { MakeWidget(1); }\n")
+        doc = ("examples/doc.cpp",
+               "// MakeWidget(3) builds one\nconst char* s = \"MakeWidget(\";\n")
+        self.assertIn("MakeWidget", self.flagged(test, doc))
+
+    def test_unused_names_not_flagged(self):
+        # Dead code is not test-only code; this rule only reads callers.
+        self.assertEqual(set(), self.flagged())
+
+    def test_lint_allow_on_or_above_declaration(self):
+        test = ("tests/widget_test.cc", "void F() { MakeWidget(1); }\n")
+        for header in (
+                self.HEADER.replace(
+                    "Result<Widget> MakeWidget(int n);",
+                    "Result<Widget> MakeWidget(int n);  "
+                    "// lint-allow(test-only-api): oracle"),
+                self.HEADER.replace(
+                    "Result<Widget> MakeWidget(int n);",
+                    "// lint-allow(test-only-api): oracle\n"
+                    "Result<Widget> MakeWidget(int n);")):
+            contexts = [ctx(header, "src/a/widget.h"),
+                        ctx(self.SOURCE, "src/a/widget.cc"),
+                        ctx(test[1], test[0])]
+            findings = []
+            lint.check_test_only_api(contexts, findings, callers=[])
+            names = {msg.split("`")[1] for _, _, _, msg in findings}
+            self.assertNotIn("MakeWidget", names)
+
+    def test_calls_in_headers_are_not_declarations(self):
+        header = ("inline int Twice(int x) {\n"
+                  "  return Helper(x) * 2;\n"
+                  "}\n"
+                  "int y = Other(3);\n")
+        self.assertEqual(
+            {"Twice"},
+            set(lint.declared_api(ctx(header, "src/a/inline.h"))))
+
+    def test_forward_declarations_skipped(self):
+        header = "struct StateCodecAccess;\nclass Real {};\n"
+        self.assertEqual(
+            {"Real"}, set(lint.declared_api(ctx(header, "src/a/fwd.h"))))
+
+
 class IncludeGuard(unittest.TestCase):
     def test_expected_guard(self):
         self.assertEqual("FACTION_COMMON_ALLOC_AUDIT_H_",
