@@ -13,7 +13,7 @@ void SgdOptimizer::Prepare(const std::vector<Matrix*>& params) {
   for (Matrix* p : params) velocity_.emplace_back(p->rows(), p->cols());
 }
 
-void SgdOptimizer::Step(const std::vector<Matrix*>& params,
+bool SgdOptimizer::Step(const std::vector<Matrix*>& params,
                         const std::vector<Matrix*>& grads) {
   FACTION_CHECK_LEN(grads, params.size());
   Prepare(params);
@@ -23,6 +23,7 @@ void SgdOptimizer::Step(const std::vector<Matrix*>& params,
   const double lr = lr_;
   const double momentum = momentum_;
   const double decay = 1.0 - lr_ * weight_decay_;
+  std::uint64_t in_range = ~std::uint64_t{0};
   for (std::size_t i = 0; i < params.size(); ++i) {
     Matrix& p = *params[i];
     const Matrix& g = *grads[i];
@@ -38,11 +39,16 @@ void SgdOptimizer::Step(const std::vector<Matrix*>& params,
       for (std::size_t k = 0; k < n; ++k) {
         vd[k] = momentum * vd[k] + gd[k];
         pd[k] -= lr * vd[k];
+        in_range &= InRangeBits(pd[k]);
       }
     } else {
-      for (std::size_t k = 0; k < n; ++k) pd[k] -= lr * gd[k];
+      for (std::size_t k = 0; k < n; ++k) {
+        pd[k] -= lr * gd[k];
+        in_range &= InRangeBits(pd[k]);
+      }
     }
   }
+  return (in_range >> 63) != 0;
 }
 
 }  // namespace faction

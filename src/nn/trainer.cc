@@ -1,11 +1,35 @@
 #include "nn/trainer.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/telemetry.h"
 #include "nn/optimizer.h"
 
 namespace faction {
+
+namespace {
+
+bool AllInRange(const double* v, std::size_t n) {
+  std::uint64_t in_range = ~std::uint64_t{0};
+  for (std::size_t i = 0; i < n; ++i) in_range &= InRangeBits(v[i]);
+  return (in_range >> 63) != 0;
+}
+
+// Copies every parameter into (save) or out of (!save) one flat buffer.
+void CopyParameters(const std::vector<Matrix*>& params, bool save,
+                    double* flat) {
+  for (Matrix* p : params) {
+    if (save) {
+      std::copy(p->data(), p->data() + p->size(), flat);
+    } else {
+      std::copy(flat, flat + p->size(), p->data());
+    }
+    flat += p->size();
+  }
+}
+
+}  // namespace
 
 Result<TrainReport> TrainClassifier(FeatureClassifier* model,
                                     const Dataset& labeled,
@@ -51,6 +75,28 @@ Result<TrainReport> TrainClassifier(FeatureClassifier* model,
   std::vector<double>* row_loss = arena.DoublesFor("trainer.row_loss",
                                                    max_bs);
   std::vector<std::size_t>* order = arena.SizesFor("trainer.order", n);
+  // Divergence guard: the weights at entry, restored when a step's logits
+  // or updated weights leave the range of InRangeBits (an over-large
+  // learning rate, say), so the caller gets a Status and the model it
+  // passed in. The logits are checked before the loss reads them and the
+  // weights as the optimizer writes them, so no forward, spectral-norm
+  // estimate included, ever sees an out-of-range weight. The copy lives
+  // in the arena, not in a call-local buffer: on a 4-vCPU AVX-512 host a
+  // call-local one made a 64-16 MLP's training 6-14% slower, depending on
+  // where the per-call heap blocks landed.
+  std::size_t param_count = 0;
+  for (const Matrix* p : params) param_count += p->size();
+  std::vector<double>* saved =
+      arena.DoublesFor("trainer.saved_params", param_count);
+  CopyParameters(params, /*save=*/true, saved->data());
+  const auto diverged = [&](const char* what) {
+    CopyParameters(params, /*save=*/false, saved->data());
+    TelemetryCount("trainer.diverged");
+    return Status::NumericalError(
+        std::string("training diverged: ") + what +
+        " non-finite or above 2^256 at step " +
+        std::to_string(report.steps) + "; weights restored");
+  };
   // Dataset::features() is an out-of-line call (it compacts lazily): read
   // the columns once, not per gathered row.
   const Matrix& features = labeled.features();
@@ -75,6 +121,9 @@ Result<TrainReport> TrainClassifier(FeatureClassifier* model,
         (*s)[i] = sensitive[idx];
       }
       model->ForwardInto(*x, logits);
+      if (!AllInRange(logits->data(), logits->size())) {
+        return diverged("logits");
+      }
       const double ce = FusedSoftmaxCrossEntropy(*logits, *y, dlogits,
                                                  row_loss);
       double penalty = 0.0;
@@ -96,7 +145,7 @@ Result<TrainReport> TrainClassifier(FeatureClassifier* model,
       }
       model->ZeroGrad();
       model->Backward(*dlogits);
-      opt.Step(params, grads);
+      if (!opt.Step(params, grads)) return diverged("weights");
       ++report.steps;
       epoch_ce += ce;
       epoch_pen += penalty;

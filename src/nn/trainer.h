@@ -53,6 +53,11 @@ struct TrainReport {
 /// churn; results are identical with or without it (buffers are fully
 /// overwritten each step). When `workspace` is null a call-local arena is
 /// used.
+///
+/// Divergence guard: when a step's logits or updated weights are not
+/// finite, or reach 2^256 in magnitude (an over-large learning rate, say),
+/// the weights saved at entry are restored and a NumericalError is
+/// returned. The spectral-norm estimate of each layer is not rolled back.
 Result<TrainReport> TrainClassifier(FeatureClassifier* model,
                                     const Dataset& labeled,
                                     const TrainConfig& config, Rng* rng,

@@ -9,6 +9,7 @@
 #include "common/check.h"
 #include "common/parallel.h"
 #include "common/telemetry.h"
+#include "common/timer.h"
 
 namespace faction {
 
@@ -19,6 +20,25 @@ namespace {
 thread_local JobSystem* tl_worker_system = nullptr;
 thread_local int tl_worker_index = -1;
 
+// How long an idle worker polls work_epoch_ before it parks. At the
+// serve-fleet reference rate (40k arrivals/s over 2 workers) a worker's
+// mean idle gap is about 50 us, so most drains then start without a
+// futex wake, and an idle runtime stops burning CPU after 50 us. Chosen
+// from a serve-fleet budget sweep over 0-200 us (CHANGES.md).
+constexpr double kSpinBudgetSeconds = 50e-6;
+
+// Cap on the exponential pause backoff between polls. The backoff spaces
+// out reads of the counter's cache line, which every submit writes; the
+// cap keeps the delay before a spinner notices new work to about a
+// microsecond.
+constexpr int kMaxSpinPauses = 16;
+
+void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
 // Minimal TTAS spinlock over std::atomic_flag. The critical sections here
 // (free-list push/pop) are a handful of loads/stores, so spinning beats a
 // mutex and keeps the lock allocation-free and usable under the
@@ -26,11 +46,7 @@ thread_local int tl_worker_index = -1;
 class SpinGuard {
  public:
   explicit SpinGuard(std::atomic_flag* flag) : flag_(flag) {
-    while (flag_->test_and_set(std::memory_order_seq_cst)) {
-#if defined(__x86_64__) || defined(__i386__)
-      __builtin_ia32_pause();
-#endif
-    }
+    while (flag_->test_and_set(std::memory_order_seq_cst)) CpuRelax();
   }
   ~SpinGuard() { flag_->clear(std::memory_order_seq_cst); }
 
@@ -153,11 +169,11 @@ JobSystem::JobSystem(const Options& options)
 // FACTION_COLD_BEGIN: teardown.
 JobSystem::~JobSystem() {
   WaitIdle();
-  {
-    std::lock_guard<std::mutex> lock(park_mu_);
-    stop_ = true;
-    ++wake_epoch_;
-  }
+  // The epoch bump ends every spin; the locked section orders it before
+  // any parked worker's predicate check, as in NotifyWork.
+  stop_.store(true, std::memory_order_seq_cst);
+  work_epoch_.fetch_add(1, std::memory_order_seq_cst);
+  { std::lock_guard<std::mutex> lock(park_mu_); }
   park_cv_.notify_all();
   for (std::thread& t : workers_) t.join();
 }
@@ -192,12 +208,18 @@ void JobSystem::Release(std::uint32_t index) {
 }
 
 void JobSystem::NotifyWork() {
-  {
-    std::lock_guard<std::mutex> lock(park_mu_);
-    ++wake_epoch_;
-    if (sleepers_ == 0) return;
-  }
-  park_cv_.notify_all();
+  // Called after the job is published. Dekker pairing with WorkerMain's
+  // park path, all seq_cst: the worker raises sleepers_ and then reads
+  // work_epoch_ before its final queue re-check; we bump work_epoch_ and
+  // then read sleepers_. If we read zero, the worker's raise comes later
+  // in the total order, so its epoch read sees our bump and its re-check
+  // sees the job. Otherwise the empty locked section orders the bump
+  // before the predicate check of any worker not yet blocked in wait, and
+  // a blocked one takes the notify. One job needs one worker.
+  work_epoch_.fetch_add(1, std::memory_order_seq_cst);
+  if (sleepers_.load(std::memory_order_seq_cst) == 0) return;
+  { std::lock_guard<std::mutex> lock(park_mu_); }
+  park_cv_.notify_one();
 }
 
 bool JobSystem::PopInjected(std::uint32_t* index) {
@@ -244,9 +266,13 @@ void JobSystem::Execute(std::uint32_t index) {
   TelemetryCount("serve.jobs.executed", 1);
   job.done.store(true, std::memory_order_seq_cst);
   Release(index);
-  if (in_flight_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
-    // Transition to zero: wake WaitIdle callers. Taking idle_mu_ orders
-    // this notify after any waiter's in_flight_ re-check under the lock.
+  // Transition to zero: wake WaitIdle callers, if any. Same Dekker
+  // pairing as NotifyWork: a waiter raises idle_waiters_ before its
+  // in_flight_ check, so reading zero here means that check sees ours.
+  // Taking idle_mu_ orders this notify after any waiter's in_flight_
+  // re-check under the lock.
+  if (in_flight_.fetch_sub(1, std::memory_order_seq_cst) == 1 &&
+      idle_waiters_.load(std::memory_order_seq_cst) != 0) {
     std::lock_guard<std::mutex> lock(idle_mu_);
     idle_cv_.notify_all();
   }
@@ -265,36 +291,54 @@ bool JobSystem::TryAcquire(std::uint32_t* index, int self) {
   return false;
 }
 
+bool JobSystem::SpinForWork(std::uint64_t epoch) const {
+  const Timer spin;
+  int pauses = 1;
+  while (work_epoch_.load(std::memory_order_seq_cst) == epoch) {
+    if (spin.ElapsedSeconds() >= kSpinBudgetSeconds) return false;
+    for (int i = 0; i < pauses; ++i) CpuRelax();
+    pauses = std::min(2 * pauses, kMaxSpinPauses);
+  }
+  return true;
+}
+
 void JobSystem::WorkerMain(int worker_index) {
   tl_worker_system = this;
   tl_worker_index = worker_index;
   WorkStealingDeque& own =
       *deques_[static_cast<std::size_t>(worker_index)];
   std::uint32_t index;
+  const auto acquire = [&] {
+    return own.Pop(&index) || TryAcquire(&index, worker_index);
+  };
   for (;;) {
-    if (own.Pop(&index) || TryAcquire(&index, worker_index)) {
+    // Read the epoch before the sweep: a job the sweep misses was
+    // published after it, and its NotifyWork bump ends the spin.
+    std::uint64_t epoch = work_epoch_.load(std::memory_order_seq_cst);
+    if (acquire()) {
       Execute(index);
       continue;
     }
-    std::uint64_t epoch;
-    {
-      std::lock_guard<std::mutex> lock(park_mu_);
-      if (stop_) return;
-      epoch = wake_epoch_;
-    }
-    // Re-check with the epoch pinned: any enqueue after the read above
-    // bumps wake_epoch_ under park_mu_, so the wait below cannot sleep
-    // through it.
-    if (own.Pop(&index) || TryAcquire(&index, worker_index)) {
+    if (stop_.load(std::memory_order_seq_cst)) return;
+    if (SpinForWork(epoch)) continue;
+    // Park. Raise sleepers_ before the epoch read and the final re-check
+    // (the ordering argument is at NotifyWork).
+    sleepers_.fetch_add(1, std::memory_order_seq_cst);
+    epoch = work_epoch_.load(std::memory_order_seq_cst);
+    if (acquire()) {
+      sleepers_.fetch_sub(1, std::memory_order_seq_cst);
       Execute(index);
       continue;
     }
-    std::unique_lock<std::mutex> lock(park_mu_);
-    ++sleepers_;
     TelemetryCount("serve.workers.parked", 1);
-    park_cv_.wait(lock, [&] { return stop_ || wake_epoch_ != epoch; });
-    --sleepers_;
-    if (stop_) return;
+    {
+      std::unique_lock<std::mutex> lock(park_mu_);
+      park_cv_.wait(lock, [&] {
+        return stop_.load(std::memory_order_seq_cst) ||
+               work_epoch_.load(std::memory_order_seq_cst) != epoch;
+      });
+    }
+    sleepers_.fetch_sub(1, std::memory_order_seq_cst);
   }
 }
 
@@ -344,10 +388,14 @@ void JobSystem::WaitIdle() {
   FACTION_CHECK(tl_worker_system != this);
   std::uint32_t index;
   while (TryAcquire(&index, /*self=*/-1)) Execute(index);
-  std::unique_lock<std::mutex> lock(idle_mu_);
-  idle_cv_.wait(lock, [&] {
-    return in_flight_.load(std::memory_order_seq_cst) == 0;
-  });
+  idle_waiters_.fetch_add(1, std::memory_order_seq_cst);
+  {
+    std::unique_lock<std::mutex> lock(idle_mu_);
+    idle_cv_.wait(lock, [&] {
+      return in_flight_.load(std::memory_order_seq_cst) == 0;
+    });
+  }
+  idle_waiters_.fetch_sub(1, std::memory_order_seq_cst);
 }
 
 std::size_t JobSystem::InFlight() const {

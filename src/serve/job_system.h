@@ -17,8 +17,10 @@
 // LIFO deque of job indices. A worker drains its own deque bottom-first
 // (cache-warm continuation of what it just produced), falls back to the
 // shared injection queue (jobs submitted from non-worker threads), then
-// steals oldest-first from sibling deques, and finally parks on a
-// condition variable until new work arrives.
+// steals oldest-first from sibling deques. A worker that finds nothing
+// spins on a work counter for a bounded time, then parks on a condition
+// variable until new work arrives; submitters touch the park lock only
+// when a worker actually sleeps.
 //
 // Memory-ordering stance: every cross-thread atomic in this file uses
 // seq_cst. The Chase-Lev deque is usually published with relaxed atomics
@@ -160,6 +162,9 @@ class JobSystem {
   bool TryAcquire(std::uint32_t* index, int self);
   bool PopInjected(std::uint32_t* index);
   void WorkerMain(int worker_index);
+  /// Spins until work_epoch_ leaves `epoch` (true) or the spin budget
+  /// runs out (false). Takes no lock.
+  bool SpinForWork(std::uint64_t epoch) const;
   void NotifyWork();
 
   Options options_;
@@ -183,16 +188,20 @@ class JobSystem {
 
   std::atomic<std::int64_t> in_flight_{0};
 
-  // Worker parking. wake_epoch_ is bumped (under park_mu_) on every
-  // enqueue, so a worker that re-checks queues, finds nothing, and then
-  // waits can never miss work published in between.
+  // Worker idle protocol (DESIGN.md §14). work_epoch_ is bumped after
+  // every enqueue and at shutdown: an idle worker spins on it, and a
+  // parked one waits for it to move. sleepers_ counts workers committed
+  // to parking; NotifyWork reads it right after its bump (same cache
+  // line) and skips park_mu_ and the condvar while it is zero.
+  alignas(64) std::atomic<std::uint64_t> work_epoch_{0};
+  std::atomic<int> sleepers_{0};
+  alignas(64) std::atomic<bool> stop_{false};
   std::mutex park_mu_;
   std::condition_variable park_cv_;
-  std::uint64_t wake_epoch_ = 0;
-  int sleepers_ = 0;
-  bool stop_ = false;
 
-  // Idle notification for WaitIdle.
+  // Idle notification for WaitIdle; Execute takes idle_mu_ only while
+  // idle_waiters_ is non-zero.
+  std::atomic<int> idle_waiters_{0};
   std::mutex idle_mu_;
   std::condition_variable idle_cv_;
 };

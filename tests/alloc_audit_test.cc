@@ -13,8 +13,10 @@
 // binding.
 #include "common/alloc_audit.h"
 
+#include <chrono>
 #include <cstddef>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -343,6 +345,57 @@ TEST(AllocAudit, ServeOfferPathIsAllocationFreeInSteadyState) {
   EXPECT_TRUE(session->faction().has_estimator());
   EXPECT_EQ(stream.size(), session->steps());
   EXPECT_EQ(stream.size(), session->decisions().size());
+}
+
+// The same Offer path with real workers: the calling thread pushes into
+// the mailbox, wins the schedule CAS, submits the drain job into the
+// injection ring, bumps the work counter, checks the sleeper count and,
+// when a worker parked, wakes it through the park lock and condvar. None
+// of that may allocate. Each arrival is offered to an idle session (the
+// previous drain finished), so every Offer submits; every other arrival
+// first waits past the spin budget, so the workers have parked and the
+// submit takes the wake path. The drains run on the workers and are not
+// measured here: the counters are the calling thread's.
+TEST(AllocAudit, ServeOfferPathIsAllocationFreeWithWorkers) {
+  if (!AllocAuditEnabled()) GTEST_SKIP() << "built without audit";
+  const StreamingFactionConfig config = SmallStreamingConfig();
+
+  ServeRuntimeOptions runtime_options;
+  runtime_options.workers = 2;
+  runtime_options.max_sessions = 1;
+  runtime_options.record_latency = false;
+  ServeRuntime runtime(runtime_options);
+
+  ServeSessionOptions session_options;
+  session_options.stream_id = 1;
+  session_options.faction = config;
+  session_options.mailbox_capacity = 8;
+  ServeSession* session = runtime.CreateSession(session_options);
+
+  const std::vector<Example> stream =
+      MakeStream(300, config.model.input_dim, 17);
+  constexpr std::size_t kWarmupArrivals = 100;
+  std::size_t measured = 0;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    runtime.Drain();
+    if (i % 2 == 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const AllocationStats before = ThreadAllocationStats();
+    const bool accepted = runtime.Offer(session, stream[i]);
+    const AllocationStats after = ThreadAllocationStats();
+    ASSERT_TRUE(accepted);
+    if (i >= kWarmupArrivals) {
+      EXPECT_EQ(before.allocs, after.allocs)
+          << "serve Offer with workers allocated on arrival " << i << " ("
+          << after.bytes - before.bytes << " bytes)";
+      ++measured;
+    }
+  }
+  runtime.Drain();
+
+  EXPECT_EQ(200u, measured);
+  EXPECT_EQ(stream.size(), session->steps());
 }
 
 // Checkpoint capture (serve/state_codec.h) runs on the hot drain path:

@@ -14,6 +14,7 @@
 #include "density/fair_density.h"
 #include "density/gaussian.h"
 #include "gtest/gtest.h"
+#include "tensor/linalg.h"
 #include "tensor/ops.h"
 #include "tensor/simd.h"
 
@@ -718,6 +719,171 @@ TEST(GaussianForgettingTest, DowndateBelowDimPlusOneFallsBackToRefactor) {
   std::vector<double> probe(d, 0.5);
   EXPECT_NEAR(g.value().LogPdf(probe), batch.value().LogPdf(probe),
               1e-6 * (1.0 + std::fabs(batch.value().LogPdf(probe))));
+  Telemetry::Enable()->Reset();
+  Telemetry::Disable();
+}
+
+// ---------------------------------------------------------------------------
+// The fallback sites of Gaussian::DowndateOne, each driven on purpose and
+// counted. Rows are small integers and every Fit takes a power-of-two row
+// count, so every moment a Gaussian keeps (count, sums, raw scatter) is
+// exact in whatever order it was accumulated. A test can then name the
+// moments a downdate leaves and check the factor against a refactor of
+// exactly those moments, bitwise.
+
+Matrix IntegerRows(std::size_t n, std::size_t d, Rng* rng) {
+  Matrix m(n, d);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < d; ++j) {
+      m(i, j) = static_cast<double>(rng->UniformInt(9)) - 4.0;
+    }
+  }
+  return m;
+}
+
+// The factor RefreshRidge builds from the exact moments of rows [r0, r1),
+// in its element order: cov = (scatter - sum sum^T / w + ridge I) / w.
+Matrix RidgeRefactor(const Matrix& rows, std::size_t r0, std::size_t r1,
+                     double ridge, std::vector<double>* mean) {
+  const std::size_t d = rows.cols();
+  const double w = static_cast<double>(r1 - r0);
+  std::vector<double> sum(d, 0.0);
+  Matrix scatter(d, d);
+  for (std::size_t i = r0; i < r1; ++i) {
+    for (std::size_t a = 0; a < d; ++a) {
+      sum[a] += rows(i, a);
+      for (std::size_t b = 0; b < d; ++b) {
+        scatter(a, b) += rows(i, a) * rows(i, b);
+      }
+    }
+  }
+  mean->resize(d);
+  for (std::size_t j = 0; j < d; ++j) (*mean)[j] = sum[j] / w;
+  Matrix cov(d, d);
+  for (std::size_t a = 0; a < d; ++a) {
+    for (std::size_t b = 0; b <= a; ++b) {
+      double m = scatter(a, b) - sum[a] * sum[b] / w;
+      if (a == b) m += ridge;
+      cov(a, b) = m / w;
+      cov(b, a) = cov(a, b);
+    }
+  }
+  Matrix factor;
+  EXPECT_TRUE(CholeskyInto(cov, &factor).ok());
+  return factor;
+}
+
+// Probes whose Mahalanobis squares, with the log-determinant, read every
+// entry of a factor.
+std::vector<std::vector<double>> FactorProbes(std::size_t d) {
+  std::vector<std::vector<double>> probes;
+  for (std::size_t k = 0; k <= d; ++k) {
+    std::vector<double> z(d);
+    for (std::size_t j = 0; j < d; ++j) {
+      z[j] = (j == k ? 2.5 : 0.0) + 0.25 * static_cast<double>(j + 1);
+    }
+    probes.push_back(z);
+  }
+  return probes;
+}
+
+// `g` holds `factor` and `mean`, bitwise: Gaussian::MahalanobisSquared
+// solves L y = z - mean and sums y^2 in ascending order.
+void ExpectFactorBits(const Gaussian& g, const Matrix& factor,
+                      const std::vector<double>& mean) {
+  const std::size_t d = mean.size();
+  ASSERT_EQ(d, g.dim());
+  EXPECT_EQ(Bits(LogDetFromCholesky(factor)), Bits(g.log_det()));
+  for (std::size_t j = 0; j < d; ++j) {
+    EXPECT_EQ(Bits(mean[j]), Bits(g.mean()[j])) << "mean " << j;
+  }
+  for (const std::vector<double>& z : FactorProbes(d)) {
+    std::vector<double> centered(d);
+    for (std::size_t j = 0; j < d; ++j) centered[j] = z[j] - mean[j];
+    double maha = 0.0;
+    for (double y : ForwardSolve(factor, centered)) maha += y * y;
+    EXPECT_EQ(Bits(maha), Bits(g.MahalanobisSquared(z)));
+  }
+}
+
+std::uint64_t FallbackRefactors() {
+  return TelemetryCounterValue("density.downdate_fallback_refactors");
+}
+
+// Site 1, legacy mode: shrinkage cannot be maintained rank-1, so every
+// downdate subtracts the row from the moments and refactors. The result
+// must be the refactor UpdateOne performs on the same seven rows.
+TEST(GaussianDowndateFallbackTest, LegacyModeRefactorsFromMoments) {
+  Telemetry::Enable()->Reset();
+  Rng rng(211);
+  const std::size_t d = 3;
+  const Matrix rows = IntegerRows(8, d, &rng);
+  const CovarianceConfig legacy;
+  Result<Gaussian> downdated = Gaussian::Fit(rows, legacy);
+  ASSERT_TRUE(downdated.ok());
+  ASSERT_TRUE(downdated.value().DowndateOne(rows.row_data(0), legacy).ok());
+  EXPECT_EQ(1u, FallbackRefactors());
+
+  Result<Gaussian> folded = Gaussian::Fit(RowRange(rows, 1, 5), legacy);
+  ASSERT_TRUE(folded.ok());
+  for (std::size_t i = 5; i < 8; ++i) {
+    ASSERT_TRUE(folded.value().UpdateOne(rows.row_data(i), legacy).ok());
+  }
+  EXPECT_EQ(folded.value().count(), downdated.value().count());
+  EXPECT_EQ(Bits(folded.value().log_det()),
+            Bits(downdated.value().log_det()));
+  EXPECT_EQ(folded.value().mean(), downdated.value().mean());
+  for (const std::vector<double>& z : FactorProbes(d)) {
+    EXPECT_EQ(Bits(folded.value().MahalanobisSquared(z)),
+              Bits(downdated.value().MahalanobisSquared(z)));
+  }
+  Telemetry::Enable()->Reset();
+  Telemetry::Disable();
+}
+
+// Site 2, forgetting mode: a downdate that leaves less than d + 1
+// effective samples refactors before the guard is even computed.
+TEST(GaussianDowndateFallbackTest, WeightBelowDimPlusOneRefactors) {
+  Telemetry::Enable()->Reset();
+  Rng rng(212);
+  const std::size_t d = 4;
+  const Matrix rows = IntegerRows(4, d, &rng);
+  const CovarianceConfig config = Forgetting();
+  Result<Gaussian> g = Gaussian::Fit(rows, config);
+  ASSERT_TRUE(g.ok());
+  ASSERT_TRUE(g.value().DowndateOne(rows.row_data(0), config).ok());
+  EXPECT_EQ(1u, FallbackRefactors());
+  EXPECT_DOUBLE_EQ(3.0, g.value().weight());
+
+  std::vector<double> mean;
+  const Matrix factor = RidgeRefactor(rows, 1, 4, config.ridge, &mean);
+  ExpectFactorBits(g.value(), factor, mean);
+  Telemetry::Enable()->Reset();
+  Telemetry::Disable();
+}
+
+// Site 3, forgetting mode: the guard trips although seven samples remain.
+// The evicted row is the only one with a non-zero last coordinate, so
+// without it that coordinate's variance is ridge / w alone; with a tiny
+// ridge the downdated covariance sits within 1e-8 of singular and the
+// rank-1 sweep is refused.
+TEST(GaussianDowndateFallbackTest, GuardTripRefactors) {
+  Telemetry::Enable()->Reset();
+  Rng rng(213);
+  const std::size_t d = 4;
+  Matrix rows = IntegerRows(8, d, &rng);
+  for (std::size_t i = 0; i < 8; ++i) rows(i, d - 1) = i == 0 ? 3.0 : 0.0;
+  CovarianceConfig config = Forgetting();
+  config.ridge = 1e-12;
+  Result<Gaussian> g = Gaussian::Fit(rows, config);
+  ASSERT_TRUE(g.ok());
+  ASSERT_TRUE(g.value().DowndateOne(rows.row_data(0), config).ok());
+  EXPECT_EQ(1u, FallbackRefactors());
+  EXPECT_DOUBLE_EQ(7.0, g.value().weight());  // above d + 1: not site 2
+
+  std::vector<double> mean;
+  const Matrix factor = RidgeRefactor(rows, 1, 8, config.ridge, &mean);
+  ExpectFactorBits(g.value(), factor, mean);
   Telemetry::Enable()->Reset();
   Telemetry::Disable();
 }

@@ -750,6 +750,94 @@ TEST(TrainerTest, RejectsBadHyperparameters) {
   EXPECT_FALSE(TrainClassifier(&model, pool, tconfig, &rng).ok());
 }
 
+// A legal but divergent learning rate must come back as a Status with the
+// weights of entry, bitwise, not abort a DCHECK build in the loss or train
+// a release build to non-finite weights. Meaningful in trees built with
+// FACTION_FORCE_DCHECKS (the asan preset), where the finite-loss and
+// spectral-norm DCHECKs are live. Covers the plain MLP, whose logits blow
+// up, and the spectral-normalized one, whose bounded effective weight
+// keeps the logits small while the raw weights overflow; 1e150 leaves
+// astronomically large but finite values along the way.
+TEST(TrainerTest, DivergenceRestoresEntryWeights) {
+  const Dataset pool = TrainerPool(120, 39);
+  struct Case {
+    double learning_rate;
+    bool spectral;
+  };
+  for (const Case c : {Case{1e300, false}, Case{1e300, true},
+                       Case{1e150, false}, Case{1e150, true}}) {
+    SCOPED_TRACE(testing::Message() << "learning rate " << c.learning_rate
+                                    << ", spectral " << c.spectral);
+    Rng rng(23);
+    MlpConfig mconfig;
+    mconfig.input_dim = 8;
+    mconfig.hidden_dims = {16, 8};
+    mconfig.spectral.enabled = c.spectral;
+    MlpClassifier model(mconfig, &rng);
+    std::vector<std::vector<double>> before;
+    for (const Matrix* p : model.Parameters()) {
+      before.emplace_back(p->data(), p->data() + p->size());
+    }
+    TrainConfig tconfig;
+    tconfig.learning_rate = c.learning_rate;
+    Workspace workspace;
+    Rng train_rng(24);
+    const Result<TrainReport> report =
+        TrainClassifier(&model, pool, tconfig, &train_rng, &workspace);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(StatusCode::kNumericalError, report.status().code());
+    const std::vector<const Matrix*> after =
+        static_cast<const MlpClassifier&>(model).Parameters();
+    ASSERT_EQ(before.size(), after.size());
+    for (std::size_t i = 0; i < after.size(); ++i) {
+      ASSERT_EQ(before[i].size(), after[i]->size());
+      for (std::size_t j = 0; j < before[i].size(); ++j) {
+        EXPECT_TRUE(SameBits(before[i][j], after[i]->data()[j]))
+            << "parameter " << i << "[" << j << "]";
+      }
+    }
+  }
+}
+
+// Finite logits can still overflow the loss: +-1e308 put the two classes
+// 2e308 apart, and the log-sum-exp of the lower one is -infinity. The
+// range check on the logits must catch them before the loss reads them,
+// at the first step, and return a Status with the weights untouched.
+TEST(TrainerTest, LogitsBeyondLossRangeReturnStatus) {
+  Dataset pool(2);
+  for (int i = 0; i < 16; ++i) {
+    Example ex;
+    ex.x = {1e308, 0.0};
+    ex.label = i % 2;
+    ex.sensitive = i % 4 < 2 ? 1 : -1;
+    ASSERT_TRUE(pool.Append(ex).ok());
+  }
+  Rng rng(25);
+  MlpConfig mconfig;
+  mconfig.input_dim = 2;
+  mconfig.hidden_dims = {};  // logits = x W^T + b
+  MlpClassifier model(mconfig, &rng);
+  const std::vector<Matrix*> params = model.Parameters();
+  for (Matrix* p : params) p->Fill(0.0);
+  (*params[0])(0, 0) = 1.0;
+  (*params[0])(1, 0) = -1.0;
+  std::vector<double> before;
+  for (const Matrix* p : params) {
+    before.insert(before.end(), p->data(), p->data() + p->size());
+  }
+  Rng train_rng(26);
+  const Result<TrainReport> report =
+      TrainClassifier(&model, pool, TrainConfig(), &train_rng);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(StatusCode::kNumericalError, report.status().code());
+  std::size_t k = 0;
+  for (const Matrix* p : params) {
+    for (std::size_t j = 0; j < p->size(); ++j, ++k) {
+      EXPECT_TRUE(SameBits(before[k], p->data()[j])) << "weight " << k;
+    }
+  }
+  EXPECT_EQ(before.size(), k);
+}
 
 // ------------------------------------------------------ fused loss parity
 

@@ -5,6 +5,7 @@
 // query decisions, model parameters, and metrics to running each stream
 // alone.
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <thread>
@@ -13,6 +14,7 @@
 #include "gtest/gtest.h"
 
 #include "common/rng.h"
+#include "common/telemetry.h"
 #include "core/streaming_faction.h"
 #include "data/dataset.h"
 #include "serve/job_system.h"
@@ -194,6 +196,152 @@ TEST(JobSystem, DefaultAndRecycledHandlesReadDone) {
   EXPECT_TRUE(jobs.Done(second));
   jobs.WaitIdle();
   EXPECT_EQ(0u, jobs.InFlight());
+}
+
+// ---------------------------------------------------------------------------
+// JobSystem idle protocol: an idle worker spins on the work counter for a
+// bounded budget (50 us, job_system.cc) and then parks; submitters wake a
+// parked worker only through the sleeper count. These tests drive both
+// paths. They assert what ran, never how long anything took.
+
+void CountRun(void* ctx) {
+  static_cast<std::atomic<int>*>(ctx)->fetch_add(1,
+                                                 std::memory_order_seq_cst);
+}
+
+void BusyWaitMicros(int micros) {
+  const auto until = std::chrono::steady_clock::now() +
+                     std::chrono::microseconds(micros);
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+// Blocks until `count` workers have committed to parking since the last
+// telemetry reset (telemetry must be enabled).
+void AwaitParked(std::uint64_t count) {
+  while (TelemetryCounterValue("serve.workers.parked") < count) {
+    std::this_thread::yield();
+  }
+}
+
+struct CountedRun {
+  std::atomic<int> runs{0};
+  std::atomic<int>* total = nullptr;
+};
+
+void CountRunAndTotal(void* ctx) {
+  auto* run = static_cast<CountedRun*>(ctx);
+  run->runs.fetch_add(1, std::memory_order_seq_cst);
+  run->total->fetch_add(1, std::memory_order_seq_cst);
+}
+
+// An external thread submits single jobs with gaps of 0, about half the
+// spin budget, and about twice it: back-to-back jobs meet spinning or
+// busy workers, the short gaps end spins, the long gaps let workers park
+// so every submit races a park. The main thread then waits for the
+// workers alone to run every job (WaitIdle would run stranded jobs
+// itself): a lost wakeup strands a job and hangs the test. A double
+// hand-out would run a job twice.
+TEST(JobSystemIdle, SingleJobsAtSpinAndParkGapsRunExactlyOnce) {
+  constexpr int kJobs = 200;
+  for (int workers : {2, 4}) {
+    for (int gap_us : {0, 25, 100}) {
+      JobSystem::Options options;
+      options.workers = workers;
+      options.max_jobs = kJobs;
+      JobSystem jobs(options);
+      std::atomic<int> total{0};
+      std::vector<CountedRun> runs(kJobs);
+      for (CountedRun& run : runs) run.total = &total;
+      std::thread submitter([&] {
+        for (CountedRun& run : runs) {
+          jobs.Submit(&CountRunAndTotal, &run);
+          BusyWaitMicros(gap_us);
+        }
+      });
+      submitter.join();
+      while (total.load(std::memory_order_seq_cst) < kJobs) {
+        std::this_thread::yield();
+      }
+      jobs.WaitIdle();
+      EXPECT_EQ(0u, jobs.InFlight());
+      EXPECT_EQ(kJobs, total.load());
+      for (int i = 0; i < kJobs; ++i) {
+        EXPECT_EQ(1, runs[static_cast<std::size_t>(i)].runs.load())
+            << workers << " workers, gap " << gap_us << " us, job " << i;
+      }
+    }
+  }
+}
+
+// Destroying a job system must end its workers' spin (right after the
+// last job) as well as their park (once the budget ran out).
+TEST(JobSystemIdle, ShutdownEndsSpinAndPark) {
+  for (int round = 0; round < 20; ++round) {
+    JobSystem::Options options;
+    options.workers = 2;
+    JobSystem jobs(options);
+    std::atomic<int> runs{0};
+    jobs.Submit(&CountRun, &runs);
+    jobs.WaitIdle();
+    EXPECT_EQ(1, runs.load());
+  }  // destroyed while the workers spin
+  Telemetry::Enable()->Reset();
+  {
+    JobSystem::Options options;
+    options.workers = 2;
+    JobSystem jobs(options);
+    std::atomic<int> runs{0};
+    jobs.Submit(&CountRun, &runs);
+    jobs.WaitIdle();
+    AwaitParked(2);
+    EXPECT_EQ(1, runs.load());
+  }  // destroyed while both workers park
+  Telemetry::Enable()->Reset();
+  Telemetry::Disable();
+}
+
+struct StealProbe {
+  JobSystem* jobs = nullptr;
+  std::atomic<bool> child_ran{false};
+};
+
+// A job pushed onto a worker's own deque must still run when that worker
+// stays busy: a parked sibling is woken and steals it. The parent job
+// blocks until its child ran, so only a steal can run the child, and the
+// main thread does not help (WaitIdle would steal) until it has.
+TEST(JobSystemIdle, OwnDequeJobIsStolenByParkedSibling) {
+  Telemetry::Enable()->Reset();
+  {
+    JobSystem::Options options;
+    options.workers = 2;
+    JobSystem jobs(options);
+    AwaitParked(2);
+    StealProbe probe;
+    probe.jobs = &jobs;
+    jobs.Submit(
+        [](void* ctx) {
+          auto* p = static_cast<StealProbe*>(ctx);
+          p->jobs->Submit(
+              [](void* child) {
+                static_cast<StealProbe*>(child)->child_ran.store(
+                    true, std::memory_order_seq_cst);
+              },
+              p);
+          while (!p->child_ran.load(std::memory_order_seq_cst)) {
+            std::this_thread::yield();
+          }
+        },
+        &probe);
+    while (!probe.child_ran.load(std::memory_order_seq_cst)) {
+      std::this_thread::yield();
+    }
+    jobs.WaitIdle();
+    EXPECT_GE(TelemetryCounterValue("serve.jobs.stolen"), 1u);
+    EXPECT_EQ(0u, jobs.InFlight());
+  }
+  Telemetry::Enable()->Reset();
+  Telemetry::Disable();
 }
 
 // ---------------------------------------------------------------------------
