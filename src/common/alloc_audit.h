@@ -12,11 +12,11 @@
 // no-op returning zeros, so library code can deploy bans unconditionally.
 //
 // The counters are thread-local: a snapshot diff brackets exactly the work
-// the calling thread did, unperturbed by pool workers. ParallelFor bodies
-// run on other threads, so a steady-state gate asserts on the caller's
-// counters plus a ban that each worker inherits is *not* provided — hot
-// kernels are instead kept allocation-free by construction (thread-local
-// pack scratch, caller-owned arenas) and linted via `no-alloc-in-hot`.
+// the calling thread did. The dense kernels all run on the calling thread,
+// so a ban covers them; only Conv2d's chunks run on pool workers, which do
+// not inherit the caller's ban. Hot kernels are also kept allocation-free
+// by construction (thread-local pack scratch, caller-owned arenas) and
+// linted via `no-alloc-in-hot`.
 //
 // Interposition relies on the audit TU being linked into the binary: any
 // reference to a symbol below (e.g. the trace writer's AllocAuditMode()

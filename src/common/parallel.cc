@@ -10,12 +10,13 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/telemetry.h"
 
 namespace faction {
 
 namespace {
 
-// True while the current thread is executing a ParallelFor body (worker or
+// True while the current thread is executing a parallel body (worker or
 // caller); nested calls detect this and run serially inline.
 thread_local bool tl_inside_parallel = false;
 
@@ -187,15 +188,6 @@ class ThreadPool {
 
 }  // namespace
 
-ScopedForceSerialParallel::ScopedForceSerialParallel()
-    : prev_(tl_inside_parallel) {
-  tl_inside_parallel = true;
-}
-
-ScopedForceSerialParallel::~ScopedForceSerialParallel() {
-  tl_inside_parallel = prev_;
-}
-
 int ParallelThreadCount() { return ThreadPool::Instance().thread_count(); }
 
 void SetParallelThreadCount(int n) {
@@ -227,6 +219,7 @@ void ParallelForChunksErased(std::size_t begin, std::size_t end,
     }
     return;
   }
+  TelemetryCount("parallel.pool_regions");
   // Static partition: task `slot` owns a fixed contiguous run of chunks.
   // The region descriptor lives on the caller's stack; Run() blocks until
   // every slot retires, so borrowing it from workers is safe.

@@ -8,7 +8,10 @@
 // Deterministic parallel execution layer.
 //
 // A single persistent thread pool (no per-call thread spawns) backs
-// ParallelFor. The determinism contract:
+// ParallelForChunks. Its one client is Conv2d's per-sample forward and
+// backward (nn/conv.cc); every other kernel runs serially on the calling
+// thread, because at the shapes this library runs a pool region costs more
+// than it saves (DESIGN.md §9). The determinism contract:
 //
 //   * The index range is split into chunks of `grain` consecutive indices.
 //     The chunk layout depends ONLY on (begin, end, grain) — never on the
@@ -23,18 +26,14 @@
 // count, including the serial path. FACTION_NUM_THREADS configures the
 // worker count (default: hardware concurrency; 1 forces the serial path).
 //
-// Grain-size guidance: pick the smallest grain whose per-chunk work is
-// ~10us or more (a few thousand double ops). Too-small grains waste time on
-// chunk bookkeeping; too-large grains starve threads on short ranges.
+// Nested calls are safe: a call made from inside a parallel body runs
+// serially inline on the calling worker.
 //
-// Nested ParallelFor calls are safe: a call made from inside a parallel
-// body runs serially inline on the calling worker.
-//
-// The entry points are templates that type-erase the body into a plain
+// The entry point is a template that type-erases the body into a plain
 // function pointer + context pointer. Unlike std::function — whose
 // small-buffer optimisation tops out at two words on libstdc++ — this
 // never heap-allocates, no matter how much the body captures, which keeps
-// ParallelFor legal inside ScopedAllocationBan regions (alloc_audit.h).
+// a region legal inside ScopedAllocationBan regions (alloc_audit.h).
 
 namespace faction {
 
@@ -44,36 +43,14 @@ int ParallelThreadCount();
 
 /// Overrides the thread count at runtime and rebuilds the pool; used by
 /// tests and embedders. Values < 1 clamp to 1. Must not be called from
-/// inside a ParallelFor body.
+/// inside a parallel body.
 void SetParallelThreadCount(int n);
 
-/// Number of chunks ParallelFor will form for this range/grain. Callers
-/// sizing per-chunk partial buffers use this; it is independent of the
-/// thread count.
+/// Number of chunks ParallelForChunks will form for this range/grain.
+/// Callers sizing per-chunk partial buffers use this; it is independent of
+/// the thread count.
 std::size_t ParallelChunkCount(std::size_t begin, std::size_t end,
                                std::size_t grain);
-
-/// RAII guard forcing every ParallelFor issued by the current thread to run
-/// serially inline while the guard lives — the same code path a nested
-/// ParallelFor takes. The serve job system (src/serve) wraps each job in
-/// one: its workers multiplex many independent sessions, so intra-kernel
-/// parallelism would only serialize on the single process-wide pool, and
-/// the inline path keeps job execution allocation-free (the pool spawns
-/// its workers lazily on first use). Results are unchanged by construction:
-/// the determinism contract above makes every parallel result bitwise
-/// identical to the serial path. Guards nest.
-class ScopedForceSerialParallel {
- public:
-  ScopedForceSerialParallel();
-  ~ScopedForceSerialParallel();
-
-  ScopedForceSerialParallel(const ScopedForceSerialParallel&) = delete;
-  ScopedForceSerialParallel& operator=(const ScopedForceSerialParallel&) =
-      delete;
-
- private:
-  bool prev_;
-};
 
 namespace internal {
 
@@ -84,9 +61,10 @@ using ErasedChunkBody = void (*)(const void* ctx, std::size_t chunk,
                                  std::size_t chunk_begin,
                                  std::size_t chunk_end);
 
-/// Allocation-free core of ParallelFor/ParallelForChunks. Splits
-/// [begin, end) into grain-sized chunks and runs them across the pool per
-/// the determinism contract. The first exception thrown by any chunk is
+/// Allocation-free core of ParallelForChunks. Splits [begin, end) into
+/// grain-sized chunks and runs them across the pool per the determinism
+/// contract; each region handed to the pool bumps the telemetry counter
+/// "parallel.pool_regions". The first exception thrown by any chunk is
 /// rethrown on the calling thread after all chunks retire.
 void ParallelForChunksErased(std::size_t begin, std::size_t end,
                              std::size_t grain, ErasedChunkBody body,
@@ -107,20 +85,6 @@ void ParallelForChunks(std::size_t begin, std::size_t end, std::size_t grain,
          std::size_t hi) {
         (*static_cast<const Body*>(ctx))(chunk, lo, hi);
       },
-      std::addressof(fn));
-}
-
-/// Runs fn(chunk_begin, chunk_end) over consecutive chunks of at most
-/// `grain` indices covering [begin, end). See the determinism contract
-/// above.
-template <typename Fn>
-void ParallelFor(std::size_t begin, std::size_t end, std::size_t grain,
-                 Fn&& fn) {
-  using Body = typename std::remove_reference<Fn>::type;
-  internal::ParallelForChunksErased(
-      begin, end, grain,
-      [](const void* ctx, std::size_t /*chunk*/, std::size_t lo,
-         std::size_t hi) { (*static_cast<const Body*>(ctx))(lo, hi); },
       std::addressof(fn));
 }
 

@@ -22,10 +22,11 @@ namespace faction {
 /// through the inline helpers below, whose disabled path is a single atomic
 /// pointer load plus a branch — no allocation, no lock. Instrumentation
 /// must never change results: sites only *observe* (the acquisition loop,
-/// training, density refits, drift detection, evaluation), and counters are
-/// only bumped from serial orchestration code, so their values are
-/// identical for any worker-thread count (the determinism contract the
-/// parallel layer already guarantees for numeric results).
+/// training, density refits, drift detection, evaluation). Counters are
+/// bumped from the calling thread, never from inside a pool region, so
+/// their values are identical for any worker-thread count. The one
+/// exception is "parallel.pool_regions" (common/parallel.cc), which counts
+/// the regions handed to the pool and so reads 0 at one thread.
 ///
 /// Counter names are dot-separated lowercase paths ("evaluator.tasks",
 /// "faction.density_full_refit"). Histograms observing wall-clock durations

@@ -29,9 +29,9 @@ namespace faction {
 ///    it. This is what makes reuse bitwise-deterministic: results depend
 ///    only on what the caller writes, never on what was left behind.
 ///  * A Workspace is single-threaded state. Never share one across
-///    concurrent ParallelFor workers; parallel kernels keep per-chunk
-///    scratch instead (e.g. Conv2d). Passing a Workspace down a serial
-///    call chain that internally runs parallel kernels is fine.
+///    threads; the one pooled kernel, Conv2d, keeps per-chunk scratch
+///    instead. Passing a Workspace down a call chain that internally runs
+///    Conv2d is fine.
 ///  * Distinct logical uses must use distinct names. Reusing a name for
 ///    two buffers that are live simultaneously is a correctness bug the
 ///    Workspace cannot detect.

@@ -7,7 +7,6 @@
 #include <limits>
 
 #include "common/check.h"
-#include "common/parallel.h"
 #include "stream/selection.h"
 #include "tensor/ops.h"
 
@@ -103,16 +102,12 @@ Status ComputeFactionScoresInto(const FairDensityEstimator& estimator,
   estimator.LogMarginalFromComponents(comp, log_density.data());
 
   if (fair_select) {
-    Matrix& terms = s->class_terms;
-    terms.ResizeForOverwrite(n, classes);
-    constexpr std::size_t kScoreGrain = 1024;
-    ParallelFor(0, n, kScoreGrain, [&](std::size_t i0, std::size_t i1) {
-      for (std::size_t i = i0; i < i1; ++i) {
-        log_unfair[i] = LogUnfairness(estimator, comp.row_data(i),
-                                      class_proba.row_data(i),
-                                      terms.row_data(i));
-      }
-    });
+    std::vector<double>& terms = s->class_terms;
+    terms.resize(classes);
+    for (std::size_t i = 0; i < n; ++i) {
+      log_unfair[i] = LogUnfairness(estimator, comp.row_data(i),
+                                    class_proba.row_data(i), terms.data());
+    }
   }
   for (std::size_t i = 0; i < n; ++i) {
     out[i].log_density = log_density[i];

@@ -40,7 +40,7 @@ struct FactionScore {
 /// capacity; never share one across concurrent callers.
 struct FactionScoreScratch {
   Matrix component_logpdf;
-  Matrix class_terms;
+  std::vector<double> class_terms;  ///< one row's terms, reused per row
   std::vector<double> log_density;
   std::vector<double> log_unfair;
   std::vector<double> density_norm;

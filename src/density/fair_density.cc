@@ -11,7 +11,6 @@
 
 #include "common/alloc_audit.h"
 #include "common/check.h"
-#include "common/parallel.h"
 #include "common/telemetry.h"
 
 namespace faction {
@@ -308,14 +307,9 @@ double FairDensityEstimator::LogMarginalFromRow(const double* row) const {
 void FairDensityEstimator::LogMarginalFromComponents(const Matrix& comp,
                                                      double* out) const {
   FACTION_CHECK_EQ(comp.cols(), components_.size());
-  const std::size_t n = comp.rows();
-  if (n == 0) return;
-  constexpr std::size_t kCombineGrain = 1024;
-  ParallelFor(0, n, kCombineGrain, [&](std::size_t i0, std::size_t i1) {
-    for (std::size_t i = i0; i < i1; ++i) {
-      out[i] = LogMarginalFromRow(comp.row_data(i));
-    }
-  });
+  for (std::size_t i = 0; i < comp.rows(); ++i) {
+    out[i] = LogMarginalFromRow(comp.row_data(i));
+  }
 }
 
 double FairDensityEstimator::LogDeltaG(const double* row, int label) const {

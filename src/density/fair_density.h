@@ -137,7 +137,7 @@ class FairDensityEstimator {
   /// (resized to zs.rows() x num_components()) with one
   /// ComponentLogPdfRow per sample. One blocked triangular solve per
   /// component for the whole batch; bitwise identical to per-sample
-  /// LogPdf calls for any thread count.
+  /// LogPdf calls.
   void ComponentLogPdfBatch(const Matrix& zs, Matrix* out) const;
 
   /// log g(z) = log sum_{y,s} g(z|y,s) p(y,s) (Eq. 3, log space) from a

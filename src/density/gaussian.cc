@@ -4,12 +4,12 @@
 // scalar convenience wrappers sit inside FACTION_COLD fences.
 #include "density/gaussian.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
-#include "common/parallel.h"
 #include "common/telemetry.h"
 #include "tensor/linalg.h"
 #include "tensor/simd.h"
@@ -497,19 +497,18 @@ void Gaussian::LogPdfBatch(const Matrix& zs, double* out) const {
   const std::size_t n = zs.rows();
   if (n == 0) return;
   const double base = static_cast<double>(d) * kLog2Pi + log_det_;
-  // Samples per block: bounds the dim-major scratch to ~d * 2KB while
-  // leaving enough blocks to parallelize a pool-sized batch.
+  // Samples per block: bounds the dim-major scratch to ~d * 2KB.
   constexpr std::size_t kBlock = 256;
   const SimdKernels& kern = ActiveSimd();
-  ParallelFor(0, n, kBlock, [&](std::size_t s0, std::size_t s1) {
-    const std::size_t width = s1 - s0;
-    // Dim-major scratch: y[j * width + t] belongs to sample s0 + t, so the
-    // inner solve loops stream contiguously over the block. Per-thread and
-    // capacity-retaining (the arena is single-threaded, so worker scratch
-    // cannot come from it): after the first block of a given shape the
-    // batch path allocates nothing.
-    static thread_local std::vector<double> y;  // lint-allow(no-alloc-in-hot): per-thread warmup only
-    y.resize(d * width);
+  // Dim-major scratch: y[j * width + t] belongs to sample s0 + t, so the
+  // inner solve loops stream contiguously over the block. Per-thread
+  // (serve workers score different sessions at once; a const method has
+  // no arena to draw from) and capacity-retaining: once it has grown to
+  // a full block the batch path allocates nothing.
+  static thread_local std::vector<double> y;  // lint-allow(no-alloc-in-hot): per-thread warmup only
+  y.resize(d * std::min(n, kBlock));
+  for (std::size_t s0 = 0; s0 < n; s0 += kBlock) {
+    const std::size_t width = std::min(n - s0, kBlock);
     for (std::size_t t = 0; t < width; ++t) {
       const double* zrow = zs.row_data(s0 + t);
       for (std::size_t j = 0; j < d; ++j) {
@@ -525,7 +524,7 @@ void Gaussian::LogPdfBatch(const Matrix& zs, double* out) const {
     // One finiteness sweep per block instead of one check per sample in
     // the hot accumulation loop.
     FACTION_DCHECK_FINITE_ALL(out + s0, width);
-  });
+  }
 }
 
 // FACTION_COLD_BEGIN: value-returning convenience wrapper.

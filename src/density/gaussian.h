@@ -118,8 +118,8 @@ class Gaussian {
   /// Batched LogPdf over the rows of `zs` (n x dim()): one blocked
   /// triangular solve against the cached Cholesky factor per sample block
   /// instead of n per-sample solves with per-call temporaries. Follows the
-  /// exact per-sample operation order of LogPdf, runs in parallel over
-  /// sample blocks, and is bitwise deterministic for any thread count.
+  /// exact per-sample operation order of LogPdf, so each value is bitwise
+  /// equal to LogPdf's.
   /// Writes zs.rows() values into `out`.
   void LogPdfBatch(const Matrix& zs, double* out) const;
 

@@ -3,22 +3,12 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "common/parallel.h"
 #include "common/workspace.h"
 
 #include "tensor/ops.h"
 #include "tensor/simd.h"
 
 namespace faction {
-
-namespace {
-
-// Rows per parallel chunk in the fused loss. Chunk layout depends only on
-// this constant and the batch size, never the thread count (determinism
-// contract of common/parallel.h).
-constexpr std::size_t kLossRowGrain = 64;
-
-}  // namespace
 
 double SoftmaxCrossEntropy(const Matrix& logits,
                            const std::vector<int>& labels, Matrix* dlogits) {
@@ -49,53 +39,42 @@ double SoftmaxCrossEntropy(const Matrix& logits,
 
 double FusedSoftmaxCrossEntropy(const Matrix& logits,
                                 const std::vector<int>& labels,
-                                Matrix* dlogits,
-                                std::vector<double>* row_loss_scratch) {
+                                Matrix* dlogits) {
   FACTION_CHECK(dlogits != nullptr);
   FACTION_CHECK_LEN(labels, logits.rows());
   const std::size_t n = logits.rows();
   const std::size_t c = logits.cols();
   const double batch_n = static_cast<double>(n);
-  std::vector<double> local_scratch;
-  std::vector<double>* row_loss =
-      row_loss_scratch != nullptr ? row_loss_scratch : &local_scratch;
-  row_loss->resize(n);
   dlogits->ResizeForOverwrite(n, c);
-  double* row_loss_p = row_loss->data();
   // One pass per row: max, stable log-sum-exp, then gradient written
   // straight into dlogits. Every double matches the two-pass reference:
   // lse = mx + log(sum exp(r[j]-mx)) with the same ascending-j sum, the
   // gradient is exp(r[j]-lse) — the same value LogSoftmaxRows would have
-  // materialized — and the per-row loss is -(r[y]-lse).
+  // materialized — and the per-row loss is -(r[y]-lse), subtracted in
+  // ascending row order as the reference's `loss -= logp(i, y)` loop does.
   // The SIMD row_max may pick the other sign when +0.0 and -0.0 tie for
   // the row maximum; exp(x - mx) and mx + log(sum) are bitwise invariant
   // to that sign flip (DESIGN.md §12), so the results stay identical. The
   // vectorized divide performs the same one rounded division per element.
   const SimdKernels& kern = ActiveSimd();
-  ParallelFor(0, n, kLossRowGrain, [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t i = r0; i < r1; ++i) {
-      const int y = labels[i];
-      FACTION_CHECK_GE(y, 0);
-      FACTION_CHECK_LT(static_cast<std::size_t>(y), c);
-      const double* lrow = logits.row_data(i);
-      double* drow = dlogits->row_data(i);
-      const double mx = kern.row_max(lrow, c);
-      double sum = 0.0;
-      for (std::size_t j = 0; j < c; ++j) sum += std::exp(lrow[j] - mx);
-      const double lse = mx + std::log(sum);
-      row_loss_p[i] = lrow[static_cast<std::size_t>(y)] - lse;
-      for (std::size_t j = 0; j < c; ++j) {
-        drow[j] = std::exp(lrow[j] - lse);
-      }
-      drow[static_cast<std::size_t>(y)] -= 1.0;
-      kern.divide(drow, c, batch_n);
-    }
-  });
-  // Serial reduction in ascending row order — the same association the
-  // reference's `loss -= logp(i, y)` loop uses, so the total is bitwise
-  // stable across thread counts and equal to the two-pass path.
   double loss = 0.0;
-  for (std::size_t i = 0; i < n; ++i) loss -= row_loss_p[i];
+  for (std::size_t i = 0; i < n; ++i) {
+    const int y = labels[i];
+    FACTION_CHECK_GE(y, 0);
+    FACTION_CHECK_LT(static_cast<std::size_t>(y), c);
+    const double* lrow = logits.row_data(i);
+    double* drow = dlogits->row_data(i);
+    const double mx = kern.row_max(lrow, c);
+    double sum = 0.0;
+    for (std::size_t j = 0; j < c; ++j) sum += std::exp(lrow[j] - mx);
+    const double lse = mx + std::log(sum);
+    loss -= lrow[static_cast<std::size_t>(y)] - lse;
+    for (std::size_t j = 0; j < c; ++j) {
+      drow[j] = std::exp(lrow[j] - lse);
+    }
+    drow[static_cast<std::size_t>(y)] -= 1.0;
+    kern.divide(drow, c, batch_n);
+  }
   const double mean_loss = loss / static_cast<double>(n);
   FACTION_DCHECK_FINITE(mean_loss);
   FACTION_DCHECK_FINITE_ALL(dlogits->data(), dlogits->size());

@@ -22,17 +22,13 @@ double SoftmaxCrossEntropy(const Matrix& logits, const std::vector<int>& labels,
                            Matrix* dlogits);
 
 /// Fused log-softmax + cross-entropy + gradient in one pass over the batch:
-/// no intermediate log-probability matrix is materialized; per-row losses
-/// land in *row_loss_scratch (optional, resized; pass a Workspace buffer to
-/// make the call allocation-free) and are reduced serially in row order, so
-/// the loss is bitwise identical to the reference for any thread count.
-/// Per-element numerics replicate SoftmaxCrossEntropy exactly: gradient and
-/// loss are bitwise equal to the two-pass path.
+/// no intermediate log-probability matrix is materialized, and nothing is
+/// allocated once *dlogits has its capacity. Per-element numerics and the
+/// row order of the loss sum replicate SoftmaxCrossEntropy exactly:
+/// gradient and loss are bitwise equal to the two-pass path.
 double FusedSoftmaxCrossEntropy(const Matrix& logits,
                                 const std::vector<int>& labels,
-                                Matrix* dlogits,
-                                std::vector<double>* row_loss_scratch =
-                                    nullptr);
+                                Matrix* dlogits);
 
 /// Configuration of the fairness regularizer of Eqs. 8-9:
 ///   L_total = L_CE + mu * (L_fair - epsilon),  L_fair = [v(D, theta)]_+.

@@ -72,8 +72,6 @@ Result<TrainReport> TrainClassifier(FeatureClassifier* model,
                                     model->num_classes());
   std::vector<int>* y = arena.IntsFor("trainer.y", max_bs);
   std::vector<int>* s = arena.IntsFor("trainer.s", max_bs);
-  std::vector<double>* row_loss = arena.DoublesFor("trainer.row_loss",
-                                                   max_bs);
   std::vector<std::size_t>* order = arena.SizesFor("trainer.order", n);
   // Divergence guard: the weights at entry, restored when a step's logits
   // or updated weights leave the range of InRangeBits (an over-large
@@ -124,8 +122,7 @@ Result<TrainReport> TrainClassifier(FeatureClassifier* model,
       if (!AllInRange(logits->data(), logits->size())) {
         return diverged("logits");
       }
-      const double ce = FusedSoftmaxCrossEntropy(*logits, *y, dlogits,
-                                                 row_loss);
+      const double ce = FusedSoftmaxCrossEntropy(*logits, *y, dlogits);
       double penalty = 0.0;
       if (config.use_fairness_penalty) {
         const Result<double> pen = AddFairnessPenalty(

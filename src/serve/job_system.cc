@@ -7,7 +7,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/parallel.h"
 #include "common/telemetry.h"
 #include "common/timer.h"
 
@@ -256,13 +255,7 @@ void JobSystem::Enqueue(std::uint32_t index) {
 
 void JobSystem::Execute(std::uint32_t index) {
   Job& job = jobs_[index];
-  {
-    // Serve workers multiplex many sessions; intra-kernel ParallelFor
-    // would serialize on the process-wide pool, so force the (bitwise
-    // identical) serial path for the job body.
-    ScopedForceSerialParallel serial;
-    job.fn(job.ctx);
-  }
+  job.fn(job.ctx);
   TelemetryCount("serve.jobs.executed", 1);
   job.done.store(true, std::memory_order_seq_cst);
   Release(index);

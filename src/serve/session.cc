@@ -49,8 +49,14 @@ void ServeSession::Step(const Arrival& arrival, const Timer* clock) {
   const Result<bool> query = faction_.ShouldQuery(arrival.example);
   FACTION_CHECK(query.ok());
   if (query.value()) {
+    // A refit whose training diverged has already restored the weights it
+    // started from: count it and keep serving the last good model. The
+    // label stays in the pool, so the next label retries the refit.
     const Status fold = faction_.ProvideLabel(arrival.example);
-    FACTION_CHECK(fold.ok());
+    if (!fold.ok()) {
+      FACTION_CHECK(fold.code() == StatusCode::kNumericalError);
+      TelemetryCount("serve.refit_failures");
+    }
   }
   if (decisions_.capacity() > 0) {
     // reserve() ran in the constructor, so this push_back never

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/parallel.h"
 #include "common/telemetry.h"
 #include "tensor/simd.h"
 
@@ -18,14 +17,7 @@ namespace faction {
 
 namespace {
 
-// Parallel grain sizes. Chunk layout depends only on these constants and
-// the problem shape — never on the thread count — which is what keeps every
-// op bitwise deterministic across thread counts (see common/parallel.h).
-constexpr std::size_t kGemmRowGrain = 8;   // output rows per chunk
-constexpr std::size_t kGemmKBlock = 64;    // k panel kept hot across rows
-constexpr std::size_t kRowGrain = 64;      // rows per chunk, rowwise ops
-constexpr std::size_t kColGrain = 64;      // cols per chunk, columnwise ops
-constexpr std::size_t kElemGrain = 1 << 14;  // flat elements per chunk
+constexpr std::size_t kGemmKBlock = 64;  // k panel kept hot across rows
 constexpr std::size_t kTransposeTile = 32;
 
 // The *Into ops hand out caller-owned buffers; writing through an aliased
@@ -36,9 +28,9 @@ inline void CheckNoAlias(const Matrix& in, const Matrix* out) {
 }
 
 // Per-thread panel-packing scratch for the SIMD GEMM entry points. The
-// buffer keeps its capacity, so steady-state GEMMs allocate nothing. The
-// pool workers never touch it — only the calling thread packs; workers
-// read the packed panels through a plain pointer.
+// buffer keeps its capacity, so steady-state GEMMs allocate nothing;
+// per-thread because serve workers run GEMMs for different sessions at
+// once.
 std::vector<double>& PackScratch() {
   static thread_local std::vector<double> scratch;  // lint-allow(no-alloc-in-hot): per-thread warmup only
   return scratch;
@@ -110,10 +102,7 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out,
   TelemetryObserve("simd.gemm_flops",
                    2.0 * static_cast<double>(a.rows()) *
                        static_cast<double>(nn) * static_cast<double>(kk));
-  ParallelFor(0, a.rows(), kGemmRowGrain,
-              [&, bpp](std::size_t r0, std::size_t r1) {
-    kern.matmul_rows(a.data(), bpp, out->data(), r0, r1, nn, kk, low);
-  });
+  kern.matmul_rows(a.data(), bpp, out->data(), 0, a.rows(), nn, kk, low);
 }
 
 void ReferenceMatMulInto(const Matrix& a, const Matrix& b, Matrix* out) {
@@ -123,41 +112,35 @@ void ReferenceMatMulInto(const Matrix& a, const Matrix& b, Matrix* out) {
   out->Resize(a.rows(), b.cols());  // kernel accumulates: needs zeros
   const std::size_t kk = a.cols();
   const std::size_t nn = b.cols();
-  // Cache-blocked ikj kernel, parallel over row panels: each output row is
-  // produced by exactly one chunk, and the k accumulation order is fixed by
-  // the block size and the 4-wide unroll, so the result is identical for
-  // any thread count. The inner loop is a dense 4-row axpy — no zero-skip
-  // branch (it mispredicts on dense data).
-  ParallelFor(0, a.rows(), kGemmRowGrain,
-              [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t k0 = 0; k0 < kk; k0 += kGemmKBlock) {
-      const std::size_t k1 = std::min(kk, k0 + kGemmKBlock);
-      for (std::size_t i = r0; i < r1; ++i) {
-        const double* arow = a.row_data(i);
-        double* orow = out->row_data(i);
-        std::size_t k = k0;
-        for (; k + 4 <= k1; k += 4) {
-          const double a0 = arow[k];
-          const double a1 = arow[k + 1];
-          const double a2 = arow[k + 2];
-          const double a3 = arow[k + 3];
-          const double* b0 = b.row_data(k);
-          const double* b1 = b.row_data(k + 1);
-          const double* b2 = b.row_data(k + 2);
-          const double* b3 = b.row_data(k + 3);
-          for (std::size_t j = 0; j < nn; ++j) {
-            orow[j] +=
-                (a0 * b0[j] + a1 * b1[j]) + (a2 * b2[j] + a3 * b3[j]);
-          }
-        }
-        for (; k < k1; ++k) {
-          const double ak = arow[k];
-          const double* brow = b.row_data(k);
-          for (std::size_t j = 0; j < nn; ++j) orow[j] += ak * brow[j];
+  // Cache-blocked ikj kernel: the k accumulation order is fixed by the
+  // block size and the 4-wide unroll. The inner loop is a dense 4-row
+  // axpy — no zero-skip branch (it mispredicts on dense data).
+  for (std::size_t k0 = 0; k0 < kk; k0 += kGemmKBlock) {
+    const std::size_t k1 = std::min(kk, k0 + kGemmKBlock);
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+      const double* arow = a.row_data(i);
+      double* orow = out->row_data(i);
+      std::size_t k = k0;
+      for (; k + 4 <= k1; k += 4) {
+        const double a0 = arow[k];
+        const double a1 = arow[k + 1];
+        const double a2 = arow[k + 2];
+        const double a3 = arow[k + 3];
+        const double* b0 = b.row_data(k);
+        const double* b1 = b.row_data(k + 1);
+        const double* b2 = b.row_data(k + 2);
+        const double* b3 = b.row_data(k + 3);
+        for (std::size_t j = 0; j < nn; ++j) {
+          orow[j] += (a0 * b0[j] + a1 * b1[j]) + (a2 * b2[j] + a3 * b3[j]);
         }
       }
+      for (; k < k1; ++k) {
+        const double ak = arow[k];
+        const double* brow = b.row_data(k);
+        for (std::size_t j = 0; j < nn; ++j) orow[j] += ak * brow[j];
+      }
     }
-  });
+  }
 }
 
 Matrix MatMulBt(const Matrix& a, const Matrix& b) {
@@ -181,20 +164,14 @@ void MatMulBtInto(const Matrix& a, const Matrix& b, Matrix* out,
   if (bn <= kern.narrow_max) {
     // b is read in place: nothing to pack.
     TelemetryCount("simd.gemm_calls");
-    ParallelFor(0, a.rows(), kGemmRowGrain,
-                [&](std::size_t r0, std::size_t r1) {
-      kern.matmul_bt_narrow_rows(a.data(), b.data(), out->data(), r0, r1,
-                                 bn, kk, low);
-    });
+    kern.matmul_bt_narrow_rows(a.data(), b.data(), out->data(), 0, a.rows(),
+                               bn, kk, low);
     return;
   }
   const double* bpp = PackForGemm(kern, kk, bn, [&](double* bp) {
     kern.pack_bt(b.data(), bn, kk, bp);
   });
-  ParallelFor(0, a.rows(), kGemmRowGrain,
-              [&, bpp](std::size_t r0, std::size_t r1) {
-    kern.matmul_bt_rows(a.data(), bpp, out->data(), r0, r1, bn, kk, low);
-  });
+  kern.matmul_bt_rows(a.data(), bpp, out->data(), 0, a.rows(), bn, kk, low);
 }
 
 void ReferenceMatMulBtInto(const Matrix& a, const Matrix& b, Matrix* out) {
@@ -203,28 +180,25 @@ void ReferenceMatMulBtInto(const Matrix& a, const Matrix& b, Matrix* out) {
   CheckNoAlias(b, out);
   out->ResizeForOverwrite(a.rows(), b.rows());  // every element assigned
   const std::size_t kk = a.cols();
-  ParallelFor(0, a.rows(), kGemmRowGrain,
-              [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t i = r0; i < r1; ++i) {
-      const double* arow = a.row_data(i);
-      double* orow = out->row_data(i);
-      for (std::size_t j = 0; j < b.rows(); ++j) {
-        const double* brow = b.row_data(j);
-        // Four partial dot products combined in a fixed order.
-        double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-        std::size_t k = 0;
-        for (; k + 4 <= kk; k += 4) {
-          s0 += arow[k] * brow[k];
-          s1 += arow[k + 1] * brow[k + 1];
-          s2 += arow[k + 2] * brow[k + 2];
-          s3 += arow[k + 3] * brow[k + 3];
-        }
-        double acc = (s0 + s1) + (s2 + s3);
-        for (; k < kk; ++k) acc += arow[k] * brow[k];
-        orow[j] = acc;
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    const double* arow = a.row_data(i);
+    double* orow = out->row_data(i);
+    for (std::size_t j = 0; j < b.rows(); ++j) {
+      const double* brow = b.row_data(j);
+      // Four partial dot products combined in a fixed order.
+      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+      std::size_t k = 0;
+      for (; k + 4 <= kk; k += 4) {
+        s0 += arow[k] * brow[k];
+        s1 += arow[k + 1] * brow[k + 1];
+        s2 += arow[k + 2] * brow[k + 2];
+        s3 += arow[k + 3] * brow[k + 3];
       }
+      double acc = (s0 + s1) + (s2 + s3);
+      for (; k < kk; ++k) acc += arow[k] * brow[k];
+      orow[j] = acc;
     }
-  });
+  }
 }
 
 Matrix MatMulAt(const Matrix& a, const Matrix& b) {
@@ -250,11 +224,8 @@ void MatMulAtWithEpilogue(const Matrix& a, const Matrix& b,
   const double* bpp = PackForGemm(kern, mm, nn, [&](double* bp) {
     kern.pack_b(b.data(), mm, nn, bp);
   });
-  ParallelFor(0, a.cols(), kGemmRowGrain,
-              [&, bpp](std::size_t c0, std::size_t c1) {
-    kern.matmul_at_cols(a.data(), a.cols(), bpp, out->data(), mm, nn, c0,
-                        c1, ep);
-  });
+  kern.matmul_at_cols(a.data(), a.cols(), bpp, out->data(), mm, nn, 0,
+                      a.cols(), ep);
 }
 
 }  // namespace
@@ -287,22 +258,17 @@ void ReferenceMatMulAtInto(const Matrix& a, const Matrix& b, Matrix* out) {
   out->Resize(a.cols(), b.cols());  // kernel accumulates: needs zeros
   const std::size_t mm = a.rows();
   const std::size_t nn = b.cols();
-  // Parallel over panels of output rows (= columns of a). Within a panel k
-  // runs over the shared dimension with the panel of `out` as the in-cache
-  // accumulator tile; every out element sees the same ascending-k order as
-  // the serial kernel. Dense inner loop, no zero-skip branch.
-  ParallelFor(0, a.cols(), kGemmRowGrain,
-              [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t k = 0; k < mm; ++k) {
-      const double* arow = a.row_data(k);
-      const double* brow = b.row_data(k);
-      for (std::size_t i = r0; i < r1; ++i) {
-        const double aki = arow[i];
-        double* orow = out->row_data(i);
-        for (std::size_t j = 0; j < nn; ++j) orow[j] += aki * brow[j];
-      }
+  // Every out element sees one mul-add per ascending k. Dense inner loop,
+  // no zero-skip branch.
+  for (std::size_t k = 0; k < mm; ++k) {
+    const double* arow = a.row_data(k);
+    const double* brow = b.row_data(k);
+    for (std::size_t i = 0; i < a.cols(); ++i) {
+      const double aki = arow[i];
+      double* orow = out->row_data(i);
+      for (std::size_t j = 0; j < nn; ++j) orow[j] += aki * brow[j];
     }
-  });
+  }
 }
 
 Matrix Transpose(const Matrix& m) {
@@ -316,11 +282,11 @@ void TransposeInto(const Matrix& m, Matrix* out) {
   out->ResizeForOverwrite(m.cols(), m.rows());
   const std::size_t rows = m.rows();
   double* dst = out->data();
-  // Tiled transpose, parallel over output row panels. Raw row-pointer
-  // writes: the per-element bounds DCHECKs of operator() are hoisted into
-  // the shape setup above.
-  ParallelFor(0, m.cols(), kTransposeTile,
-              [&](std::size_t c0, std::size_t c1) {
+  // Tiled transpose over output row panels. Raw row-pointer writes: the
+  // per-element bounds DCHECKs of operator() are hoisted into the shape
+  // setup above.
+  for (std::size_t c0 = 0; c0 < m.cols(); c0 += kTransposeTile) {
+    const std::size_t c1 = std::min(m.cols(), c0 + kTransposeTile);
     for (std::size_t i0 = 0; i0 < rows; i0 += kTransposeTile) {
       const std::size_t i1 = std::min(rows, i0 + kTransposeTile);
       for (std::size_t i = i0; i < i1; ++i) {
@@ -328,7 +294,7 @@ void TransposeInto(const Matrix& m, Matrix* out) {
         for (std::size_t j = c0; j < c1; ++j) dst[j * rows + i] = row[j];
       }
     }
-  });
+  }
 }
 
 Matrix Add(const Matrix& a, const Matrix& b) {
@@ -336,20 +302,14 @@ Matrix Add(const Matrix& a, const Matrix& b) {
   Matrix out = a;
   double* dst = out.data();
   const double* src = b.data();
-  ParallelFor(0, out.size(), kElemGrain,
-              [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) dst[i] += src[i];
-  });
+  for (std::size_t i = 0; i < out.size(); ++i) dst[i] += src[i];
   return out;
 }
 
 Matrix Scale(const Matrix& m, double s) {
   Matrix out = m;
   double* dst = out.data();
-  ParallelFor(0, out.size(), kElemGrain,
-              [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) dst[i] *= s;
-  });
+  for (std::size_t i = 0; i < out.size(); ++i) dst[i] *= s;
   return out;
 }
 
@@ -363,16 +323,12 @@ std::vector<double> ColSums(const Matrix& m) {
 
 void ColSumsInto(const Matrix& m, std::vector<double>* out) {
   out->assign(m.cols(), 0.0);
-  // Parallel over column panels: each column's sum is accumulated by one
-  // chunk in ascending row order, exactly as the serial loop did.
+  // Each column's sum accumulates in ascending row order.
   double* sums = out->data();
-  ParallelFor(0, m.cols(), kColGrain,
-              [&](std::size_t c0, std::size_t c1) {
-    for (std::size_t i = 0; i < m.rows(); ++i) {
-      const double* r = m.row_data(i);
-      for (std::size_t j = c0; j < c1; ++j) sums[j] += r[j];
-    }
-  });
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    const double* r = m.row_data(i);
+    for (std::size_t j = 0; j < m.cols(); ++j) sums[j] += r[j];
+  }
 }
 
 double FrobeniusNorm2(const Matrix& m) {
@@ -420,20 +376,17 @@ void SoftmaxRowsInto(const Matrix& logits, Matrix* out) {
   CheckNoAlias(logits, out);
   out->ResizeForOverwrite(logits.rows(), logits.cols());
   std::copy(logits.data(), logits.data() + logits.size(), out->data());
-  ParallelFor(0, out->rows(), kRowGrain,
-              [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t i = r0; i < r1; ++i) {
-      double* r = out->row_data(i);
-      double mx = r[0];
-      for (std::size_t j = 1; j < out->cols(); ++j) mx = std::max(mx, r[j]);
-      double sum = 0.0;
-      for (std::size_t j = 0; j < out->cols(); ++j) {
-        r[j] = std::exp(r[j] - mx);
-        sum += r[j];
-      }
-      for (std::size_t j = 0; j < out->cols(); ++j) r[j] /= sum;
+  for (std::size_t i = 0; i < out->rows(); ++i) {
+    double* r = out->row_data(i);
+    double mx = r[0];
+    for (std::size_t j = 1; j < out->cols(); ++j) mx = std::max(mx, r[j]);
+    double sum = 0.0;
+    for (std::size_t j = 0; j < out->cols(); ++j) {
+      r[j] = std::exp(r[j] - mx);
+      sum += r[j];
     }
-  });
+    for (std::size_t j = 0; j < out->cols(); ++j) r[j] /= sum;
+  }
 }
 
 Matrix LogSoftmaxRows(const Matrix& logits) {
@@ -446,18 +399,15 @@ void LogSoftmaxRowsInto(const Matrix& logits, Matrix* out) {
   CheckNoAlias(logits, out);
   out->ResizeForOverwrite(logits.rows(), logits.cols());
   std::copy(logits.data(), logits.data() + logits.size(), out->data());
-  ParallelFor(0, out->rows(), kRowGrain,
-              [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t i = r0; i < r1; ++i) {
-      double* r = out->row_data(i);
-      double mx = r[0];
-      for (std::size_t j = 1; j < out->cols(); ++j) mx = std::max(mx, r[j]);
-      double sum = 0.0;
-      for (std::size_t j = 0; j < out->cols(); ++j) sum += std::exp(r[j] - mx);
-      const double lse = mx + std::log(sum);
-      for (std::size_t j = 0; j < out->cols(); ++j) r[j] -= lse;
-    }
-  });
+  for (std::size_t i = 0; i < out->rows(); ++i) {
+    double* r = out->row_data(i);
+    double mx = r[0];
+    for (std::size_t j = 1; j < out->cols(); ++j) mx = std::max(mx, r[j]);
+    double sum = 0.0;
+    for (std::size_t j = 0; j < out->cols(); ++j) sum += std::exp(r[j] - mx);
+    const double lse = mx + std::log(sum);
+    for (std::size_t j = 0; j < out->cols(); ++j) r[j] -= lse;
+  }
 }
 
 double LogSumExp(const double* xs, std::size_t n) {

@@ -27,11 +27,10 @@ struct GemmEpilogue {
 /// Matrix product a*b. Precondition: a.cols() == b.rows().
 ///
 /// The GEMM-shaped ops (MatMul/MatMulBt/MatMulAt) run as register-blocked,
-/// panel-packed SIMD micro-kernels (tensor/simd.h) on the shared thread
-/// pool (common/parallel.h); Transpose and the rowwise/elementwise ops run
-/// as cache-blocked kernels. Results are bitwise identical for any
-/// FACTION_NUM_THREADS setting and any SIMD dispatch level: every output
-/// element is produced by exactly one chunk with a k-accumulation order
+/// panel-packed SIMD micro-kernels (tensor/simd.h), one kernel call over
+/// all rows on the calling thread; Transpose and the rowwise/elementwise
+/// ops run as cache-blocked serial loops. Results are bitwise identical at
+/// any SIMD dispatch level: every output element's k-accumulation order is
 /// fixed by the problem shape alone (see DESIGN.md §12).
 ///
 /// Each GEMM/rowwise op also has an *Into output-parameter variant that

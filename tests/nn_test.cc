@@ -852,31 +852,11 @@ TEST(LossTest, FusedMatchesTwoPassBitwise) {
   }
   Matrix d_ref, d_fused;
   const double ref = SoftmaxCrossEntropy(logits, labels, &d_ref);
-  std::vector<double> row_loss;
-  const double fused =
-      FusedSoftmaxCrossEntropy(logits, labels, &d_fused, &row_loss);
+  const double fused = FusedSoftmaxCrossEntropy(logits, labels, &d_fused);
   EXPECT_EQ(ref, fused);
   ASSERT_EQ(d_ref.rows(), d_fused.rows());
   ASSERT_EQ(d_ref.cols(), d_fused.cols());
   EXPECT_EQ(MaxAbsDiff(d_ref, d_fused), 0.0);
-  ASSERT_EQ(row_loss.size(), n);
-}
-
-TEST(LossTest, FusedScratchIsOptional) {
-  Rng rng(902);
-  Matrix logits(4, 3);
-  std::vector<int> labels = {0, 1, 2, 1};
-  for (std::size_t i = 0; i < logits.size(); ++i) {
-    logits.data()[i] = rng.Gaussian();
-  }
-  Matrix with_scratch, without_scratch;
-  std::vector<double> scratch;
-  const double a =
-      FusedSoftmaxCrossEntropy(logits, labels, &with_scratch, &scratch);
-  const double b =
-      FusedSoftmaxCrossEntropy(logits, labels, &without_scratch);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(MaxAbsDiff(with_scratch, without_scratch), 0.0);
 }
 
 // ------------------------------------------------- workspace-reuse trainer

@@ -2,12 +2,17 @@
 
 #include <atomic>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/telemetry.h"
 #include "core/fair_score.h"
+#include "core/presets.h"
+#include "core/streaming_faction.h"
+#include "data/streams.h"
 #include "density/fair_density.h"
 #include "density/gaussian.h"
 #include "gtest/gtest.h"
@@ -45,26 +50,29 @@ void ExpectBitwiseEqual(const Matrix& a, const Matrix& b) {
 
 // ------------------------------------------------------------- pool basics
 
-TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
+TEST(ParallelForChunksTest, CoversEveryIndexExactlyOnce) {
   ThreadCountGuard guard;
   SetParallelThreadCount(8);
   constexpr std::size_t kN = 1000;
   std::vector<int> hits(kN, 0);
-  ParallelFor(0, kN, 7, [&](std::size_t i0, std::size_t i1) {
-    for (std::size_t i = i0; i < i1; ++i) ++hits[i];
-  });
+  ParallelForChunks(0, kN, 7,
+                    [&](std::size_t, std::size_t i0, std::size_t i1) {
+                      for (std::size_t i = i0; i < i1; ++i) ++hits[i];
+                    });
   for (std::size_t i = 0; i < kN; ++i) {
     ASSERT_EQ(hits[i], 1) << "index " << i;
   }
 }
 
-TEST(ParallelForTest, EmptyRangeNeverInvokesBody) {
+TEST(ParallelForChunksTest, EmptyRangeNeverInvokesBody) {
   std::atomic<int> calls{0};
-  ParallelFor(5, 5, 4, [&](std::size_t, std::size_t) { ++calls; });
+  ParallelForChunks(5, 5, 4, [&](std::size_t, std::size_t, std::size_t) {
+    ++calls;
+  });
   EXPECT_EQ(calls.load(), 0);
 }
 
-TEST(ParallelForTest, ChunkLayoutIsIndependentOfThreadCount) {
+TEST(ParallelForChunksTest, ChunkLayoutIsIndependentOfThreadCount) {
   ThreadCountGuard guard;
   constexpr std::size_t kBegin = 3;
   constexpr std::size_t kEnd = 103;
@@ -88,40 +96,45 @@ TEST(ParallelForTest, ChunkLayoutIsIndependentOfThreadCount) {
   }
 }
 
-TEST(ParallelForTest, ParallelChunkCountEdgeCases) {
+TEST(ParallelForChunksTest, ParallelChunkCountEdgeCases) {
   EXPECT_EQ(ParallelChunkCount(0, 0, 4), 0u);
   EXPECT_EQ(ParallelChunkCount(0, 3, 100), 1u);
   EXPECT_EQ(ParallelChunkCount(0, 8, 4), 2u);
   EXPECT_EQ(ParallelChunkCount(0, 9, 4), 3u);
 }
 
-TEST(ParallelForTest, ExceptionPropagatesAndPoolSurvives) {
+TEST(ParallelForChunksTest, ExceptionPropagatesAndPoolSurvives) {
   ThreadCountGuard guard;
   SetParallelThreadCount(4);
-  EXPECT_THROW(ParallelFor(0, 100, 1,
-                           [&](std::size_t i0, std::size_t) {
-                             if (i0 == 42) {
-                               throw std::runtime_error("chunk failure");
-                             }
-                           }),
+  EXPECT_THROW(ParallelForChunks(0, 100, 1,
+                                 [&](std::size_t, std::size_t i0,
+                                     std::size_t) {
+                                   if (i0 == 42) {
+                                     throw std::runtime_error(
+                                         "chunk failure");
+                                   }
+                                 }),
                std::runtime_error);
   // The pool must stay usable after a failed region.
   std::vector<int> hits(64, 0);
-  ParallelFor(0, 64, 4, [&](std::size_t i0, std::size_t i1) {
-    for (std::size_t i = i0; i < i1; ++i) ++hits[i];
-  });
+  ParallelForChunks(0, 64, 4,
+                    [&](std::size_t, std::size_t i0, std::size_t i1) {
+                      for (std::size_t i = i0; i < i1; ++i) ++hits[i];
+                    });
   for (int h : hits) EXPECT_EQ(h, 1);
 }
 
-TEST(ParallelForTest, NestedCallsRunInlineWithoutDeadlock) {
+TEST(ParallelForChunksTest, NestedCallsRunInlineWithoutDeadlock) {
   ThreadCountGuard guard;
   SetParallelThreadCount(4);
   constexpr std::size_t kOuter = 16;
   constexpr std::size_t kInner = 32;
   std::vector<int> hits(kOuter * kInner, 0);
-  ParallelFor(0, kOuter, 1, [&](std::size_t o0, std::size_t o1) {
+  ParallelForChunks(0, kOuter, 1,
+                    [&](std::size_t, std::size_t o0, std::size_t o1) {
     for (std::size_t o = o0; o < o1; ++o) {
-      ParallelFor(0, kInner, 4, [&](std::size_t i0, std::size_t i1) {
+      ParallelForChunks(0, kInner, 4,
+                        [&](std::size_t, std::size_t i0, std::size_t i1) {
         for (std::size_t i = i0; i < i1; ++i) ++hits[o * kInner + i];
       });
     }
@@ -129,7 +142,7 @@ TEST(ParallelForTest, NestedCallsRunInlineWithoutDeadlock) {
   for (int h : hits) EXPECT_EQ(h, 1);
 }
 
-TEST(ParallelForTest, ThreadCountClampsToOne) {
+TEST(ParallelForChunksTest, ThreadCountClampsToOne) {
   ThreadCountGuard guard;
   SetParallelThreadCount(0);
   EXPECT_EQ(ParallelThreadCount(), 1);
@@ -499,6 +512,97 @@ TEST(ParallelDeterminismTest,
   for (std::size_t i = 0; i < one.size(); ++i) {
     ASSERT_EQ(one[i], eight[i]) << "probe " << i;
   }
+}
+
+// ------------------------------------------------ which code uses the pool
+
+// Regions handed to the pool while `body` runs at 4 threads. The counter
+// needs no wall clock, so it shows a dense kernel that went back to the
+// pool even where the region is too small to cost anything measurable.
+std::uint64_t PoolRegionsAtFourThreads(const std::function<void()>& body) {
+  ThreadCountGuard guard;
+  SetParallelThreadCount(4);
+  Telemetry::Enable()->Reset();
+  body();
+  const std::uint64_t regions =
+      TelemetryCounterValue("parallel.pool_regions");
+  Telemetry::Get()->Reset();
+  Telemetry::Disable();
+  return regions;
+}
+
+// Algorithm 1 (FACTION) on a small NYSF stream: training, density fits
+// and pool scoring all run on the calling thread.
+TEST(PoolRegionsTest, FactionOnNysfRunsNoRegion) {
+  NysfConfig config;
+  config.scale.samples_per_task = 200;
+  config.num_areas = 2;
+  config.num_quarters = 2;
+  const Result<std::vector<Dataset>> tasks = MakeNysfStream(config);
+  ASSERT_TRUE(tasks.ok());
+  ExperimentDefaults defaults;
+  defaults.budget_per_task = 40;
+  defaults.acquisition_batch = 20;
+  defaults.warm_start = 40;
+  defaults.epochs = 2;
+  const std::uint64_t regions = PoolRegionsAtFourThreads([&] {
+    const Result<RunResult> run =
+        RunMethodOnStream("FACTION", tasks.value(), defaults, 3);
+    ASSERT_TRUE(run.ok());
+    ASSERT_EQ(run.value().per_task.size(), tasks.value().size());
+  });
+  EXPECT_EQ(regions, 0u);
+}
+
+// A StreamingFaction session through warm start, scored arrivals and
+// several refits.
+TEST(PoolRegionsTest, StreamingSessionRunsNoRegion) {
+  StreamingFactionConfig config;
+  config.model.input_dim = 6;
+  config.model.hidden_dims = {16};
+  config.model.num_classes = 2;
+  config.train.epochs = 2;
+  config.train.batch_size = 16;
+  config.warm_start = 16;
+  config.burn_in = 8;
+  config.refit_interval = 16;
+  config.density_window = 48;
+  std::size_t labels = 0;
+  const std::uint64_t regions = PoolRegionsAtFourThreads([&] {
+    StreamingFaction session(config);
+    Rng rng(41);
+    Example ex;
+    ex.x.resize(config.model.input_dim);
+    for (int i = 0; i < 400; ++i) {
+      ex.label = rng.Bernoulli(0.5) ? 1 : 0;
+      ex.sensitive = rng.Bernoulli(0.5) ? 1 : -1;
+      for (double& v : ex.x) {
+        v = rng.Gaussian(ex.label == 1 ? 1.0 : -1.0, 1.0);
+      }
+      const Result<bool> query = session.ShouldQuery(ex);
+      ASSERT_TRUE(query.ok());
+      if (query.value()) {
+        ASSERT_TRUE(session.ProvideLabel(ex).ok());
+        ++labels;
+      }
+    }
+    ASSERT_TRUE(session.has_estimator());
+  });
+  EXPECT_GT(labels, 3 * config.refit_interval);
+  EXPECT_EQ(regions, 0u);
+}
+
+// Conv2d's per-sample forward is the pool's client: a 128-image batch is
+// 32 chunks of 4 samples, so it must reach the pool.
+TEST(PoolRegionsTest, Conv2dForwardUsesThePool) {
+  Rng rng(42);
+  const ImageShape shape{2, 8, 8};
+  const Conv2d conv(shape, 4, &rng);
+  const Matrix x = RandomMatrix(128, shape.Flat(), &rng);
+  const std::uint64_t regions = PoolRegionsAtFourThreads([&] {
+    ASSERT_EQ(conv.ForwardInference(x).rows(), x.rows());
+  });
+  EXPECT_GE(regions, 1u);
 }
 
 }  // namespace

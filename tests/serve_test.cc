@@ -530,5 +530,38 @@ TEST(ServeReplay, SynchronousModeMatchesStandalone) {
   }
 }
 
+// A refit whose training diverges returns a NumericalError after
+// restoring the weights it started from. The session counts the failure
+// and keeps serving the restored model instead of aborting the process.
+TEST(ServeSessionTest, DivergedRefitIsCountedAndServingContinues) {
+  Telemetry::Enable()->Reset();
+  ServeRuntimeOptions runtime_options;
+  runtime_options.workers = 0;
+  runtime_options.max_sessions = 1;
+  runtime_options.record_latency = false;
+  ServeRuntime runtime(runtime_options);
+  ServeSessionOptions options;
+  options.stream_id = 0;
+  options.faction = ReplayConfig(5);
+  options.faction.train.learning_rate = 1e300;
+  options.mailbox_capacity = kReplaySteps;
+  options.decision_log_capacity = kReplaySteps;
+  ServeSession* session = runtime.CreateSession(options);
+  const std::vector<Example> stream =
+      MakeStream(kReplaySteps, options.faction.model.input_dim, 77);
+  for (const Example& ex : stream) {
+    EXPECT_TRUE(runtime.Offer(session, ex));
+  }
+  runtime.Drain();
+  EXPECT_EQ(kReplaySteps, session->steps());
+  EXPECT_EQ(kReplaySteps, session->decisions().size());
+  EXPECT_GT(TelemetryCounterValue("serve.refit_failures"), 0u);
+  // Every refit failed, so the session still serves its initial weights.
+  const StreamingFaction fresh(options.faction);
+  EXPECT_EQ(ParamBits(fresh), ParamBits(session->faction()));
+  Telemetry::Get()->Reset();
+  Telemetry::Disable();
+}
+
 }  // namespace
 }  // namespace faction

@@ -551,8 +551,7 @@ TEST(SimdLoss, FusedSoftmaxCrossEntropyParityAcrossLevels) {
     for (SimdLevel level : SupportedLevels()) {
       ScopedSimdLevel guard(level);
       Matrix grad;
-      const double loss = FusedSoftmaxCrossEntropy(logits, labels, &grad,
-                                                   nullptr);
+      const double loss = FusedSoftmaxCrossEntropy(logits, labels, &grad);
       EXPECT_EQ(std::memcmp(&loss, &ref_loss, sizeof(double)), 0)
           << SimdLevelName(level);
       ASSERT_TRUE(BitwiseEqual(ref_grad, grad)) << SimdLevelName(level);

@@ -9,10 +9,11 @@
 //   rank-1 slide      >= 3.89x  over refitting a W=2048 window;
 //   warm start        >= 10x    over replaying a 64-session fleet.
 //
-// The three kernel pairs run the reference serially and the fast path at
-// the default thread count. Timing is min-of-N with the two sides
-// interleaved inside one process, so a slow phase of the host slows both
-// alike. Registered only in optimized, unsanitized builds and run serially
+// The conv pair runs the naive loops serially and the im2col path on the
+// pool at the default thread count; the density pairs run serially on
+// both sides, as every dense kernel does. Timing is min-of-N with the two
+// sides interleaved inside one process, so a slow phase of the host slows
+// both alike. Registered only in optimized, unsanitized builds and run serially
 // by ctest (tests/CMakeLists.txt).
 
 #include <unistd.h>
@@ -26,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/timer.h"
 #include "core/streaming_faction.h"
@@ -95,7 +95,6 @@ TEST(SpeedGuard, Conv2dIm2colOverNaive) {
   ExpectSpeedup(
       "conv 128x3x16x16 -> 8", 30, 6.29,
       [&] {
-        ScopedForceSerialParallel serial;
         const Matrix y = conv.ApplyNaive(x);
         ASSERT_EQ(y.rows(), x.rows());
       },
@@ -120,7 +119,6 @@ TEST(SpeedGuard, IncrementalRefitOverBatchRefit) {
   ExpectSpeedup(
       "density refit 2400 rows + 25", 300, 17.0,
       [&] {
-        ScopedForceSerialParallel serial;
         const Result<FairDensityEstimator> refit = FairDensityEstimator::Fit(
             pool.features(), pool.labels(), pool.sensitive(), config);
         ASSERT_TRUE(refit.ok());
@@ -165,7 +163,6 @@ TEST(SpeedGuard, WindowSlideOverWindowedFit) {
   ExpectSpeedup(
       "window slide W=2048 by 25", 300, 3.89,
       [&] {
-        ScopedForceSerialParallel serial;
         batch_start = (batch_start + kAcquisition) % kPoolRows;
         copy_window(batch_start, &window, &ys, &ss);
         const Result<FairDensityEstimator> refit =

@@ -28,12 +28,13 @@ Rules (each reported as file:line: [rule] message):
                    unmarked TUs.
   ffp-contract     every TU that defines SIMD kernels (includes
                    simd_kernels.inc) or invokes one through the dispatch
-                   table must be pinned with -ffp-contract=off in its
-                   directory's CMakeLists.txt, or FMA contraction would
-                   break the cross-tier bitwise-equality contract
-                   (DESIGN.md §12). The kernel names are parsed from the
-                   SimdKernels struct, the pinned set from the CMake
-                   set_source_files_properties calls.
+                   table must be pinned with -ffp-contract=off, or FMA
+                   contraction would break the cross-tier bitwise-equality
+                   contract (DESIGN.md §12). A TU is pinned by its
+                   directory's set_source_files_properties calls or by an
+                   add_compile_options in the CMakeLists.txt of its
+                   directory or of any parent up to src/. The kernel names
+                   are parsed from the SimdKernels struct.
   serve-float-text under src/serve, doubles are text only through
                    common/hexfloat.h: strtod/strtof/strtold, std::stod and
                    friends, printf `%a` conversions and std::hexfloat are
@@ -413,6 +414,8 @@ CMAKE_SET_RE = re.compile(r"set\s*\(\s*(\w+)\s+\"([^\"]*)\"\s*\)",
 CMAKE_SSFP_RE = re.compile(
     r"set_source_files_properties\s*\((.*?)\)", re.IGNORECASE | re.DOTALL)
 CMAKE_VAR_RE = re.compile(r"\$\{(\w+)\}")
+CMAKE_ACO_RE = re.compile(r"add_compile_options\s*\((.*?)\)",
+                          re.IGNORECASE | re.DOTALL)
 
 
 def cmake_expand(value: str, variables: dict, depth: int = 0) -> str:
@@ -446,7 +449,30 @@ def ffp_pinned_sources(cmake_path: Path) -> set:
     return pinned
 
 
-def check_ffp_contract(contexts: list, findings: list) -> None:
+def ffp_pins_directory(cmake_path: Path) -> bool:
+    """True when one CMakeLists.txt pins -ffp-contract=off for every TU in
+    its directory and below (add_compile_options)."""
+    text = re.sub(r"#[^\n]*", "", cmake_path.read_text(encoding="utf-8"))
+    return any("ffp-contract=off" in call
+               for call in CMAKE_ACO_RE.findall(text))
+
+
+def ffp_pinned(rel: Path, root: Path = ROOT) -> bool:
+    """Whether the src/ TU `rel` compiles with -ffp-contract=off."""
+    cmake = root / rel.parent / "CMakeLists.txt"
+    if cmake.is_file() and rel.name in ffp_pinned_sources(cmake):
+        return True
+    for parent in rel.parents:
+        if parent == Path("."):
+            break
+        cmake = root / parent / "CMakeLists.txt"
+        if cmake.is_file() and ffp_pins_directory(cmake):
+            return True
+    return False
+
+
+def check_ffp_contract(contexts: list, findings: list,
+                       root: Path = ROOT) -> None:
     kernels = simd_kernel_names()
     if not kernels:
         findings.append((Path("src/tensor/simd.h"), 1, "ffp-contract",
@@ -455,7 +481,6 @@ def check_ffp_contract(contexts: list, findings: list) -> None:
         return
     invoke_re = re.compile(
         r"(?:\.|->)\s*(" + "|".join(sorted(kernels)) + r")\s*\(")
-    pinned_by_dir: dict = {}
     for ctx in contexts:
         if ctx.rel.parts[0] != "src" or ctx.rel.suffix not in (".cc", ".cpp"):
             continue
@@ -464,19 +489,15 @@ def check_ffp_contract(contexts: list, findings: list) -> None:
         called = invoke_re.search(ctx.code)
         if not defines and not called:
             continue
-        cmake = ROOT / ctx.rel.parent / "CMakeLists.txt"
-        key = ctx.rel.parent
-        if key not in pinned_by_dir:
-            pinned_by_dir[key] = (ffp_pinned_sources(cmake)
-                                  if cmake.is_file() else set())
-        if ctx.rel.name not in pinned_by_dir[key]:
+        if not ffp_pinned(ctx.rel, root):
             what = ("includes simd_kernels.inc" if defines
                     else f"calls SIMD kernel `{called.group(1)}`")
             findings.append(
                 (ctx.rel, 1, "ffp-contract",
-                 f"{what} but is not pinned with -ffp-contract=off in "
-                 f"{key}/CMakeLists.txt; FMA contraction would break "
-                 "cross-tier bitwise parity (DESIGN.md §12)"))
+                 f"{what} but is not pinned with -ffp-contract=off by "
+                 f"{ctx.rel.parent}/CMakeLists.txt or a parent's; FMA "
+                 "contraction would break cross-tier bitwise parity "
+                 "(DESIGN.md §12)"))
 
 
 # ----------------------------------------------------- test-only public API

@@ -277,27 +277,58 @@ class FfpContract(unittest.TestCase):
             self.assertEqual({"a.cc", "b.cc"},
                              lint.ffp_pinned_sources(cmake))
 
-    def test_real_tree_pins_resolved(self):
-        pinned = lint.ffp_pinned_sources(
-            lint.ROOT / "src/tensor/CMakeLists.txt")
-        self.assertIn("ops.cc", pinned)
-        self.assertIn("simd_generic.cc", pinned)
+    def test_real_tree_pins_every_library_tu(self):
+        self.assertTrue(lint.ffp_pins_directory(
+            lint.ROOT / "src/CMakeLists.txt"))
+        self.assertTrue(lint.ffp_pinned(Path("src/tensor/ops.cc")))
+        self.assertTrue(lint.ffp_pinned(Path("src/tensor/simd_generic.cc")))
+
+    # A tree whose src/CMakeLists.txt carries `src_options` and whose
+    # src/tensor/CMakeLists.txt pins a.cc only.
+    def fake_tree(self, tmp: str, src_options: str) -> Path:
+        root = Path(tmp)
+        (root / "src/tensor").mkdir(parents=True)
+        (root / "src/CMakeLists.txt").write_text(
+            f"add_compile_options({src_options})\n"
+            "add_subdirectory(tensor)\n")
+        (root / "src/tensor/CMakeLists.txt").write_text(
+            "set_source_files_properties(a.cc PROPERTIES\n"
+            '                            COMPILE_OPTIONS "-ffp-contract=off")\n')
+        return root
 
     def test_unpinned_caller_flagged(self):
-        # A synthetic TU in src/tensor that calls a kernel but is absent
-        # from the real CMake pin list must be reported.
+        # A TU that calls a kernel but is in no pin list and under no
+        # directory-wide pin must be reported.
         fake = ctx("void F() { ActiveSimd().axpy(1.0, x, y, n); }\n",
                    rel="src/tensor/fake_unpinned.cc")
-        findings = []
-        lint.check_ffp_contract([fake], findings)
-        self.assertEqual({"ffp-contract"}, rules_of(findings))
+        with tempfile.TemporaryDirectory() as tmp:
+            root = self.fake_tree(tmp, "-O3")
+            findings = []
+            lint.check_ffp_contract([fake], findings, root)
+            self.assertEqual({"ffp-contract"}, rules_of(findings))
+            findings = []
+            lint.check_ffp_contract(
+                [ctx(fake.text, rel="src/tensor/a.cc")], findings, root)
+            self.assertEqual([], findings)
 
     def test_unpinned_definer_flagged(self):
         fake = ctx('#include "tensor/simd_kernels.inc"\n',
                    rel="src/tensor/fake_tier.cc")
-        findings = []
-        lint.check_ffp_contract([fake], findings)
-        self.assertEqual({"ffp-contract"}, rules_of(findings))
+        with tempfile.TemporaryDirectory() as tmp:
+            findings = []
+            lint.check_ffp_contract([fake], findings,
+                                    self.fake_tree(tmp, "-O3"))
+            self.assertEqual({"ffp-contract"}, rules_of(findings))
+
+    def test_directory_wide_pin_covers_subdirectories(self):
+        fake = ctx('#include "tensor/simd_kernels.inc"\n',
+                   rel="src/tensor/fake_tier.cc")
+        with tempfile.TemporaryDirectory() as tmp:
+            findings = []
+            lint.check_ffp_contract(
+                [fake], findings,
+                self.fake_tree(tmp, "-O3 -ffp-contract=off"))
+            self.assertEqual([], findings)
 
     def test_metadata_reader_not_flagged(self):
         # Reading ActiveSimd().name (trace provenance) is not a kernel call.
