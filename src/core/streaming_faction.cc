@@ -118,11 +118,17 @@ Result<bool> StreamingFaction::ShouldQuery(const Example& example) {
 Status StreamingFaction::ProvideLabel(const Example& example) {
   FACTION_RETURN_IF_ERROR(pool_.Append(example));
   ++labels_since_refit_;
-  if (labels_since_refit_ >= config_.refit_interval ||
-      (!trained_once_ && pool_.size() >= config_.warm_start)) {
-    FACTION_RETURN_IF_ERROR(Refit());
+  // The warm-start refit is due once the pool holds warm_start labels and
+  // no refit has been attempted: until the first attempt, every pooled
+  // label is counted in labels_since_refit_. Every attempt restarts the
+  // count, a failed one too, so a session whose training diverges retries
+  // once per refit_interval labels instead of retraining on every label.
+  const bool warm_start_due = !trained_once_ &&
+                              labels_since_refit_ == pool_.size() &&
+                              pool_.size() >= config_.warm_start;
+  if (labels_since_refit_ >= config_.refit_interval || warm_start_due) {
     labels_since_refit_ = 0;
-    return Status::Ok();
+    return Refit();
   }
   if (config_.incremental_density && has_estimator()) {
     // Fold the fresh label into the density estimator right away (O(d^2)

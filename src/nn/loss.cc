@@ -1,12 +1,12 @@
 #include "nn/loss.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
 #include "common/workspace.h"
 
 #include "tensor/ops.h"
-#include "tensor/simd.h"
 
 namespace faction {
 
@@ -52,11 +52,11 @@ double FusedSoftmaxCrossEntropy(const Matrix& logits,
   // gradient is exp(r[j]-lse) — the same value LogSoftmaxRows would have
   // materialized — and the per-row loss is -(r[y]-lse), subtracted in
   // ascending row order as the reference's `loss -= logp(i, y)` loop does.
-  // The SIMD row_max may pick the other sign when +0.0 and -0.0 tie for
-  // the row maximum; exp(x - mx) and mx + log(sum) are bitwise invariant
-  // to that sign flip (DESIGN.md §12), so the results stay identical. The
-  // vectorized divide performs the same one rounded division per element.
-  const SimdKernels& kern = ActiveSimd();
+  // The max is the reference's sequential std::max scan and the gradient
+  // scale one rounded division per element, both inline (every trained
+  // head has 2 classes). A maximal entry's exp(r[j] - mx) is exp(+-0) = 1
+  // exactly and is not computed, but only for a finite mx: inf - inf is
+  // NaN.
   double loss = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     const int y = labels[i];
@@ -64,16 +64,20 @@ double FusedSoftmaxCrossEntropy(const Matrix& logits,
     FACTION_CHECK_LT(static_cast<std::size_t>(y), c);
     const double* lrow = logits.row_data(i);
     double* drow = dlogits->row_data(i);
-    const double mx = kern.row_max(lrow, c);
+    double mx = lrow[0];
+    for (std::size_t j = 1; j < c; ++j) mx = std::max(mx, lrow[j]);
+    const bool mx_finite = std::isfinite(mx);
     double sum = 0.0;
-    for (std::size_t j = 0; j < c; ++j) sum += std::exp(lrow[j] - mx);
+    for (std::size_t j = 0; j < c; ++j) {
+      sum += mx_finite && lrow[j] == mx ? 1.0 : std::exp(lrow[j] - mx);
+    }
     const double lse = mx + std::log(sum);
     loss -= lrow[static_cast<std::size_t>(y)] - lse;
     for (std::size_t j = 0; j < c; ++j) {
       drow[j] = std::exp(lrow[j] - lse);
     }
     drow[static_cast<std::size_t>(y)] -= 1.0;
-    kern.divide(drow, c, batch_n);
+    for (std::size_t j = 0; j < c; ++j) drow[j] /= batch_n;
   }
   const double mean_loss = loss / static_cast<double>(n);
   FACTION_DCHECK_FINITE(mean_loss);

@@ -107,13 +107,6 @@ struct SimdKernels {
                        std::size_t patch, std::size_t ohw);
   /// y[i] += a * x[i].
   void (*axpy)(double a, const double* x, double* y, std::size_t n);
-  /// x[i] /= s (kept as a division — not a reciprocal multiply — to match
-  /// the scalar reference bitwise).
-  void (*divide)(double* x, std::size_t n, double s);
-  /// max over x[0..n), n >= 1. Value-equal to the sequential std::max scan
-  /// (may differ only in the sign of a +-0.0 result; see simd_kernels.inc
-  /// for why that cannot reach any observable output).
-  double (*row_max)(const double* x, std::size_t n);
   /// Blocked lower-triangular forward solve + Mahalanobis term for a
   /// dim-major block ys (d x width): in-place L y = c per sample column,
   /// then out[t] = -0.5 * (base + sum_j ys[j][t]^2). Per sample this is

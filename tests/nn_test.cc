@@ -841,22 +841,40 @@ TEST(TrainerTest, LogitsBeyondLossRangeReturnStatus) {
 
 // ------------------------------------------------------ fused loss parity
 
+// Bit for bit against the two-pass reference at 2, 3, 5 and 9 classes.
+// Besides Gaussian rows, every width gets rows whose maximum is tied:
+// all-equal logits, +0.0 against -0.0 in both orders, all -0.0, and a
+// repeated maximum among smaller entries, where the fused loss takes 1.0
+// for exp(r[j] - mx).
 TEST(LossTest, FusedMatchesTwoPassBitwise) {
-  Rng rng(901);
-  const std::size_t n = 37, c = 5;
-  Matrix logits(n, c);
-  std::vector<int> labels(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    labels[i] = static_cast<int>(i % c);
-    for (std::size_t j = 0; j < c; ++j) logits(i, j) = 3.0 * rng.Gaussian();
+  for (const std::size_t c : {2u, 3u, 5u, 9u}) {
+    SCOPED_TRACE(c);
+    Rng rng(901 + c);
+    const std::size_t n = 37;
+    Matrix logits(n, c);
+    std::vector<int> labels(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      labels[i] = static_cast<int>(i % c);
+      for (std::size_t j = 0; j < c; ++j) logits(i, j) = 3.0 * rng.Gaussian();
+    }
+    for (std::size_t j = 0; j < c; ++j) {
+      logits(0, j) = 0.75;                       // all logits equal
+      logits(1, j) = j % 2 == 0 ? 0.0 : -0.0;    // +0 then -0
+      logits(2, j) = j % 2 == 0 ? -0.0 : 0.0;    // -0 then +0
+      logits(3, j) = -0.0;                       // all -0
+      logits(4, j) = j + 2 >= c ? 1.5 : -2.0;    // maximum repeated last
+      logits(5, j) = j < 2 ? -1.25 : -7.0;       // maximum repeated first
+    }
+    Matrix d_ref, d_fused;
+    const double ref = SoftmaxCrossEntropy(logits, labels, &d_ref);
+    const double fused = FusedSoftmaxCrossEntropy(logits, labels, &d_fused);
+    EXPECT_TRUE(SameBits(ref, fused));
+    ASSERT_EQ(d_ref.rows(), d_fused.rows());
+    ASSERT_EQ(d_ref.cols(), d_fused.cols());
+    EXPECT_EQ(std::memcmp(d_ref.data(), d_fused.data(),
+                          d_ref.size() * sizeof(double)),
+              0);
   }
-  Matrix d_ref, d_fused;
-  const double ref = SoftmaxCrossEntropy(logits, labels, &d_ref);
-  const double fused = FusedSoftmaxCrossEntropy(logits, labels, &d_fused);
-  EXPECT_EQ(ref, fused);
-  ASSERT_EQ(d_ref.rows(), d_fused.rows());
-  ASSERT_EQ(d_ref.cols(), d_fused.cols());
-  EXPECT_EQ(MaxAbsDiff(d_ref, d_fused), 0.0);
 }
 
 // ------------------------------------------------- workspace-reuse trainer

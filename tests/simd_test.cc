@@ -5,6 +5,7 @@
 // determinism contract in DESIGN.md §12.
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -668,7 +669,222 @@ TEST(SimdDensity, DowndateSolveBitwiseParityAcrossLevels) {
   }
 }
 
-TEST(SimdHelpers, AxpyDivideMaxParity) {
+// ---------------------------------------------------------------------------
+// Broadcast edge values. Every kernel scalar that is broadcast to a vector
+// (Splat in simd_kernels.inc: GEMM a entries, the epilogue scale, conv
+// weights and bias, the axpy factor, the solve's Cholesky entries and
+// base) takes -0.0, the smallest denormal and a quiet NaN with a payload,
+// and each kernel must match its scalar reference bit for bit. A
+// broadcast built by anything but an exact identity could flip the zero's
+// sign, flush the denormal or canonicalize the NaN. One NaN
+// payload per case and no fresh NaN beside it: with two different NaNs in
+// one operation the result would depend on operand order.
+
+double PayloadNan() {
+  const std::uint64_t bits = 0x7ff8000000000123ULL;
+  double v;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+std::vector<double> BroadcastEdges() {
+  return {-0.0, std::numeric_limits<double>::denorm_min(), PayloadNan()};
+}
+
+// TrickyMatrix with `edge` written to every 5th element, the first included.
+Matrix EdgeMatrix(std::size_t rows, std::size_t cols, double edge, Rng* rng) {
+  Matrix m = TrickyMatrix(rows, cols, rng);
+  for (std::size_t i = 0; i < m.size(); i += 5) m.data()[i] = edge;
+  return m;
+}
+
+TEST(SimdBroadcast, GemmEdgeEntriesAndEpilogueScaleBias) {
+  Rng rng(4242);
+  for (const double edge : BroadcastEdges()) {
+    for (const GemmShape& s : kShapes) {
+      const Matrix a = EdgeMatrix(s.m, s.k, edge, &rng);
+      const Matrix b = TrickyMatrix(s.k, s.n, &rng);
+      const Matrix bt = TrickyMatrix(s.n, s.k, &rng);
+      const Matrix bias = EdgeMatrix(1, s.n, edge, &rng);
+      const Matrix g0 = TrickyMatrix(s.k, s.n, &rng);
+      const Matrix at_b = TrickyMatrix(s.m, s.n, &rng);
+      Matrix prod, prod_bt, prod_at;
+      ReferenceMatMulInto(a, b, &prod);
+      ReferenceMatMulBtInto(a, bt, &prod_bt);
+      ReferenceMatMulAtInto(a, at_b, &prod_at);
+      for (const double scale : {1.0, edge}) {
+        Matrix mask;
+        const Matrix ref = UnfusedDense(prod, scale, nullptr, GemmAct::kNone,
+                                        &mask);
+        const Matrix ref_bt = UnfusedDense(prod_bt, scale, &bias,
+                                           GemmAct::kNone, &mask);
+        Matrix ref_at = g0;
+        for (std::size_t i = 0; i < ref_at.size(); ++i) {
+          ref_at.data()[i] += scale * prod_at.data()[i];
+        }
+        for (SimdLevel level : SupportedLevels()) {
+          ScopedSimdLevel guard(level);
+          GemmEpilogue ep;
+          ep.scale = scale;
+          Matrix got;
+          MatMulInto(a, b, &got, ep);
+          ASSERT_TRUE(BitwiseEqual(ref, got))
+              << "matmul " << s.m << "x" << s.k << "x" << s.n << " edge "
+              << edge << " scale " << scale << " at " << SimdLevelName(level);
+          ep.bias = &bias;
+          MatMulBtInto(a, bt, &got, ep);
+          ASSERT_TRUE(BitwiseEqual(ref_bt, got))
+              << "matmul_bt " << s.m << "x" << s.k << "x" << s.n << " edge "
+              << edge << " scale " << scale << " at " << SimdLevelName(level);
+          got = g0;
+          MatMulAtAccumulateInto(a, at_b, scale, &got);
+          ASSERT_TRUE(BitwiseEqual(ref_at, got))
+              << "matmul_at " << s.m << "x" << s.k << "x" << s.n << " edge "
+              << edge << " scale " << scale << " at " << SimdLevelName(level);
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdBroadcast, ConvEdgeWeightsAndBias) {
+  ConvGeometry g;
+  g.in_channels = 2;
+  g.height = 7;
+  g.width = 6;
+  g.kernel = 3;
+  g.stride = 1;
+  g.pad = 1;
+  const std::size_t oc = 5;
+  Rng rng(4343);
+  for (const double edge : BroadcastEdges()) {
+    // An all-zero image against negative weights makes every product
+    // -0.0, so each output is its bias bit for bit: a -0.0 bias survives
+    // only if its broadcast kept the sign.
+    for (const bool zero_image : {false, true}) {
+      Matrix x = TrickyMatrix(1, g.InFlat(), &rng);
+      Matrix w = EdgeMatrix(oc, g.PatchSize(), edge, &rng);
+      if (zero_image) {
+        x = Matrix(1, g.InFlat(), 0.0);
+        for (std::size_t i = 0; i < w.size(); ++i) {
+          if (i % 5 != 0) w.data()[i] = -1.5;
+        }
+      }
+      const Matrix bias = EdgeMatrix(1, oc, edge, &rng);
+      std::vector<double> naive(oc * g.OutPositions());
+      NaiveConvForward(g, oc, x.data(), w.data(), bias.data(), naive.data());
+      for (SimdLevel level : SupportedLevels()) {
+        ScopedSimdLevel guard(level);
+        std::vector<double> gemm(naive.size(), -1.0);
+        ConvScratch scratch;
+        GemmConvForward(g, oc, x.data(), w.data(), bias.data(), gemm.data(),
+                        &scratch);
+        ASSERT_EQ(std::memcmp(naive.data(), gemm.data(),
+                              naive.size() * sizeof(double)),
+                  0)
+            << "edge " << edge << " zero image " << zero_image << " at "
+            << SimdLevelName(level);
+      }
+    }
+  }
+}
+
+TEST(SimdBroadcast, AxpyFactor) {
+  Rng rng(4444);
+  const Matrix xm = TrickyMatrix(1, 37, &rng);
+  const std::vector<double> x(xm.data(), xm.data() + xm.size());
+  for (const double edge : BroadcastEdges()) {
+    std::vector<double> ref(x.size(), 0.5);
+    for (std::size_t i = 0; i < x.size(); ++i) ref[i] += edge * x[i];
+    for (SimdLevel level : SupportedLevels()) {
+      ScopedSimdLevel guard(level);
+      std::vector<double> got(x.size(), 0.5);
+      ActiveSimd().axpy(edge, x.data(), got.data(), x.size());
+      ASSERT_EQ(std::memcmp(ref.data(), got.data(),
+                            x.size() * sizeof(double)),
+                0)
+          << "axpy " << edge << " at " << SimdLevelName(level);
+    }
+  }
+}
+
+// logpdf_block and downdate_solve against a per-column scalar solve in
+// their order: ascending-k subtract, one divide by the diagonal, ascending
+// squared norm from zero, then -0.5 * (base + norm). The edge goes into one
+// diagonal entry (a NaN diagonal is the only NaN; a zero or denormal one
+// makes infinities whose only NaNs are the default one) or, for the NaN
+// case, into off-diagonal entries too, with the diagonal kept positive; the
+// base takes the edge as well.
+TEST(SimdBroadcast, SolveEdgeCholeskyEntries) {
+  const std::size_t d = 9;
+  const std::size_t width = 37;  // every solve loop at every lane width
+  Rng rng(4545);
+  const std::vector<double> edges = BroadcastEdges();
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    for (const bool off_diagonal : {false, true}) {
+      const double edge = edges[e];
+      Matrix chol(d, d, 0.0);
+      for (std::size_t j = 0; j < d; ++j) {
+        chol(j, j) = 1.25 + 0.1 * static_cast<double>(j);
+        for (std::size_t k = 0; k < j; ++k) chol(j, k) = 0.3 * rng.Gaussian();
+      }
+      if (off_diagonal) {
+        for (std::size_t j = 1; j < d; j += 2) chol(j, j / 2) = edge;
+      } else {
+        chol(d / 2, d / 2) = edge;
+      }
+      const Matrix ys0 = TrickyMatrix(d, width, &rng);
+      std::vector<double> want_y(ys0.data(), ys0.data() + ys0.size());
+      std::vector<double> want_norm(width, 0.0), want_out(width);
+      for (std::size_t t = 0; t < width; ++t) {
+        for (std::size_t j = 0; j < d; ++j) {
+          double acc = want_y[j * width + t];
+          for (std::size_t k = 0; k < j; ++k) {
+            acc -= chol(j, k) * want_y[k * width + t];
+          }
+          want_y[j * width + t] = acc / chol(j, j);
+        }
+        for (std::size_t j = 0; j < d; ++j) {
+          want_norm[t] += want_y[j * width + t] * want_y[j * width + t];
+        }
+        want_out[t] = -0.5 * (edge + want_norm[t]);
+      }
+      for (SimdLevel level : SupportedLevels()) {
+        ScopedSimdLevel guard(level);
+        std::vector<double> ys(ys0.data(), ys0.data() + ys0.size());
+        std::vector<double> out(width, -1.0);
+        ActiveSimd().logpdf_block(chol.data(), d, ys.data(), width, edge,
+                                  out.data());
+        ASSERT_EQ(std::memcmp(want_y.data(), ys.data(),
+                              ys.size() * sizeof(double)),
+                  0)
+            << "logpdf solve edge " << edge << " off-diagonal "
+            << off_diagonal << " at " << SimdLevelName(level);
+        ASSERT_EQ(std::memcmp(want_out.data(), out.data(),
+                              width * sizeof(double)),
+                  0)
+            << "logpdf out edge " << edge << " off-diagonal " << off_diagonal
+            << " at " << SimdLevelName(level);
+        std::vector<double> vs(ys0.data(), ys0.data() + ys0.size());
+        std::vector<double> pnorm2(width, -1.0);
+        ActiveSimd().downdate_solve(chol.data(), d, vs.data(), width,
+                                    pnorm2.data());
+        ASSERT_EQ(std::memcmp(want_y.data(), vs.data(),
+                              vs.size() * sizeof(double)),
+                  0)
+            << "downdate solve edge " << edge << " off-diagonal "
+            << off_diagonal << " at " << SimdLevelName(level);
+        ASSERT_EQ(std::memcmp(want_norm.data(), pnorm2.data(),
+                              width * sizeof(double)),
+                  0)
+            << "downdate norm edge " << edge << " off-diagonal "
+            << off_diagonal << " at " << SimdLevelName(level);
+      }
+    }
+  }
+}
+
+TEST(SimdHelpers, AxpyParity) {
   Rng rng(808);
   const Matrix xm = TrickyMatrix(1, 133, &rng);
   const std::vector<double> x(xm.data(), xm.data() + xm.size());
@@ -686,22 +902,6 @@ TEST(SimdHelpers, AxpyDivideMaxParity) {
                           ref.size() * sizeof(double)),
               0)
         << SimdLevelName(level);
-
-    const double s = 7.3;
-    for (std::size_t i = 0; i < x.size(); ++i) ref[i] /= s;
-    kern.divide(got.data(), got.size(), s);
-    ASSERT_EQ(std::memcmp(ref.data(), got.data(),
-                          ref.size() * sizeof(double)),
-              0)
-        << SimdLevelName(level);
-
-    for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{17},
-                          std::size_t{133}}) {
-      double mx = x[0];
-      for (std::size_t i = 1; i < n; ++i) mx = std::max(mx, x[i]);
-      EXPECT_EQ(kern.row_max(x.data(), n), mx)
-          << SimdLevelName(level) << " n=" << n;
-    }
   }
 }
 

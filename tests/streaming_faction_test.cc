@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstdint>
 
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -196,6 +197,40 @@ TEST(StreamingFactionTest, DeterministicGivenSeed) {
   };
   EXPECT_EQ(run_once(42), run_once(42));
   EXPECT_NE(run_once(42), run_once(43));
+}
+
+// A session whose training always diverges retries its refit once per
+// refit_interval labels, not on every label: a failed attempt restarts the
+// count and disarms the warm-start trigger. Without an estimator the
+// fallback coin queries about three arrivals in four, so 300 arrivals buy
+// over 200 labels.
+TEST(StreamingFactionTest, DivergedRefitRetriesOncePerInterval) {
+  Telemetry::Enable()->Reset();
+  StreamingFactionConfig config = SmallConfig();
+  config.train.learning_rate = 1e300;
+  StreamingFaction streaming(config);
+  Rng rng(12);
+  const EnvironmentSpec env = SmallEnv(6, &rng);
+  std::size_t labels = 0;
+  std::uint64_t failures = 0;
+  for (int i = 0; i < 300; ++i) {
+    Example e = SampleFromEnvironment(env, 0, &rng);
+    if (!streaming.ShouldQuery(e).value_or(false)) continue;
+    ++labels;
+    const Status status = streaming.ProvideLabel(e);
+    if (!status.ok()) {
+      EXPECT_EQ(StatusCode::kNumericalError, status.code());
+      ++failures;
+    }
+  }
+  const std::uint64_t refits = TelemetryCounterValue("streaming.refit");
+  EXPECT_GT(labels, 4 * config.refit_interval);
+  EXPECT_GT(failures, 0u);
+  EXPECT_EQ(failures, refits);
+  EXPECT_LE(refits, labels / config.refit_interval + 1);
+  EXPECT_FALSE(streaming.has_estimator());
+  Telemetry::Enable()->Reset();
+  Telemetry::Disable();
 }
 
 // ---------------------------------------------------------------------------

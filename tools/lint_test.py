@@ -258,7 +258,7 @@ class FfpContract(unittest.TestCase):
         names = lint.simd_kernel_names()
         self.assertIn("matmul_rows", names)
         self.assertIn("logpdf_block", names)
-        self.assertIn("row_max", names)
+        self.assertIn("axpy", names)
 
     def test_cmake_expand_resolves_nested_vars(self):
         variables = {"A": "-O3;${B}", "B": "-ffp-contract=off"}
