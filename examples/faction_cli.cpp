@@ -8,17 +8,14 @@
 // Prints the per-task metric table (and optionally CSV for plotting).
 // This is the "downstream user" entry point: every knob of the experiment
 // defaults is reachable without writing C++.
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <string>
 
 #include "common/table.h"
 #include "common/telemetry.h"
+#include "core/cli.h"
 #include "core/presets.h"
 #include "data/scenario.h"
 #include "data/streams.h"
@@ -27,33 +24,6 @@
 namespace {
 
 using namespace faction;
-
-struct CliOptions {
-  std::string dataset = "nysf";
-  /// When non-empty, a scenario DSL spec (data/scenario.h) that builds the
-  /// stream instead of --dataset, with full provenance stamped into the
-  /// trace's run_start record.
-  std::string scenario;
-  std::string method = "FACTION";
-  std::size_t budget = 200;
-  std::size_t acquisition = 50;
-  std::size_t samples = 600;
-  std::uint64_t seed = 42;
-  double mu = 0.6;
-  double lambda = 0.5;
-  double alpha = 3.0;
-  /// Density forgetting (DESIGN.md §15): sliding window over the GDA
-  /// estimator (0 = off) and per-fold exponential decay (1 = off).
-  std::size_t density_window = 0;
-  double density_decay = 1.0;
-  bool csv = false;
-  bool help = false;
-  /// When non-empty, write a JSONL event trace (stream/trace.h) here.
-  /// Implies --telemetry so the counter-derived trace fields populate.
-  std::string trace_path;
-  /// Enable the process-wide metrics registry and print it after the run.
-  bool telemetry = false;
-};
 
 void PrintUsage() {
   std::printf(
@@ -84,152 +54,6 @@ void PrintUsage() {
       "  --telemetry           collect and print run telemetry counters\n");
 }
 
-/// Strict strtod wrapper: the whole token must parse, to a finite value.
-/// On failure prints the offending flag and token and returns false.
-bool ParseDoubleFlag(const char* flag, const char* token, double* out) {
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(token, &end);
-  if (end == token || *end != '\0') {
-    std::fprintf(stderr, "%s: not a number: '%s'\n", flag, token);
-    return false;
-  }
-  if (errno == ERANGE || !std::isfinite(value)) {
-    std::fprintf(stderr, "%s: out of range: '%s'\n", flag, token);
-    return false;
-  }
-  *out = value;
-  return true;
-}
-
-/// Strict strtoull wrapper: digits only (no sign, no trailing junk), no
-/// overflow. strtoull on its own accepts "-1" by wrapping it to 2^64-1 and
-/// silently stops at the first non-digit, so "200x" would read as 200.
-bool ParseUintFlag(const char* flag, const char* token, std::uint64_t* out) {
-  if (token[0] == '\0' || token[0] == '+' || token[0] == '-') {
-    std::fprintf(stderr, "%s: not a non-negative integer: '%s'\n", flag,
-                 token);
-    return false;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(token, &end, 10);
-  if (end == token || *end != '\0') {
-    std::fprintf(stderr, "%s: not a non-negative integer: '%s'\n", flag,
-                 token);
-    return false;
-  }
-  if (errno == ERANGE) {
-    std::fprintf(stderr, "%s: out of range: '%s'\n", flag, token);
-    return false;
-  }
-  *out = static_cast<std::uint64_t>(value);
-  return true;
-}
-
-bool ParseSizeFlag(const char* flag, const char* token, std::size_t* out) {
-  std::uint64_t value = 0;
-  if (!ParseUintFlag(flag, token, &value)) return false;
-  *out = static_cast<std::size_t>(value);
-  return true;
-}
-
-bool ParseArgs(int argc, char** argv, CliOptions* options) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s requires a value\n", flag);
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--help" || arg == "-h") {
-      options->help = true;
-      return true;
-    }
-    if (arg == "--csv") {
-      options->csv = true;
-    } else if (arg == "--telemetry") {
-      options->telemetry = true;
-    } else if (arg == "--trace") {
-      const char* v = next("--trace");
-      if (v == nullptr) return false;
-      options->trace_path = v;
-      options->telemetry = true;
-    } else if (arg == "--dataset") {
-      const char* v = next("--dataset");
-      if (v == nullptr) return false;
-      options->dataset = v;
-    } else if (arg == "--scenario") {
-      const char* v = next("--scenario");
-      if (v == nullptr) return false;
-      options->scenario = v;
-    } else if (arg == "--method") {
-      const char* v = next("--method");
-      if (v == nullptr) return false;
-      options->method = v;
-    } else if (arg == "--budget") {
-      const char* v = next("--budget");
-      if (v == nullptr || !ParseSizeFlag("--budget", v, &options->budget)) {
-        return false;
-      }
-    } else if (arg == "--acquisition") {
-      const char* v = next("--acquisition");
-      if (v == nullptr ||
-          !ParseSizeFlag("--acquisition", v, &options->acquisition)) {
-        return false;
-      }
-    } else if (arg == "--samples") {
-      const char* v = next("--samples");
-      if (v == nullptr || !ParseSizeFlag("--samples", v, &options->samples)) {
-        return false;
-      }
-    } else if (arg == "--seed") {
-      const char* v = next("--seed");
-      if (v == nullptr || !ParseUintFlag("--seed", v, &options->seed)) {
-        return false;
-      }
-    } else if (arg == "--mu") {
-      const char* v = next("--mu");
-      if (v == nullptr || !ParseDoubleFlag("--mu", v, &options->mu)) {
-        return false;
-      }
-    } else if (arg == "--lambda") {
-      const char* v = next("--lambda");
-      if (v == nullptr || !ParseDoubleFlag("--lambda", v, &options->lambda)) {
-        return false;
-      }
-    } else if (arg == "--alpha") {
-      const char* v = next("--alpha");
-      if (v == nullptr || !ParseDoubleFlag("--alpha", v, &options->alpha)) {
-        return false;
-      }
-    } else if (arg == "--density-window") {
-      const char* v = next("--density-window");
-      if (v == nullptr ||
-          !ParseSizeFlag("--density-window", v, &options->density_window)) {
-        return false;
-      }
-    } else if (arg == "--density-decay") {
-      const char* v = next("--density-decay");
-      if (v == nullptr ||
-          !ParseDoubleFlag("--density-decay", v, &options->density_decay)) {
-        return false;
-      }
-      if (!(options->density_decay > 0.0 &&
-            options->density_decay <= 1.0)) {
-        std::fprintf(stderr, "--density-decay must be in (0, 1]\n");
-        return false;
-      }
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return false;
-    }
-  }
-  return true;
-}
-
 /// "n/a" for metrics the task could not define (e.g. a single-group task).
 std::string MetricOrNa(double value, bool defined, int decimals) {
   if (!defined) return "n/a";
@@ -240,7 +64,9 @@ std::string MetricOrNa(double value, bool defined, int decimals) {
 
 int main(int argc, char** argv) {
   CliOptions options;
-  if (!ParseArgs(argc, argv, &options)) {
+  const Status parsed = ParseCliArgs(argc, argv, &options);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.message().c_str());
     PrintUsage();
     return 2;
   }

@@ -125,7 +125,7 @@ Result<std::vector<std::size_t>> FactionStrategy::SelectBatch(
         ws.MatrixFor("faction.cand_proba", n, context.model->num_classes());
     context.model->ExtractFeaturesAndProbaInto(candidates, &ws, cand_z,
                                                proba);
-    // Scores the whole candidate pool in one batched, parallel pass (see
+    // Scores the whole candidate pool in one chunked sweep (see
     // core/fair_score.cc); bitwise deterministic for any thread count.
     FACTION_RETURN_IF_ERROR(ComputeFactionScoresInto(
         *est, *cand_z, *proba, config_.lambda, config_.fair_select,

@@ -32,30 +32,16 @@ struct FactionScore {
   double log_unfairness = 0.0;
 };
 
-/// Reusable intermediates for ComputeFactionScores: the per-component
-/// log-density matrix, the per-class unfairness terms and the per-term
-/// log/normalized vectors. A strategy
-/// keeps one across AL iterations so pool scoring stops allocating
-/// O(pool * components) every round. Buffers grow on demand and keep their
-/// capacity; never share one across concurrent callers.
+/// Reusable buffers for ComputeFactionScores: the mixture sweep's scratch
+/// and the two per-candidate log terms. A strategy keeps one across AL
+/// iterations so pool scoring stops allocating every round. Buffers grow on
+/// demand and keep their capacity; never share one across concurrent
+/// callers.
 struct FactionScoreScratch {
-  Matrix component_logpdf;
-  std::vector<double> class_terms;  ///< one row's terms, reused per row
+  std::vector<double> sweep;
   std::vector<double> log_density;
   std::vector<double> log_unfair;
-  std::vector<double> density_norm;
-  std::vector<double> unfair_norm;
 };
-
-/// log sum_c p_c * Delta g_c(z) (Eqs. 4-6) for one sample, from its
-/// component log-density row (FairDensityEstimator::ComponentLogPdfRow or
-/// a ComponentLogPdfBatch row) and its class probabilities p_c; -inf when
-/// no class has a cross-group gap. `terms` holds num_classes caller-owned
-/// doubles (clobbered). Shared by the batch scorer and the per-arrival
-/// StreamingFaction, so both combine bitwise identically.
-double LogUnfairness(const FairDensityEstimator& estimator,
-                     const double* component_row, const double* class_proba,
-                     double* terms);
 
 /// Computes FACTION scores for a batch of feature vectors.
 ///
@@ -64,12 +50,16 @@ double LogUnfairness(const FairDensityEstimator& estimator,
 /// count, one column per class). With `fair_select` false the unfairness
 /// term is dropped entirely (the paper's "w/o Fair Select" ablation).
 ///
-/// The whole pool is scored in one batched pass: component log-densities
-/// are computed once per component via blocked triangular solves and shared
-/// between the marginal-density and unfairness terms. Scores are bitwise
-/// identical for any FACTION_NUM_THREADS setting. `scratch` is optional;
-/// passing one reuses its buffers instead of allocating per call (the
-/// scores themselves are unaffected).
+/// The whole pool is scored by one chunked sweep
+/// (FairDensityEstimator::ScoreRows): per 256-row block, one blocked
+/// triangular solve per component feeds both the marginal-density and the
+/// unfairness term, which run through the SIMD exp/log/log1p kernels and
+/// report each term's finite range. One final pass then normalizes both
+/// terms, forms u and fills the output. A row's scores do not depend on the
+/// pool it sits in, the SIMD tier or FACTION_NUM_THREADS, and its log terms
+/// are bitwise those StreamingFaction computes for the same arrival.
+/// `scratch` is optional; passing one reuses its buffers instead of
+/// allocating per call (the scores themselves are unaffected).
 Result<std::vector<FactionScore>> ComputeFactionScores(
     const FairDensityEstimator& estimator, const Matrix& features,
     const Matrix& class_proba, double lambda, bool fair_select,

@@ -11,7 +11,6 @@
 #include "common/alloc_audit.h"
 #include "common/logging.h"
 #include "common/telemetry.h"
-#include "core/fair_score.h"
 
 namespace faction {
 
@@ -45,19 +44,17 @@ double StreamingFaction::ScoreSample(const std::vector<double>& x) {
   Matrix* proba =
       ws.MatrixFor("streaming.proba", 1, model_->num_classes());
   model_->ExtractFeaturesAndProbaInto(*x_row, &ws, z, proba);
-  // One solve per component, shared by the marginal and the unfairness
-  // term — the same row combine as the batch scorer.
+  // The batch scorer's sweep on one row: one solve per component, shared
+  // by the marginal and the unfairness term, so both terms are bitwise the
+  // pool scorer's for the same z.
   std::vector<double>* scratch =
-      ws.DoublesFor("streaming.solve_scratch", est.dim());
-  std::vector<double>* row =
-      ws.DoublesFor("streaming.component_row", est.num_components());
-  std::vector<double>* terms = ws.DoublesFor(
-      "streaming.class_terms",
-      static_cast<std::size_t>(est.domain().num_classes));
-  est.ComponentLogPdfRow(z->row_data(0), scratch->data(), row->data());
-  const double log_density = est.LogMarginalFromRow(row->data());
-  const double log_unfair =
-      LogUnfairness(est, row->data(), proba->row_data(0), terms->data());
+      ws.DoublesFor("streaming.score_scratch", est.ScoreScratchSize(1));
+  double log_density = 0.0;
+  double log_unfair = 0.0;
+  MixtureScores terms;
+  terms.log_density = &log_density;
+  terms.log_unfairness = &log_unfair;
+  est.ScoreRows(*z, proba, scratch->data(), &terms);
   // Combine in the log domain; the incremental normalizer downstream
   // performs the range normalization Eq. 7 needs. Missing unfairness
   // signal contributes nothing.

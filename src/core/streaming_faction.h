@@ -94,7 +94,12 @@ class StreamingFaction {
   std::size_t samples_seen() const { return seen_; }
   std::size_t queries_made() const { return queried_; }
   std::size_t pool_size() const { return pool_.size(); }
-  bool has_estimator() const { return density_.estimator() != nullptr; }
+  bool has_estimator() const { return estimator() != nullptr; }
+  /// The density estimator arrivals are scored against; null before the
+  /// first successful refit.
+  const FairDensityEstimator* estimator() const {
+    return density_.estimator();
+  }
 
  private:
   friend struct StateCodecAccess;

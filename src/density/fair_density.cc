@@ -12,6 +12,7 @@
 #include "common/alloc_audit.h"
 #include "common/check.h"
 #include "common/telemetry.h"
+#include "tensor/simd.h"
 
 namespace faction {
 
@@ -252,102 +253,200 @@ double FairDensityEstimator::Weight(int label, int sensitive) const {
   return idx < 0 ? 0.0 : weights_[idx];
 }
 
-void FairDensityEstimator::ComponentLogPdfRow(const double* z,
-                                              double* scratch,
-                                              double* row) const {
-  for (std::size_t idx = 0; idx < components_.size(); ++idx) {
-    row[idx] = present_[idx] ? components_[idx].LogPdf(z, scratch) : kNegInf;
-  }
+namespace {
+
+// Rows per sweep block: the dim-major solve scratch and every per-term
+// array of a block stay cache-resident between the solve and the combine.
+constexpr std::size_t kScoreBlock = 256;
+
+// Per-row arrays ScoreRows carves out of its scratch, in units of the
+// block width: the solve (dim), the component columns, the exp stage
+// (components + classes), the marginal maximum, the log stage (1 +
+// classes) and, per class, the gap, its maximum, the has-zero flag and the
+// class term, plus the LogSumExp maximum and sum.
+std::size_t ScratchPerRow(std::size_t dim, std::size_t comps,
+                          std::size_t classes) {
+  return dim + comps + (comps + classes) + 1 + (1 + classes) + 4 * classes +
+         2;
 }
 
-void FairDensityEstimator::ComponentLogPdfBatch(const Matrix& zs,
-                                                Matrix* out) const {
+}  // namespace
+
+std::size_t FairDensityEstimator::ScoreScratchSize(std::size_t rows) const {
+  return std::min(rows, kScoreBlock) *
+         ScratchPerRow(dim_, components_.size(),
+                       static_cast<std::size_t>(domain_.num_classes));
+}
+
+void FairDensityEstimator::ScoreRows(const Matrix& zs,
+                                     const Matrix* class_proba,
+                                     double* scratch,
+                                     MixtureScores* out) const {
   FACTION_CHECK_EQ(zs.cols(), dim_);
+  FACTION_CHECK(out != nullptr && out->log_density != nullptr);
   const std::size_t n = zs.rows();
-  const std::size_t total = components_.size();
-  // Every entry is written below (densities or -inf), so skip the clear
-  // and let a warm caller-owned matrix be reused allocation-free.
-  out->ResizeForOverwrite(n, total);
-  if (n == 0) return;
-  // Per-thread, capacity-retaining column scratch: after the first batch
-  // of a given pool size the scoring path allocates nothing (every element
-  // is overwritten by LogPdfBatch before the copy reads it).
-  static thread_local std::vector<double> col;  // lint-allow(no-alloc-in-hot): per-thread warmup only
-  col.resize(n);
-  for (std::size_t idx = 0; idx < total; ++idx) {
-    if (!present_[idx]) {
-      for (std::size_t i = 0; i < n; ++i) (*out)(i, idx) = kNegInf;
-      continue;
-    }
-    // One blocked triangular solve for the whole batch.
-    components_[idx].LogPdfBatch(zs, col.data());
-    for (std::size_t i = 0; i < n; ++i) (*out)(i, idx) = col[i];
-  }
-}
-
-double FairDensityEstimator::LogMarginalFromRow(const double* row) const {
-  // LogSumExp (tensor/ops.cc) over the weighted component terms in
-  // ascending component order, without a terms buffer. A missing or
-  // zero-weight component's term is -inf: it neither moves the max nor
-  // adds to the sum (exp(-inf) is an exact 0), so the result is bitwise
-  // that of LogSumExp over the present terms alone.
-  const std::size_t total = components_.size();
-  double mx = kNegInf;
-  for (std::size_t idx = 0; idx < total; ++idx) {
-    mx = std::max(mx, row[idx] + log_weights_[idx]);
-  }
-  if (!std::isfinite(mx)) return mx;
-  double sum = 0.0;
-  for (std::size_t idx = 0; idx < total; ++idx) {
-    sum += std::exp(row[idx] + log_weights_[idx] - mx);
-  }
-  return mx + std::log(sum);
-}
-
-void FairDensityEstimator::LogMarginalFromComponents(const Matrix& comp,
-                                                     double* out) const {
-  FACTION_CHECK_EQ(comp.cols(), components_.size());
-  for (std::size_t i = 0; i < comp.rows(); ++i) {
-    out[i] = LogMarginalFromRow(comp.row_data(i));
-  }
-}
-
-double FairDensityEstimator::LogDeltaG(const double* row, int label) const {
-  FACTION_DCHECK(label >= 0 && label < domain_.num_classes);
-  // The largest pairwise gap is g_max - g_min over the class's groups;
-  // log(g_max - g_min) = hi + log1p(-e^{-(hi - lo)}) in log space.
+  const std::size_t comps = components_.size();
+  const std::size_t classes = static_cast<std::size_t>(domain_.num_classes);
   const std::size_t groups = domain_.groups.size();
-  const double* g = row + static_cast<std::size_t>(label) * groups;
-  double hi = kNegInf;
-  double lo = std::numeric_limits<double>::infinity();
-  bool has_zero = false;  // a missing component: density 0
-  for (std::size_t k = 0; k < groups; ++k) {
-    if (!std::isfinite(g[k])) {
-      has_zero = true;
-      continue;
-    }
-    hi = std::max(hi, g[k]);
-    lo = std::min(lo, g[k]);
+  const bool fair = class_proba != nullptr;
+  if (fair) {
+    FACTION_CHECK(out->log_unfairness != nullptr);
+    FACTION_CHECK_SHAPE(*class_proba, n, classes);
   }
-  if (!std::isfinite(hi)) return kNegInf;  // no group has density
-  if (has_zero) return hi;                 // gap against density 0
-  const double gap = hi - lo;
-  if (gap < 1e-300) return kNegInf;  // identical densities
-  return hi + std::log1p(-std::exp(-gap));
+  out->density_range = LogTermRange{};
+  out->unfairness_range = LogTermRange{};
+  const SimdKernels& kern = ActiveSimd();
+  const std::size_t w0 = std::min(n, kScoreBlock);
+  // Component-major layout: array k of a block of width w holds entry t at
+  // [k * w + t]. The exp stage holds the marginal's terms followed by the
+  // negated class gaps, the log stage the marginal's sum followed by the
+  // class posteriors, so one kernel call covers each.
+  double* ys = scratch;
+  double* comp = ys + dim_ * w0;
+  double* expo = comp + comps * w0;
+  double* mx = expo + (comps + classes) * w0;
+  double* logs = mx + w0;
+  double* gap = logs + (1 + classes) * w0;
+  double* hi = gap + classes * w0;
+  double* has_zero = hi + classes * w0;
+  double* terms = has_zero + classes * w0;
+  double* lse_mx = terms + classes * w0;
+  double* lse_sum = lse_mx + w0;
+
+  for (std::size_t s0 = 0; s0 < n; s0 += kScoreBlock) {
+    const std::size_t w = std::min(n - s0, kScoreBlock);
+    for (std::size_t idx = 0; idx < comps; ++idx) {
+      double* col = comp + idx * w;
+      if (present_[idx]) {
+        components_[idx].LogPdfBlock(zs.row_data(s0), w, ys, col);
+      } else {
+        std::fill(col, col + w, kNegInf);
+      }
+    }
+
+    // Eq. 3 as LogSumExp over the weighted components in ascending
+    // component order. A missing or zero-weight component's term is -inf:
+    // it neither moves the max nor adds to the sum (exp(-inf) is +0).
+    std::fill(mx, mx + w, kNegInf);
+    for (std::size_t idx = 0; idx < comps; ++idx) {
+      const double lw = log_weights_[idx];
+      const double* col = comp + idx * w;
+      for (std::size_t t = 0; t < w; ++t) mx[t] = std::max(mx[t], col[t] + lw);
+    }
+    for (std::size_t idx = 0; idx < comps; ++idx) {
+      const double lw = log_weights_[idx];
+      const double* col = comp + idx * w;
+      double* e = expo + idx * w;
+      for (std::size_t t = 0; t < w; ++t) e[t] = col[t] + lw - mx[t];
+    }
+
+    // Eqs. 4-5: the largest cross-group gap of class c is g_max - g_min,
+    // log(g_max - g_min) = hi + log1p(-e^{-(hi - lo)}); a non-finite
+    // component log-density counts as density 0.
+    if (fair) {
+      for (std::size_t c = 0; c < classes; ++c) {
+        double* hc = hi + c * w;
+        double* zc = has_zero + c * w;
+        double* gc = gap + c * w;
+        double* neg = expo + (comps + c) * w;
+        double* pc = logs + (1 + c) * w;
+        for (std::size_t t = 0; t < w; ++t) {
+          double h = kNegInf;
+          double lo = std::numeric_limits<double>::infinity();
+          double zero = 0.0;
+          for (std::size_t k = 0; k < groups; ++k) {
+            const double g = comp[(c * groups + k) * w + t];
+            if (!std::isfinite(g)) {
+              zero = 1.0;
+              continue;
+            }
+            h = std::max(h, g);
+            lo = std::min(lo, g);
+          }
+          hc[t] = h;
+          zc[t] = zero;
+          gc[t] = h - lo;
+          neg[t] = -gc[t];
+          pc[t] = (*class_proba)(s0 + t, c);
+        }
+      }
+    }
+
+    kern.vexp(expo, expo, (comps + (fair ? classes : 0)) * w);
+    for (std::size_t t = 0; t < w; ++t) logs[t] = 0.0;
+    for (std::size_t idx = 0; idx < comps; ++idx) {
+      const double* e = expo + idx * w;
+      for (std::size_t t = 0; t < w; ++t) logs[t] += e[t];
+    }
+    if (fair) {
+      double* neg = expo + comps * w;
+      for (std::size_t t = 0; t < classes * w; ++t) neg[t] = -neg[t];
+      kern.vlog1p(neg, neg, classes * w);
+    }
+    kern.vlog(logs, logs, (1 + (fair ? classes : 0)) * w);
+
+    double* density = out->log_density + s0;
+    for (std::size_t t = 0; t < w; ++t) {
+      density[t] = std::isfinite(mx[t]) ? mx[t] + logs[t] : mx[t];
+      out->density_range.Add(density[t]);
+    }
+    if (!fair) continue;
+
+    // Eq. 6's sum over classes, as LogSumExp over log p_c + log Delta g_c
+    // in class order. A class with no gap or a negligible posterior adds a
+    // -inf term, which LogSumExp ignores exactly.
+    for (std::size_t c = 0; c < classes; ++c) {
+      const double* hc = hi + c * w;
+      const double* zc = has_zero + c * w;
+      const double* gc = gap + c * w;
+      const double* l1p = expo + (comps + c) * w;
+      const double* log_pc = logs + (1 + c) * w;
+      double* term = terms + c * w;
+      for (std::size_t t = 0; t < w; ++t) {
+        double log_delta;
+        if (!std::isfinite(hc[t])) {
+          log_delta = kNegInf;  // no group has density
+        } else if (zc[t] != 0.0) {
+          log_delta = hc[t];  // gap against density 0
+        } else if (gc[t] < 1e-300) {
+          log_delta = kNegInf;  // identical densities
+        } else {
+          log_delta = hc[t] + l1p[t];
+        }
+        const double p = (*class_proba)(s0 + t, c);
+        term[t] = std::isfinite(log_delta) && p > 1e-12 ? log_pc[t] + log_delta
+                                                        : kNegInf;
+      }
+    }
+    std::copy(terms, terms + w, lse_mx);
+    for (std::size_t c = 0; c < classes; ++c) {
+      const double* term = terms + c * w;
+      for (std::size_t t = 0; t < w; ++t) {
+        lse_mx[t] = std::max(lse_mx[t], term[t]);
+      }
+    }
+    for (std::size_t c = 0; c < classes; ++c) {
+      double* term = terms + c * w;
+      for (std::size_t t = 0; t < w; ++t) term[t] = term[t] - lse_mx[t];
+    }
+    kern.vexp(terms, terms, classes * w);
+    std::fill(lse_sum, lse_sum + w, 0.0);
+    for (std::size_t c = 0; c < classes; ++c) {
+      const double* e = terms + c * w;
+      for (std::size_t t = 0; t < w; ++t) lse_sum[t] += e[t];
+    }
+    kern.vlog(lse_sum, lse_sum, w);
+    double* unfair = out->log_unfairness + s0;
+    for (std::size_t t = 0; t < w; ++t) {
+      unfair[t] =
+          std::isfinite(lse_mx[t]) ? lse_mx[t] + lse_sum[t] : lse_mx[t];
+      out->unfairness_range.Add(unfair[t]);
+    }
+  }
 }
 
 // FACTION_COLD_BEGIN: vector conveniences (tests, baselines, one-off
 // callers) — never inside a steady-state ban.
-std::vector<double> FairDensityEstimator::ComponentRow(
-    const std::vector<double>& z) const {
-  FACTION_DCHECK_LEN(z, dim_);
-  std::vector<double> row(components_.size(), kNegInf);
-  for (std::size_t idx = 0; idx < components_.size(); ++idx) {
-    if (present_[idx]) row[idx] = components_[idx].LogPdf(z);
-  }
-  return row;
-}
-
 double FairDensityEstimator::LogComponentDensity(const std::vector<double>& z,
                                                  int label,
                                                  int sensitive) const {
@@ -359,22 +458,42 @@ double FairDensityEstimator::LogComponentDensity(const std::vector<double>& z,
 
 double FairDensityEstimator::LogMarginalDensity(
     const std::vector<double>& z) const {
-  return LogMarginalFromRow(ComponentRow(z).data());
+  FACTION_CHECK_LEN(z, dim_);
+  Matrix row(1, dim_);
+  std::copy(z.begin(), z.end(), row.row_data(0));
+  return LogMarginalDensityBatch(row)[0];
 }
 
 std::vector<double> FairDensityEstimator::LogMarginalDensityBatch(
     const Matrix& zs) const {
-  Matrix comp;
-  ComponentLogPdfBatch(zs, &comp);
+  std::vector<double> scratch(ScoreScratchSize(zs.rows()));
   std::vector<double> out(zs.rows());
-  LogMarginalFromComponents(comp, out.data());
+  MixtureScores scores;
+  scores.log_density = out.data();
+  ScoreRows(zs, nullptr, scratch.data(), &scores);
   return out;
 }
 
 double FairDensityEstimator::DeltaG(const std::vector<double>& z,
                                     int label) const {
   if (label < 0 || label >= domain_.num_classes) return 0.0;
-  return std::exp(LogDeltaG(ComponentRow(z).data(), label));
+  FACTION_CHECK_LEN(z, dim_);
+  // With p_label = 1 and every other posterior 0, Eq. 6's sum is the one
+  // term log(1) + log Delta g_label, and log(1) is exactly +0.
+  Matrix row(1, dim_);
+  std::copy(z.begin(), z.end(), row.row_data(0));
+  Matrix proba(1, static_cast<std::size_t>(domain_.num_classes));
+  proba(0, static_cast<std::size_t>(label)) = 1.0;
+  std::vector<double> scratch(ScoreScratchSize(1));
+  double log_density = 0.0;
+  double log_delta = 0.0;
+  MixtureScores scores;
+  scores.log_density = &log_density;
+  scores.log_unfairness = &log_delta;
+  ScoreRows(row, &proba, scratch.data(), &scores);
+  double delta = 0.0;
+  ActiveSimd().vexp(&log_delta, &delta, 1);
+  return delta;
 }
 // FACTION_COLD_END
 

@@ -1,7 +1,10 @@
 #ifndef FACTION_DENSITY_FAIR_DENSITY_H_
 #define FACTION_DENSITY_FAIR_DENSITY_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/status.h"
@@ -23,6 +26,28 @@ struct DensityDomain {
   bool operator==(const DensityDomain&) const = default;
 };
 
+/// Minimum and maximum over the finite entries of one log term of a batch
+/// (std::min / std::max in row order); min > max when none is finite. The
+/// batch scorer min-max normalizes each term by it (core/fair_score.h).
+struct LogTermRange {
+  double min = std::numeric_limits<double>::infinity();
+  double max = -std::numeric_limits<double>::infinity();
+
+  void Add(double v) {
+    if (!std::isfinite(v)) return;
+    min = std::min(min, v);
+    max = std::max(max, v);
+  }
+};
+
+/// Caller-owned outputs of FairDensityEstimator::ScoreRows.
+struct MixtureScores {
+  double* log_density = nullptr;     ///< one per row; required
+  double* log_unfairness = nullptr;  ///< one per row; with class_proba only
+  LogTermRange density_range;        ///< over log_density, set by ScoreRows
+  LogTermRange unfairness_range;     ///< over log_unfairness
+};
+
 /// The paper's fairness-aware density estimator G(z) (Sec. IV-B): a
 /// GDA-fitted Gaussian mixture with one component per (class y, sensitive
 /// group s) cell of its DensityDomain, weighted by the empirical joint
@@ -37,9 +62,9 @@ struct DensityDomain {
 ///     the maximum pairwise one, max_{s,s'} |g(z|c,s) - g(z|c,s')|, which
 ///     is |g(z|c,+1) - g(z|c,-1)| on the binary domain.
 ///
-/// All evaluation is done in log space; the scorer re-exponentiates with a
-/// shared per-batch shift, which leaves FACTION's min-max-normalized score
-/// invariant while avoiding underflow for far-OOD samples.
+/// All evaluation is done in log space, through ScoreRows: each combine
+/// re-exponentiates against its own maximum, so far-OOD samples do not
+/// underflow.
 class FairDensityEstimator {
  public:
   FairDensityEstimator() = default;
@@ -102,12 +127,12 @@ class FairDensityEstimator {
 
   std::size_t dim() const { return dim_; }
   const DensityDomain& domain() const { return domain_; }
-  /// num_classes x groups: the length of a component row.
+  /// num_classes x groups mixture components.
   std::size_t num_components() const { return components_.size(); }
 
-  /// Flat index of the (label, sensitive) component — column order of the
-  /// component rows below and term order of every LogSumExp combine — or
-  /// -1 when the pair lies outside the domain.
+  /// Flat index of the (label, sensitive) component (label-major: a
+  /// class's groups are adjacent) — the term order of every sum in
+  /// ScoreRows — or -1 when the pair lies outside the domain.
   int ComponentIndex(int label, int sensitive) const;
 
   /// True when the (y, s) component was fitted from at least one sample;
@@ -117,7 +142,7 @@ class FairDensityEstimator {
 
   /// log g(z | y, s); -infinity for missing components and outside the
   /// domain.
-  // lint-allow(test-only-api): per-row oracle for the batched scorer
+  // lint-allow(test-only-api): per-row oracle for the batched solves
   double LogComponentDensity(const std::vector<double>& z, int label,
                              int sensitive) const;
 
@@ -125,44 +150,40 @@ class FairDensityEstimator {
   // lint-allow(test-only-api): tests assert the fitted mixture weights
   double Weight(int label, int sensitive) const;
 
-  /// One sample's component log-densities: row[ComponentIndex(y, s)] =
-  /// log g(z | y, s), -inf for missing components. `z` points at dim()
-  /// coordinates, `scratch` at dim() caller-owned doubles (clobbered by
-  /// the triangular solves), `row` at num_components() doubles.
-  /// Allocation-free; bitwise identical to a ComponentLogPdfBatch row.
-  void ComponentLogPdfRow(const double* z, double* scratch,
-                          double* row) const;
+  /// Doubles of caller scratch ScoreRows needs for a batch of `rows`.
+  std::size_t ScoreScratchSize(std::size_t rows) const;
 
-  /// Batched component log-densities for every row of `zs`: fills `out`
-  /// (resized to zs.rows() x num_components()) with one
-  /// ComponentLogPdfRow per sample. One blocked triangular solve per
-  /// component for the whole batch; bitwise identical to per-sample
-  /// LogPdf calls.
-  void ComponentLogPdfBatch(const Matrix& zs, Matrix* out) const;
+  /// The mixture's one combine (Eqs. 3-6) for every row z_i of `zs`:
+  ///   out->log_density[i] = log g(z_i) = log sum_{y,s} g(z_i|y,s) p(y,s);
+  ///   out->log_unfairness[i] = log sum_c p_c Delta g_c(z_i), when
+  ///   `class_proba` (one row of p_c per z_i) is given.
+  /// Delta g_c is the largest cross-group gap of class c, a missing
+  /// component counting as density 0; a class with no gap or p_c <= 1e-12
+  /// adds no term, and no term at all gives -inf.
+  ///
+  /// One chunked sweep: per 256-row block, each present component's
+  /// blocked solve writes a component-major column, then the marginal, the
+  /// per-class gaps and the class LogSumExp run through the SIMD
+  /// exp/log/log1p kernels (DESIGN.md §10). Every row is computed by the
+  /// same operation sequence wherever it sits, so a row's bits do not
+  /// depend on the batch, its position in it, the SIMD tier or the thread
+  /// count: a one-row call equals that row of a pool call. `scratch` holds
+  /// ScoreScratchSize(zs.rows()) caller-owned doubles (clobbered); the
+  /// call allocates nothing.
+  void ScoreRows(const Matrix& zs, const Matrix* class_proba,
+                 double* scratch, MixtureScores* out) const;
 
-  /// log g(z) = log sum_{y,s} g(z|y,s) p(y,s) (Eq. 3, log space) from a
-  /// component row.
-  double LogMarginalFromRow(const double* row) const;
-
-  /// Combines a ComponentLogPdfBatch matrix into per-sample marginals:
-  /// out[i] = LogMarginalFromRow(comp row i).
-  void LogMarginalFromComponents(const Matrix& comp, double* out) const;
-
-  /// log Delta g_c(z) for class `label` from a component row: the log of
-  /// the largest cross-group density gap, a missing component counting as
-  /// density 0; -inf when no pair of groups differs.
-  double LogDeltaG(const double* row, int label) const;
-
-  /// log g(z) for one sample.
-  // lint-allow(test-only-api): per-row oracle for the batched scorer
+  /// log g(z) for one sample (a one-row ScoreRows).
+  // lint-allow(test-only-api): tests check it against direct mixture sums
   double LogMarginalDensity(const std::vector<double>& z) const;
 
-  /// Batched marginal over the rows of `zs`.
+  /// log g(z) for every row of `zs` (ScoreRows without the unfairness).
   std::vector<double> LogMarginalDensityBatch(const Matrix& zs) const;
 
-  /// Direct (unshifted) Delta g_c(z); 0 outside the domain. Convenient for
-  /// tests and small-dimensional use; may underflow far from the data.
-  // lint-allow(test-only-api): per-row oracle for the batched Eq. 6 term
+  /// Direct (unshifted) Delta g_c(z); 0 outside the domain: a one-row
+  /// ScoreRows with p_c = 1 for `label`, exponentiated. May underflow far
+  /// from the data.
+  // lint-allow(test-only-api): tests check it against raw density gaps
   double DeltaG(const std::vector<double>& z, int label) const;
 
  private:
@@ -176,9 +197,6 @@ class FairDensityEstimator {
   /// Recomputes weights_/log_weights_ from the counts (legacy) or the
   /// decayed masses (forgetting).
   void RefreshWeights();
-  /// Component row of one sample via the vector LogPdf (cold callers).
-  std::vector<double> ComponentRow(const std::vector<double>& z) const;
-
   std::size_t dim_ = 0;
   DensityDomain domain_;
   std::vector<Gaussian> components_;  // indexed by ComponentIndex

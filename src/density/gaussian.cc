@@ -462,7 +462,8 @@ double Gaussian::MahalanobisSquared(const std::vector<double>& z) const {
   const std::vector<double> y = ForwardSolve(chol_, centered);
   double acc = 0.0;
   for (double v : y) acc += v * v;
-  FACTION_DCHECK_FINITE(acc);
+  // +inf for a row infinitely far away, as in LogPdf; only NaN is a bug.
+  FACTION_DCHECK(!std::isnan(acc));
   return acc;
 }
 
@@ -473,64 +474,39 @@ double Gaussian::LogPdf(const std::vector<double>& z) const {
 }
 // FACTION_COLD_END
 
-double Gaussian::LogPdf(const double* z, double* scratch) const {
+void Gaussian::LogPdfBlock(const double* zs, std::size_t width, double* ys,
+                           double* out) const {
   static constexpr double kLog2Pi = 1.8378770664093453;
   const std::size_t d = dim();
-  FACTION_DCHECK(z != nullptr);
-  FACTION_DCHECK(scratch != nullptr);
-  // Center, solve L y = (z - mu) in place, and reduce — the exact
-  // operation order of MahalanobisSquared, without its temporaries.
-  for (std::size_t j = 0; j < d; ++j) scratch[j] = z[j] - mean_[j];
-  ForwardSolveInPlace(chol_, scratch, d);
-  double acc = 0.0;
-  for (std::size_t j = 0; j < d; ++j) acc += scratch[j] * scratch[j];
-  // An extreme but finite arrival can lie infinitely far away (log-pdf
-  // -inf, which scorers handle); only NaN is a bug.
-  FACTION_DCHECK(!std::isnan(acc));
-  return -0.5 * (static_cast<double>(d) * kLog2Pi + log_det_ + acc);
-}
-
-void Gaussian::LogPdfBatch(const Matrix& zs, double* out) const {
-  static constexpr double kLog2Pi = 1.8378770664093453;
-  const std::size_t d = dim();
-  FACTION_CHECK_EQ(zs.cols(), d);
-  const std::size_t n = zs.rows();
-  if (n == 0) return;
   const double base = static_cast<double>(d) * kLog2Pi + log_det_;
-  // Samples per block: bounds the dim-major scratch to ~d * 2KB.
-  constexpr std::size_t kBlock = 256;
-  const SimdKernels& kern = ActiveSimd();
-  // Dim-major scratch: y[j * width + t] belongs to sample s0 + t, so the
-  // inner solve loops stream contiguously over the block. Per-thread
-  // (serve workers score different sessions at once; a const method has
-  // no arena to draw from) and capacity-retaining: once it has grown to
-  // a full block the batch path allocates nothing.
-  static thread_local std::vector<double> y;  // lint-allow(no-alloc-in-hot): per-thread warmup only
-  y.resize(d * std::min(n, kBlock));
-  for (std::size_t s0 = 0; s0 < n; s0 += kBlock) {
-    const std::size_t width = std::min(n - s0, kBlock);
-    for (std::size_t t = 0; t < width; ++t) {
-      const double* zrow = zs.row_data(s0 + t);
-      for (std::size_t j = 0; j < d; ++j) {
-        y[j * width + t] = zrow[j] - mean_[j];
-      }
-    }
-    // Vectorized forward solve + Mahalanobis reduction across the block's
-    // sample lanes. Per sample this replays the exact operation order of
-    // ForwardSolve (ascending k, then one divide) and the ascending-j
-    // squared-norm sum, so the result is bitwise identical to per-sample
-    // LogPdf at every dispatch level (tests/simd_test.cc pins this).
-    kern.logpdf_block(chol_.data(), d, y.data(), width, base, out + s0);
-    // One finiteness sweep per block instead of one check per sample in
-    // the hot accumulation loop.
-    FACTION_DCHECK_FINITE_ALL(out + s0, width);
+  // Dim-major scratch: ys[j * width + t] belongs to row t, so the inner
+  // solve loops stream contiguously over the block.
+  for (std::size_t t = 0; t < width; ++t) {
+    const double* zrow = zs + t * d;
+    for (std::size_t j = 0; j < d; ++j) ys[j * width + t] = zrow[j] - mean_[j];
   }
+  // Vectorized forward solve + Mahalanobis reduction across the block's
+  // sample lanes. Per sample this replays the exact operation order of
+  // ForwardSolve (ascending k, then one divide) and the ascending-j
+  // squared-norm sum, so the result is bitwise identical to per-sample
+  // LogPdf at every dispatch level (tests/simd_test.cc pins this).
+  ActiveSimd().logpdf_block(chol_.data(), d, ys, width, base, out);
+  // As in LogPdf: an extreme but finite row lies infinitely far away
+  // (-inf, which the scorers handle); only NaN is a bug.
+  FACTION_DCHECK(std::none_of(out, out + width,
+                              [](double v) { return std::isnan(v); }));
 }
 
 // FACTION_COLD_BEGIN: value-returning convenience wrapper.
 std::vector<double> Gaussian::LogPdfBatch(const Matrix& zs) const {
+  FACTION_CHECK_EQ(zs.cols(), dim());
+  constexpr std::size_t kBlock = 256;
   std::vector<double> out(zs.rows());
-  LogPdfBatch(zs, out.data());
+  std::vector<double> ys(dim() * std::min(zs.rows(), kBlock));
+  for (std::size_t s0 = 0; s0 < zs.rows(); s0 += kBlock) {
+    LogPdfBlock(zs.row_data(s0), std::min(zs.rows() - s0, kBlock), ys.data(),
+                out.data() + s0);
+  }
   return out;
 }
 // FACTION_COLD_END

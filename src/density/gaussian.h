@@ -110,20 +110,19 @@ class Gaussian {
   /// log N(z; mean, cov). Precondition: z.size() == dim().
   double LogPdf(const std::vector<double>& z) const;
 
-  /// Allocation-free LogPdf: `z` points at dim() coordinates and `scratch`
-  /// at dim() caller-owned doubles (clobbered). Bitwise-identical to the
-  /// vector overload: same centering, solve, and reduction order.
-  double LogPdf(const double* z, double* scratch) const;
+  /// LogPdf of `width` consecutive rows (row-major, dim() doubles each,
+  /// starting at `zs`) into out[0, width): one blocked triangular solve
+  /// against the cached Cholesky factor for the whole block. `ys` holds
+  /// dim() * width caller-owned doubles (clobbered). Follows the exact
+  /// per-sample operation order of LogPdf, so each value is bitwise equal
+  /// to LogPdf's at every SIMD tier. Allocation-free; the mixture sweep
+  /// (FairDensityEstimator::ScoreRows) calls it once per component and
+  /// row block.
+  void LogPdfBlock(const double* zs, std::size_t width, double* ys,
+                   double* out) const;
 
-  /// Batched LogPdf over the rows of `zs` (n x dim()): one blocked
-  /// triangular solve against the cached Cholesky factor per sample block
-  /// instead of n per-sample solves with per-call temporaries. Follows the
-  /// exact per-sample operation order of LogPdf, so each value is bitwise
-  /// equal to LogPdf's.
-  /// Writes zs.rows() values into `out`.
-  void LogPdfBatch(const Matrix& zs, double* out) const;
-
-  /// Convenience allocation form of the batched evaluation.
+  /// LogPdf over every row of `zs` in 256-row LogPdfBlock calls.
+  // lint-allow(test-only-api): batched oracle for the per-tier parity tests
   std::vector<double> LogPdfBatch(const Matrix& zs) const;
 
   /// Squared Mahalanobis distance (z-mu)^T Sigma^-1 (z-mu).

@@ -56,17 +56,6 @@ std::vector<double> ForwardSolve(const Matrix& lower,
   return y;
 }
 
-void ForwardSolveInPlace(const Matrix& lower, double* b, std::size_t n) {
-  FACTION_DCHECK_EQ(lower.rows(), n);
-  FACTION_DCHECK_EQ(lower.cols(), n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double sum = b[i];
-    const double* row = lower.row_data(i);
-    for (std::size_t k = 0; k < i; ++k) sum -= row[k] * b[k];
-    b[i] = sum / row[i];
-  }
-}
-
 std::vector<double> BackSolveTranspose(const Matrix& lower,
                                        const std::vector<double>& y) {
   const std::size_t n = lower.rows();

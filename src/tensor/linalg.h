@@ -24,12 +24,6 @@ Status CholeskyInto(const Matrix& a, Matrix* l);
 std::vector<double> ForwardSolve(const Matrix& lower,
                                  const std::vector<double>& b);
 
-/// In-place forward substitution: overwrites b[0, n) with the solution of
-/// L y = b. The update order (ascending i, inner k < i) reads only already
-/// finalized entries, so aliasing input and output is exact — the
-/// arithmetic sequence matches ForwardSolve bit for bit.
-void ForwardSolveInPlace(const Matrix& lower, double* b, std::size_t n);
-
 /// Solves L^T x = y for lower-triangular L (back substitution on the
 /// transpose).
 std::vector<double> BackSolveTranspose(const Matrix& lower,

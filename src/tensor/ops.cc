@@ -410,19 +410,14 @@ void LogSoftmaxRowsInto(const Matrix& logits, Matrix* out) {
   }
 }
 
-double LogSumExp(const double* xs, std::size_t n) {
-  FACTION_CHECK(n > 0);
-  double mx = xs[0];
-  for (std::size_t i = 0; i < n; ++i) mx = std::max(mx, xs[i]);
-  if (!std::isfinite(mx)) return mx;
-  double sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) sum += std::exp(xs[i] - mx);
-  return mx + std::log(sum);
-}
-
 double LogSumExp(const std::vector<double>& xs) {
   FACTION_CHECK(!xs.empty());
-  return LogSumExp(xs.data(), xs.size());
+  double mx = xs[0];
+  for (double x : xs) mx = std::max(mx, x);
+  if (!std::isfinite(mx)) return mx;
+  double sum = 0.0;
+  for (double x : xs) sum += std::exp(x - mx);
+  return mx + std::log(sum);
 }
 
 }  // namespace faction

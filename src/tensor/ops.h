@@ -120,12 +120,9 @@ void SoftmaxRowsInto(const Matrix& logits, Matrix* out);
 Matrix LogSoftmaxRows(const Matrix& logits);
 void LogSoftmaxRowsInto(const Matrix& logits, Matrix* out);
 
-/// log(sum(exp(xs))) computed stably.
+/// log(sum(exp(xs))) computed stably with libm; xs must be non-empty.
+// lint-allow(test-only-api): libm reference for the mixture sweep's combines
 double LogSumExp(const std::vector<double>& xs);
-
-/// Allocation-free overload over a raw span; n must be > 0. Used by the
-/// batched density scorers on their per-sample hot path.
-double LogSumExp(const double* xs, std::size_t n);
 
 }  // namespace faction
 

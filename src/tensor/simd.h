@@ -121,6 +121,15 @@ struct SimdKernels {
   /// load-bearing — the guard's *branch* must be identical at every tier.
   void (*downdate_solve)(const double* chol, std::size_t d, double* vs,
                          std::size_t width, double* pnorm2);
+  /// y[i] = exp(x[i]), log(x[i]) and log1p(x[i]) for i < n; x == y is
+  /// allowed. Repo-owned polynomials, not libm: at most 2 ulp from libm,
+  /// with libm's special values (exp(-inf) = +0, log(0) = -inf,
+  /// log1p(-1) = -inf, log1p(-0) = -0, NaN in gives NaN out). Each
+  /// element's bits are the same at every tier, lane position and n
+  /// (DESIGN.md §12 "Transcendentals").
+  void (*vexp)(const double* x, double* y, std::size_t n);
+  void (*vlog)(const double* x, double* y, std::size_t n);
+  void (*vlog1p)(const double* x, double* y, std::size_t n);
 };
 
 /// Number of doubles a pack_b/pack_bt destination buffer must hold.

@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -27,6 +28,7 @@
 #include "gtest/gtest.h"
 
 #include "common/rng.h"
+#include "core/cli.h"
 #include "core/streaming_faction.h"
 #include "data/dataset.h"
 #include "data/scenario.h"
@@ -373,6 +375,81 @@ TEST(CodecFuzz, MutatedScenarioSpecsFailWithAStatusOrBuildAStream) {
   for (int kind = 0; kind < 3; ++kind) {
     EXPECT_GT(tallies[kind].rejected, 0) << kKinds[kind];
     EXPECT_GT(tallies[kind].served, 0) << kKinds[kind];
+  }
+}
+
+// Runs faction_cli's flag parser over `tokens` (argv[0] prepended). It
+// must return; what parses must hold only the values the parser promises.
+void CheckCliTokens(const std::vector<std::string>& tokens, Tally* tally) {
+  std::vector<const char*> argv = {"faction_cli"};
+  for (const std::string& t : tokens) argv.push_back(t.c_str());
+  CliOptions options;
+  const Status status =
+      ParseCliArgs(static_cast<int>(argv.size()), argv.data(), &options);
+  if (!status.ok()) {
+    EXPECT_EQ(StatusCode::kInvalidArgument, status.code());
+    EXPECT_FALSE(status.message().empty());
+    ++tally->rejected;
+    return;
+  }
+  EXPECT_TRUE(std::isfinite(options.mu));
+  EXPECT_TRUE(std::isfinite(options.lambda));
+  EXPECT_TRUE(std::isfinite(options.alpha));
+  EXPECT_TRUE(options.density_decay > 0.0 && options.density_decay <= 1.0);
+  ++tally->served;
+}
+
+// The CLI flags cross a trust boundary too: random token sequences over
+// the flag names, edge values and junk, and bit-flipped, truncated and
+// spliced real command lines, either parse or fail with a Status.
+TEST(CodecFuzz, RandomCliTokensParseOrFailWithAStatus) {
+  const std::vector<std::string> vocabulary = {
+      "--dataset", "--scenario", "--method", "--budget", "--acquisition",
+      "--samples", "--seed", "--mu", "--lambda", "--alpha",
+      "--density-window", "--density-decay", "--csv", "--trace",
+      "--telemetry", "--help", "-h", "--unknown", "-", "--", "",
+      "0", "1", "0.5", "-1", "+5", "200x", "1e400", "1e-320", "nan", "inf",
+      "-inf", "0x10", "18446744073709551615", "18446744073709551616",
+      "9223372036854775808", " 7", "nysf", "FACTION", "stationary"};
+  const std::vector<std::string> corpus = {
+      "--dataset nysf --method FACTION --budget 200 --acquisition 50 "
+      "--samples 600 --seed 42 --csv",
+      "--scenario rcmnist;drift=recurring:2 --mu 0.6 --lambda 0.5 "
+      "--alpha 3.0 --telemetry",
+      "--density-window 24 --density-decay 0.99 --trace run.jsonl",
+  };
+  Tally random;
+  for (int i = 0; i < 4 * kMutationsPerKind; ++i) {
+    Rng rng(SubSeed(0, "codec-fuzz/cli/tokens/" + std::to_string(i)));
+    std::vector<std::string> tokens(rng.UniformInt(9));
+    for (std::string& t : tokens) {
+      t = vocabulary[rng.UniformInt(vocabulary.size())];
+    }
+    CheckCliTokens(tokens, &random);
+  }
+  EXPECT_GT(random.rejected, 0);
+  EXPECT_GT(random.served, 0);
+  const char* const kKinds[] = {"bitflip", "truncate", "splice"};
+  for (int kind = 0; kind < 3; ++kind) {
+    Tally tally;
+    for (std::size_t c = 0; c < corpus.size(); ++c) {
+      for (int i = 0; i < kMutationsPerKind; ++i) {
+        Rng rng(SubSeed(0, "codec-fuzz/cli/" + std::to_string(c) + "/" +
+                               kKinds[kind] + "/" + std::to_string(i)));
+        const std::string line = Mutate(corpus[c], corpus, kind, &rng);
+        SCOPED_TRACE(testing::Message() << "command line '" << line << "'");
+        std::vector<std::string> tokens;
+        std::size_t begin = 0;
+        while (begin <= line.size()) {
+          const std::size_t end = std::min(line.find(' ', begin), line.size());
+          tokens.push_back(line.substr(begin, end - begin));
+          begin = end + 1;
+        }
+        CheckCliTokens(tokens, &tally);
+      }
+    }
+    EXPECT_GT(tally.rejected, 0) << kKinds[kind];
+    EXPECT_GT(tally.served, 0) << kKinds[kind];
   }
 }
 

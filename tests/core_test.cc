@@ -1,4 +1,5 @@
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "common/parallel.h"
@@ -62,6 +63,32 @@ TEST(FairScoreTest, ShapeAndValidation) {
   EXPECT_FALSE(ComputeFactionScores(est, z, bad_proba, 0.5, true).ok());
   Matrix bad_z(5, 3, 0.0);
   EXPECT_FALSE(ComputeFactionScores(est, bad_z, proba, 0.5, true).ok());
+}
+
+// A far-out candidate lies infinitely far from every component: its
+// log-density is -inf (not a NaN, and no DCHECK abort in the blocked
+// solve), and its normalized score is finite like every other.
+TEST(FairScoreTest, FarOutCandidateHasMinusInfDensityAndFiniteU) {
+  Rng rng(11);
+  const FairDensityEstimator est = FitEstimator(2.0, &rng);
+  Matrix z(3, 2, 0.0);
+  z(1, 0) = 1e200;
+  z(1, 1) = -1e200;
+  z(2, 0) = 4.0;
+  Matrix proba(3, 2, 0.5);
+  for (const bool fair_select : {true, false}) {
+    const Result<std::vector<FactionScore>> scores =
+        ComputeFactionScores(est, z, proba, 0.5, fair_select);
+    ASSERT_TRUE(scores.ok());
+    EXPECT_EQ(-std::numeric_limits<double>::infinity(),
+              scores.value()[1].log_density);
+    EXPECT_EQ(-std::numeric_limits<double>::infinity(),
+              scores.value()[1].log_unfairness);
+    for (const FactionScore& s : scores.value()) {
+      EXPECT_TRUE(std::isfinite(s.u));
+    }
+    EXPECT_TRUE(std::isfinite(scores.value()[0].log_density));
+  }
 }
 
 TEST(FairScoreTest, OodCandidateGetsLowU) {

@@ -121,10 +121,21 @@ TEST(GroupedDensityTest, LogDeltaGMatchesRawDomain) {
   }
   const double raw = *std::max_element(densities.begin(), densities.end()) -
                      *std::min_element(densities.begin(), densities.end());
-  std::vector<double> scratch(2), row(est.value().num_components());
-  est.value().ComponentLogPdfRow(z.data(), scratch.data(), row.data());
   ASSERT_GT(raw, 0.0);
-  EXPECT_NEAR(std::log(raw), est.value().LogDeltaG(row.data(), 1), 1e-6);
+  // With p_1 = 1 the sweep's unfairness term is log Delta g_1 alone.
+  Matrix zs(1, 2);
+  zs(0, 0) = z[0];
+  zs(0, 1) = z[1];
+  Matrix proba(1, 3);
+  proba(0, 1) = 1.0;
+  std::vector<double> scratch(est.value().ScoreScratchSize(1));
+  double log_density = 0.0;
+  double log_delta = 0.0;
+  MixtureScores scores;
+  scores.log_density = &log_density;
+  scores.log_unfairness = &log_delta;
+  est.value().ScoreRows(zs, &proba, scratch.data(), &scores);
+  EXPECT_NEAR(std::log(raw), log_delta, 1e-6);
 }
 
 TEST(GroupedDensityTest, MarginalMixesAllComponents) {

@@ -1,7 +1,10 @@
 #include "common/parallel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <stdexcept>
@@ -35,6 +38,12 @@ class ThreadCountGuard {
  private:
   int saved_;
 };
+
+std::uint64_t Bits(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
 
 Matrix RandomMatrix(std::size_t rows, std::size_t cols, Rng* rng) {
   Matrix m(rows, cols);
@@ -301,6 +310,8 @@ FairDensityEstimator FitFairEstimator(Rng* rng, const Matrix& pool,
   return std::move(fit).value();
 }
 
+// A row's marginal does not depend on the batch around it: the pool sweep
+// and a one-row call agree bit for bit.
 TEST(BatchedDensityTest, FairMarginalBatchMatchesPerSample) {
   Rng rng(17);
   const Matrix pool = RandomMatrix(160, 6, &rng);
@@ -310,8 +321,71 @@ TEST(BatchedDensityTest, FairMarginalBatchMatchesPerSample) {
   const Matrix query = RandomMatrix(123, 6, &rng);
   const std::vector<double> batch = est.LogMarginalDensityBatch(query);
   for (std::size_t i = 0; i < query.rows(); ++i) {
-    EXPECT_NEAR(batch[i], est.LogMarginalDensity(query.Row(i)), 1e-12);
+    EXPECT_EQ(batch[i], est.LogMarginalDensity(query.Row(i))) << i;
   }
+}
+
+// The per-arrival scorer's shape: a one-row ScoreRows call gives, bit for
+// bit, that row's log-density and log-unfairness from one pool call, in
+// either 256-row block of the pool and for a row infinitely far away.
+TEST(BatchedDensityTest, OneRowScoreMatchesPoolRowsBitwise) {
+  Rng rng(23);
+  const Matrix pool = RandomMatrix(160, 6, &rng);
+  std::vector<int> labels, sensitive;
+  const FairDensityEstimator est =
+      FitFairEstimator(&rng, pool, &labels, &sensitive);
+  Matrix query = RandomMatrix(301, 6, &rng);
+  for (std::size_t j = 0; j < query.cols(); ++j) {
+    query(290, j) = j % 2 == 0 ? 1e200 : -1e200;
+  }
+  Matrix proba(query.rows(), 2);
+  for (std::size_t i = 0; i < query.rows(); ++i) {
+    proba(i, 0) = rng.Uniform();
+    proba(i, 1) = 1.0 - proba(i, 0);
+  }
+  std::vector<double> scratch(est.ScoreScratchSize(query.rows()));
+  std::vector<double> density(query.rows());
+  std::vector<double> unfair(query.rows());
+  MixtureScores scores;
+  scores.log_density = density.data();
+  scores.log_unfairness = unfair.data();
+  est.ScoreRows(query, &proba, scratch.data(), &scores);
+  EXPECT_EQ(-std::numeric_limits<double>::infinity(), density[290]);
+
+  std::vector<double> one_scratch(est.ScoreScratchSize(1));
+  Matrix z(1, query.cols());
+  Matrix p(1, 2);
+  for (std::size_t i = 0; i < query.rows(); ++i) {
+    std::copy(query.row_data(i), query.row_data(i) + query.cols(),
+              z.row_data(0));
+    p(0, 0) = proba(i, 0);
+    p(0, 1) = proba(i, 1);
+    double one_density = 0.0;
+    double one_unfair = 0.0;
+    MixtureScores one;
+    one.log_density = &one_density;
+    one.log_unfairness = &one_unfair;
+    est.ScoreRows(z, &p, one_scratch.data(), &one);
+    EXPECT_EQ(Bits(density[i]), Bits(one_density)) << i;
+    EXPECT_EQ(Bits(unfair[i]), Bits(one_unfair)) << i;
+  }
+}
+
+// log sum_{y,s} p(y,s) g(z|y,s) from the per-component oracle, with libm.
+double ReferenceLogMarginal(const FairDensityEstimator& est,
+                            const std::vector<double>& z,
+                            const std::vector<int>& groups) {
+  std::vector<double> terms;
+  for (int y = 0; y < est.domain().num_classes; ++y) {
+    for (int s : groups) {
+      const double lc = est.LogComponentDensity(z, y, s);
+      if (std::isfinite(lc) && est.Weight(y, s) > 0.0) {
+        terms.push_back(lc + std::log(est.Weight(y, s)));
+      }
+    }
+  }
+  return terms.empty() ? -std::numeric_limits<double>::infinity()
+                       : LogSumExp(terms);
 }
 
 TEST(BatchedDensityTest, FairComponentBatchMatchesPerSample) {
@@ -320,21 +394,38 @@ TEST(BatchedDensityTest, FairComponentBatchMatchesPerSample) {
   std::vector<int> labels, sensitive;
   const FairDensityEstimator est =
       FitFairEstimator(&rng, pool, &labels, &sensitive);
+  ASSERT_EQ(est.num_components(), 4u);
   const Matrix query = RandomMatrix(77, 5, &rng);
-  Matrix comp;
-  est.ComponentLogPdfBatch(query, &comp);
-  ASSERT_EQ(comp.rows(), query.rows());
-  ASSERT_EQ(comp.cols(), est.num_components());
-  ASSERT_EQ(comp.cols(), 4u);
+  const std::vector<double> batch = est.LogMarginalDensityBatch(query);
   for (std::size_t i = 0; i < query.rows(); ++i) {
-    const std::vector<double> z = query.Row(i);
-    for (int y = 0; y < 2; ++y) {
-      for (int s : {-1, 1}) {
-        const auto idx = static_cast<std::size_t>(est.ComponentIndex(y, s));
-        EXPECT_EQ(comp(i, idx), est.LogComponentDensity(z, y, s));
-      }
-    }
+    EXPECT_NEAR(batch[i], ReferenceLogMarginal(est, query.Row(i), {-1, 1}),
+                1e-12);
   }
+}
+
+// log Delta g_label(z) from the per-component oracle, with libm: the
+// largest gap between the class's group densities, a missing component
+// counting as density 0.
+double ReferenceLogDeltaG(const FairDensityEstimator& est,
+                          const std::vector<double>& z, int label,
+                          const std::vector<int>& groups) {
+  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+  double hi = kNegInf;
+  double lo = std::numeric_limits<double>::infinity();
+  bool has_zero = false;
+  for (int s : groups) {
+    const double g = est.LogComponentDensity(z, label, s);
+    if (!std::isfinite(g)) {
+      has_zero = true;
+      continue;
+    }
+    hi = std::max(hi, g);
+    lo = std::min(lo, g);
+  }
+  if (!std::isfinite(hi)) return kNegInf;
+  if (has_zero) return hi;
+  if (hi - lo < 1e-300) return kNegInf;
+  return hi + std::log1p(-std::exp(-(hi - lo)));
 }
 
 TEST(BatchedDensityTest, GroupedBatchMatchesPerSampleWithMissingGroup) {
@@ -344,8 +435,8 @@ TEST(BatchedDensityTest, GroupedBatchMatchesPerSampleWithMissingGroup) {
   std::vector<int> sensitive(pool.rows());
   for (std::size_t i = 0; i < pool.rows(); ++i) {
     labels[i] = rng.Uniform() < 0.5 ? 0 : 1;
-    // Group 7 is declared but never observed for class 1, so LogDeltaG
-    // exercises the any_missing branch for that class.
+    // Group 7 is declared but never observed for class 1, so the gap of
+    // class 1 runs the missing-component branch.
     const double u = rng.Uniform();
     sensitive[i] = u < 0.4 ? 2 : (u < 0.8 || labels[i] == 1 ? 5 : 7);
   }
@@ -356,24 +447,30 @@ TEST(BatchedDensityTest, GroupedBatchMatchesPerSampleWithMissingGroup) {
   const Matrix query = RandomMatrix(88, 4, &rng);
   const std::vector<double> marginal = est.LogMarginalDensityBatch(query);
   for (std::size_t i = 0; i < query.rows(); ++i) {
-    EXPECT_NEAR(marginal[i], est.LogMarginalDensity(query.Row(i)), 1e-12);
+    EXPECT_EQ(marginal[i], est.LogMarginalDensity(query.Row(i)));
+    EXPECT_NEAR(marginal[i],
+                ReferenceLogMarginal(est, query.Row(i), {2, 5, 7}), 1e-12);
   }
-  Matrix comp;
-  est.ComponentLogPdfBatch(query, &comp);
+  // With p_label = 1 the unfairness term is log Delta g_label alone.
+  std::vector<double> scratch(est.ScoreScratchSize(query.rows()));
+  std::vector<double> density(query.rows());
+  std::vector<double> log_delta(query.rows());
   for (int label = 0; label < 2; ++label) {
+    Matrix proba(query.rows(), 2);
     for (std::size_t i = 0; i < query.rows(); ++i) {
-      std::vector<double> row;
-      for (int y = 0; y < 2; ++y) {
-        for (int s : {2, 5, 7}) {
-          row.push_back(est.LogComponentDensity(query.Row(i), y, s));
-        }
-      }
-      const double expected = est.LogDeltaG(row.data(), label);
-      const double batched = est.LogDeltaG(comp.row_data(i), label);
+      proba(i, static_cast<std::size_t>(label)) = 1.0;
+    }
+    MixtureScores scores;
+    scores.log_density = density.data();
+    scores.log_unfairness = log_delta.data();
+    est.ScoreRows(query, &proba, scratch.data(), &scores);
+    for (std::size_t i = 0; i < query.rows(); ++i) {
+      const double expected =
+          ReferenceLogDeltaG(est, query.Row(i), label, {2, 5, 7});
       if (std::isfinite(expected)) {
-        EXPECT_NEAR(batched, expected, 1e-12);
+        EXPECT_NEAR(log_delta[i], expected, 1e-12);
       } else {
-        EXPECT_EQ(batched, expected);
+        EXPECT_EQ(log_delta[i], expected);
       }
     }
   }
@@ -386,25 +483,16 @@ TEST(BatchedDensityTest, GroupedBatchMatchesPerSampleWithMissingGroup) {
 double ReferenceLogUnfairness(const FairDensityEstimator& est,
                               const std::vector<double>& z,
                               const Matrix& proba, std::size_t i) {
-  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
   std::vector<double> terms;
   for (int c = 0; c < 2; ++c) {
-    const double lp = est.LogComponentDensity(z, c, 1);
-    const double ln = est.LogComponentDensity(z, c, -1);
-    double log_delta = kNegInf;
-    if (std::isfinite(lp) && std::isfinite(ln)) {
-      const double hi = lp > ln ? lp : ln;
-      const double gap = hi - (lp > ln ? ln : lp);
-      if (gap >= 1e-300) log_delta = hi + std::log1p(-std::exp(-gap));
-    } else if (std::isfinite(lp) || std::isfinite(ln)) {
-      log_delta = std::isfinite(lp) ? lp : ln;
-    }
+    const double log_delta = ReferenceLogDeltaG(est, z, c, {-1, 1});
     const double pc = proba(i, static_cast<std::size_t>(c));
     if (std::isfinite(log_delta) && pc > 1e-12) {
       terms.push_back(std::log(pc) + log_delta);
     }
   }
-  return terms.empty() ? kNegInf : LogSumExp(terms);
+  return terms.empty() ? -std::numeric_limits<double>::infinity()
+                       : LogSumExp(terms);
 }
 
 TEST(BatchedDensityTest, FactionScoresMatchPerSampleReference) {

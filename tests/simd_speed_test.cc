@@ -211,5 +211,39 @@ TEST(SimdTierSpeed, MatMulAtColsNoSlowerThanGeneric) {
   }
 }
 
+// The mixture sweep's transcendentals over one 256-row block of the
+// 4-component, 2-class scorer: exp over the component terms, log1p over
+// the class gaps, log over the sums (DESIGN.md §12 "Transcendentals"). One
+// row of work is also timed alone: the per-arrival path calls the kernels
+// on arrays of 2 to 4 elements, where only latency counts.
+TEST(SimdTierSpeed, TranscendentalsNoSlowerThanGeneric) {
+  const std::vector<const SimdKernels*> tables = SupportedTables();
+  if (tables.size() < 2) GTEST_SKIP() << "no wide tier on this host";
+  constexpr int kReps = 300;
+  Rng rng(23);
+  for (const std::size_t n : {std::size_t{1024}, std::size_t{4}}) {
+    std::vector<double> exp_in(n), log_in(n), log1p_in(n), out(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      exp_in[i] = -30.0 * rng.Uniform();
+      log_in[i] = 1.0 + 3.0 * rng.Uniform();
+      log1p_in[i] = -rng.Uniform();
+    }
+    std::vector<double> best(tables.size(),
+                             std::numeric_limits<double>::infinity());
+    for (int rep = 0; rep < kReps; ++rep) {
+      for (std::size_t t = 0; t < tables.size(); ++t) {
+        Timer timer;
+        tables[t]->vexp(exp_in.data(), out.data(), n);
+        tables[t]->vlog1p(log1p_in.data(), out.data(), n);
+        tables[t]->vlog(log_in.data(), out.data(), n);
+        best[t] = std::min(best[t], timer.ElapsedSeconds());
+      }
+    }
+    const std::string what =
+        "vexp + vlog1p + vlog, n=" + std::to_string(n) + " each";
+    ExpectNoSlowerThanGeneric(tables, best, what.c_str());
+  }
+}
+
 }  // namespace
 }  // namespace faction

@@ -584,8 +584,7 @@ TEST(SimdDensity, LogPdfBatchBitwiseParityAcrossLevels) {
         ThreadCountGuard threads;
         for (int nthreads : {1, 8}) {
           SetParallelThreadCount(nthreads);
-          std::vector<double> batch(zs.rows(), -1.0);
-          g.LogPdfBatch(zs, batch.data());
+          const std::vector<double> batch = g.LogPdfBatch(zs);
           ASSERT_EQ(std::memcmp(per_sample.data(), batch.data(),
                                 batch.size() * sizeof(double)),
                     0)
@@ -817,68 +816,71 @@ TEST(SimdBroadcast, AxpyFactor) {
 // base takes the edge as well.
 TEST(SimdBroadcast, SolveEdgeCholeskyEntries) {
   const std::size_t d = 9;
-  const std::size_t width = 37;  // every solve loop at every lane width
-  Rng rng(4545);
-  const std::vector<double> edges = BroadcastEdges();
-  for (std::size_t e = 0; e < edges.size(); ++e) {
-    for (const bool off_diagonal : {false, true}) {
-      const double edge = edges[e];
-      Matrix chol(d, d, 0.0);
-      for (std::size_t j = 0; j < d; ++j) {
-        chol(j, j) = 1.25 + 0.1 * static_cast<double>(j);
-        for (std::size_t k = 0; k < j; ++k) chol(j, k) = 0.3 * rng.Gaussian();
-      }
-      if (off_diagonal) {
-        for (std::size_t j = 1; j < d; j += 2) chol(j, j / 2) = edge;
-      } else {
-        chol(d / 2, d / 2) = edge;
-      }
-      const Matrix ys0 = TrickyMatrix(d, width, &rng);
-      std::vector<double> want_y(ys0.data(), ys0.data() + ys0.size());
-      std::vector<double> want_norm(width, 0.0), want_out(width);
-      for (std::size_t t = 0; t < width; ++t) {
+  // Narrower than every tier width, between the avx2 and avx512 widths,
+  // and every solve loop at every lane width.
+  for (const std::size_t width : {1u, 5u, 37u}) {
+    Rng rng(4545);
+    const std::vector<double> edges = BroadcastEdges();
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      for (const bool off_diagonal : {false, true}) {
+        const double edge = edges[e];
+        Matrix chol(d, d, 0.0);
         for (std::size_t j = 0; j < d; ++j) {
-          double acc = want_y[j * width + t];
-          for (std::size_t k = 0; k < j; ++k) {
-            acc -= chol(j, k) * want_y[k * width + t];
+          chol(j, j) = 1.25 + 0.1 * static_cast<double>(j);
+          for (std::size_t k = 0; k < j; ++k) chol(j, k) = 0.3 * rng.Gaussian();
+        }
+        if (off_diagonal) {
+          for (std::size_t j = 1; j < d; j += 2) chol(j, j / 2) = edge;
+        } else {
+          chol(d / 2, d / 2) = edge;
+        }
+        const Matrix ys0 = TrickyMatrix(d, width, &rng);
+        std::vector<double> want_y(ys0.data(), ys0.data() + ys0.size());
+        std::vector<double> want_norm(width, 0.0), want_out(width);
+        for (std::size_t t = 0; t < width; ++t) {
+          for (std::size_t j = 0; j < d; ++j) {
+            double acc = want_y[j * width + t];
+            for (std::size_t k = 0; k < j; ++k) {
+              acc -= chol(j, k) * want_y[k * width + t];
+            }
+            want_y[j * width + t] = acc / chol(j, j);
           }
-          want_y[j * width + t] = acc / chol(j, j);
+          for (std::size_t j = 0; j < d; ++j) {
+            want_norm[t] += want_y[j * width + t] * want_y[j * width + t];
+          }
+          want_out[t] = -0.5 * (edge + want_norm[t]);
         }
-        for (std::size_t j = 0; j < d; ++j) {
-          want_norm[t] += want_y[j * width + t] * want_y[j * width + t];
+        for (SimdLevel level : SupportedLevels()) {
+          ScopedSimdLevel guard(level);
+          std::vector<double> ys(ys0.data(), ys0.data() + ys0.size());
+          std::vector<double> out(width, -1.0);
+          ActiveSimd().logpdf_block(chol.data(), d, ys.data(), width, edge,
+                                    out.data());
+          ASSERT_EQ(std::memcmp(want_y.data(), ys.data(),
+                                ys.size() * sizeof(double)),
+                    0)
+              << "logpdf solve edge " << edge << " off-diagonal "
+              << off_diagonal << " at " << SimdLevelName(level);
+          ASSERT_EQ(std::memcmp(want_out.data(), out.data(),
+                                width * sizeof(double)),
+                    0)
+              << "logpdf out edge " << edge << " off-diagonal " << off_diagonal
+              << " at " << SimdLevelName(level);
+          std::vector<double> vs(ys0.data(), ys0.data() + ys0.size());
+          std::vector<double> pnorm2(width, -1.0);
+          ActiveSimd().downdate_solve(chol.data(), d, vs.data(), width,
+                                      pnorm2.data());
+          ASSERT_EQ(std::memcmp(want_y.data(), vs.data(),
+                                vs.size() * sizeof(double)),
+                    0)
+              << "downdate solve edge " << edge << " off-diagonal "
+              << off_diagonal << " at " << SimdLevelName(level);
+          ASSERT_EQ(std::memcmp(want_norm.data(), pnorm2.data(),
+                                width * sizeof(double)),
+                    0)
+              << "downdate norm edge " << edge << " off-diagonal "
+              << off_diagonal << " at " << SimdLevelName(level);
         }
-        want_out[t] = -0.5 * (edge + want_norm[t]);
-      }
-      for (SimdLevel level : SupportedLevels()) {
-        ScopedSimdLevel guard(level);
-        std::vector<double> ys(ys0.data(), ys0.data() + ys0.size());
-        std::vector<double> out(width, -1.0);
-        ActiveSimd().logpdf_block(chol.data(), d, ys.data(), width, edge,
-                                  out.data());
-        ASSERT_EQ(std::memcmp(want_y.data(), ys.data(),
-                              ys.size() * sizeof(double)),
-                  0)
-            << "logpdf solve edge " << edge << " off-diagonal "
-            << off_diagonal << " at " << SimdLevelName(level);
-        ASSERT_EQ(std::memcmp(want_out.data(), out.data(),
-                              width * sizeof(double)),
-                  0)
-            << "logpdf out edge " << edge << " off-diagonal " << off_diagonal
-            << " at " << SimdLevelName(level);
-        std::vector<double> vs(ys0.data(), ys0.data() + ys0.size());
-        std::vector<double> pnorm2(width, -1.0);
-        ActiveSimd().downdate_solve(chol.data(), d, vs.data(), width,
-                                    pnorm2.data());
-        ASSERT_EQ(std::memcmp(want_y.data(), vs.data(),
-                              vs.size() * sizeof(double)),
-                  0)
-            << "downdate solve edge " << edge << " off-diagonal "
-            << off_diagonal << " at " << SimdLevelName(level);
-        ASSERT_EQ(std::memcmp(want_norm.data(), pnorm2.data(),
-                              width * sizeof(double)),
-                  0)
-            << "downdate norm edge " << edge << " off-diagonal "
-            << off_diagonal << " at " << SimdLevelName(level);
       }
     }
   }
@@ -902,6 +904,245 @@ TEST(SimdHelpers, AxpyParity) {
                           ref.size() * sizeof(double)),
               0)
         << SimdLevelName(level);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Elementwise exp / log / log1p (the mixture scorer's transcendentals).
+
+enum class Elementwise { kExp, kLog, kLog1p };
+
+const char* ElementwiseName(Elementwise f) {
+  switch (f) {
+    case Elementwise::kExp:
+      return "exp";
+    case Elementwise::kLog:
+      return "log";
+    case Elementwise::kLog1p:
+      return "log1p";
+  }
+  return "?";
+}
+
+void RunElementwise(Elementwise f, const double* x, double* y, std::size_t n) {
+  const SimdKernels& kern = ActiveSimd();
+  switch (f) {
+    case Elementwise::kExp:
+      kern.vexp(x, y, n);
+      break;
+    case Elementwise::kLog:
+      kern.vlog(x, y, n);
+      break;
+    case Elementwise::kLog1p:
+      kern.vlog1p(x, y, n);
+      break;
+  }
+}
+
+double Libm(Elementwise f, double x) {
+  switch (f) {
+    case Elementwise::kExp:
+      return std::exp(x);
+    case Elementwise::kLog:
+      return std::log(x);
+    case Elementwise::kLog1p:
+      return std::log1p(x);
+  }
+  return 0.0;
+}
+
+double Apply(Elementwise f, double x) {
+  double y = 0.0;
+  RunElementwise(f, &x, &y, 1);
+  return y;
+}
+
+std::uint64_t BitsOf(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+// Distance in representable doubles (0 for two NaNs or +0 against -0).
+std::uint64_t UlpDistance(double a, double b) {
+  if (std::isnan(a) && std::isnan(b)) return 0;
+  if (a == b) return 0;
+  if (std::isnan(a) || std::isnan(b)) return UINT64_MAX;
+  const auto ordered = [](double v) {
+    const auto b = static_cast<std::int64_t>(BitsOf(v));
+    return b < 0 ? std::numeric_limits<std::int64_t>::min() - b : b;
+  };
+  const std::int64_t d = ordered(a) - ordered(b);
+  return d < 0 ? static_cast<std::uint64_t>(-d) : static_cast<std::uint64_t>(d);
+}
+
+// Inputs across each kernel's domain and its edges: zeros, denormals,
+// infinities, NaN, the overflow and underflow thresholds and the
+// branch boundaries of the reductions.
+std::vector<double> ElementwiseInputs(Rng* rng) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> v = {0.0, -0.0, 1.0, -1.0, 2.0, 0.5, inf, -inf,
+                           std::numeric_limits<double>::quiet_NaN(),
+                           4.9e-324, -4.9e-324, 2.2250738585072014e-308,
+                           1e-300, 1e300, 709.78, 709.79, 710.0, -708.4,
+                           -745.1, -745.2, -1e-17, 1e-17, 0.4142, 0.41422,
+                           -0.2929, -0.29290, -0.999999, -1.0000001,
+                           1e-12, 0.6931471805599453, -0.34657359};
+  for (int i = 0; i < 60; ++i) v.push_back(rng->Gaussian() * 20.0);
+  for (int i = 0; i < 60; ++i) v.push_back(-rng->Uniform());
+  for (int i = 0; i < 60; ++i) v.push_back(std::exp(rng->Gaussian() * 30.0));
+  return v;
+}
+
+// A value's bits are the same at every tier, lane position and array
+// length: every input visits every position of arrays 0 to 2 x lanes long.
+TEST(SimdTranscendental, BitwiseAcrossTiersLanesAndTails) {
+  Rng rng(909);
+  const std::vector<double> inputs = ElementwiseInputs(&rng);
+  const std::size_t count = inputs.size();
+  for (Elementwise f :
+       {Elementwise::kExp, Elementwise::kLog, Elementwise::kLog1p}) {
+    std::vector<double> ref(count);
+    {
+      ScopedSimdLevel generic(SimdLevel::kGeneric);
+      for (std::size_t i = 0; i < count; ++i) ref[i] = Apply(f, inputs[i]);
+    }
+    for (SimdLevel level : SupportedLevels()) {
+      ScopedSimdLevel guard(level);
+      const std::size_t lanes = ActiveSimd().lanes;
+      std::vector<double> x(2 * lanes), y(2 * lanes + 1);
+      for (std::size_t n = 0; n <= 2 * lanes; ++n) {
+        for (std::size_t shift = 0; shift < count; ++shift) {
+          for (std::size_t i = 0; i < n; ++i) {
+            x[i] = inputs[(shift + i) % count];
+          }
+          std::fill(y.begin(), y.end(), -7.0);
+          RunElementwise(f, x.data(), y.data(), n);
+          for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(BitsOf(ref[(shift + i) % count]), BitsOf(y[i]))
+                << ElementwiseName(f) << "(" << x[i] << ") at "
+                << SimdLevelName(level) << ", position " << i << " of "
+                << n;
+          }
+          ASSERT_EQ(-7.0, y[n]) << "wrote past n at " << SimdLevelName(level);
+        }
+      }
+      // In place: x == y.
+      std::vector<double> inplace = inputs;
+      RunElementwise(f, inplace.data(), inplace.data(), count);
+      ASSERT_EQ(0, std::memcmp(ref.data(), inplace.data(),
+                               count * sizeof(double)))
+          << ElementwiseName(f) << " in place at " << SimdLevelName(level);
+    }
+  }
+}
+
+TEST(SimdTranscendental, SpecialValuesExact) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (SimdLevel level : SupportedLevels()) {
+    ScopedSimdLevel guard(level);
+    SCOPED_TRACE(SimdLevelName(level));
+    const auto exp = [](double x) { return Apply(Elementwise::kExp, x); };
+    const auto log = [](double x) { return Apply(Elementwise::kLog, x); };
+    const auto log1p = [](double x) { return Apply(Elementwise::kLog1p, x); };
+    EXPECT_EQ(BitsOf(1.0), BitsOf(exp(0.0)));
+    EXPECT_EQ(BitsOf(1.0), BitsOf(exp(-0.0)));
+    EXPECT_EQ(BitsOf(0.0), BitsOf(exp(-inf)));  // +0, not -0
+    EXPECT_EQ(inf, exp(inf));
+    EXPECT_EQ(inf, exp(709.79));  // overflow
+    EXPECT_EQ(inf, exp(1000.0));
+    EXPECT_LT(exp(709.78), inf);
+    EXPECT_EQ(BitsOf(0.0), BitsOf(exp(-745.2)));  // underflow
+    EXPECT_EQ(BitsOf(0.0), BitsOf(exp(-1e300)));
+    EXPECT_TRUE(std::isnan(exp(nan)));
+
+    EXPECT_EQ(BitsOf(0.0), BitsOf(log(1.0)));  // +0
+    EXPECT_EQ(-inf, log(0.0));
+    EXPECT_EQ(-inf, log(-0.0));
+    EXPECT_EQ(inf, log(inf));
+    EXPECT_TRUE(std::isnan(log(-1.0)));
+    EXPECT_TRUE(std::isnan(log(-4.9e-324)));
+    EXPECT_TRUE(std::isnan(log(-inf)));
+    EXPECT_TRUE(std::isnan(log(nan)));
+    EXPECT_LE(UlpDistance(std::log(4.9e-324), log(4.9e-324)), 1u);
+    EXPECT_LE(UlpDistance(std::log(1e-310), log(1e-310)), 1u);
+
+    EXPECT_EQ(-inf, log1p(-1.0));
+    EXPECT_EQ(BitsOf(-0.0), BitsOf(log1p(-0.0)));
+    EXPECT_EQ(BitsOf(0.0), BitsOf(log1p(0.0)));
+    EXPECT_EQ(BitsOf(4.9e-324), BitsOf(log1p(4.9e-324)));
+    EXPECT_EQ(BitsOf(-1e-17), BitsOf(log1p(-1e-17)));
+    EXPECT_EQ(inf, log1p(inf));
+    EXPECT_TRUE(std::isnan(log1p(-1.5)));
+    EXPECT_TRUE(std::isnan(log1p(-inf)));
+    EXPECT_TRUE(std::isnan(log1p(nan)));
+  }
+}
+
+// Results below the normal range are denormals, rounded once, within an
+// ulp of libm's.
+TEST(SimdTranscendental, ExpDenormalOutputs) {
+  for (SimdLevel level : SupportedLevels()) {
+    ScopedSimdLevel guard(level);
+    for (double x = -745.13; x < -708.3; x += 0.0137) {
+      const double got = Apply(Elementwise::kExp, x);
+      const double want = std::exp(x);
+      EXPECT_EQ(std::fpclassify(want) == FP_SUBNORMAL,
+                std::fpclassify(got) == FP_SUBNORMAL)
+          << x;
+      EXPECT_LE(UlpDistance(want, got), 1u)
+          << "exp(" << x << ") at " << SimdLevelName(level);
+    }
+  }
+}
+
+// At most 2 ulp from libm over dense sweeps of the arguments the mixture
+// scorer passes: exp of log-density differences (<= 0), log of the
+// LogSumExp sums (>= 1) and of class posteriors in (1e-12, 1], log1p of
+// -exp(-gap) in [-1, 0).
+TEST(SimdTranscendental, WithinTwoUlpOfLibmOnScorerDomains) {
+  struct Sweep {
+    Elementwise f;
+    double lo, hi;
+    bool log_spaced;
+  };
+  constexpr std::size_t kPoints = 100003;
+  for (const Sweep& sweep :
+       {Sweep{Elementwise::kExp, -745.0, 0.0, false},
+        Sweep{Elementwise::kExp, -2.0, 0.0, false},
+        Sweep{Elementwise::kExp, -40.0, 40.0, false},
+        Sweep{Elementwise::kLog, 1.0, 64.0, false},
+        Sweep{Elementwise::kLog, 1e-12, 1.0, true},
+        Sweep{Elementwise::kLog, 0.5, 2.0, false},
+        Sweep{Elementwise::kLog1p, -1.0, 0.0, false},
+        Sweep{Elementwise::kLog1p, -1e-6, 0.0, false},
+        Sweep{Elementwise::kLog1p, -1.0, -0.999, false}}) {
+    std::vector<double> x(kPoints), y(kPoints);
+    for (std::size_t i = 0; i < kPoints; ++i) {
+      const double t = static_cast<double>(i) / (kPoints - 1);
+      x[i] = sweep.log_spaced
+                 ? std::exp(std::log(sweep.lo) +
+                            t * (std::log(sweep.hi) - std::log(sweep.lo)))
+                 : sweep.lo + t * (sweep.hi - sweep.lo);
+    }
+    for (SimdLevel level : SupportedLevels()) {
+      ScopedSimdLevel guard(level);
+      RunElementwise(sweep.f, x.data(), y.data(), kPoints);
+      std::uint64_t worst = 0;
+      double worst_x = 0.0;
+      for (std::size_t i = 0; i < kPoints; ++i) {
+        const std::uint64_t d = UlpDistance(Libm(sweep.f, x[i]), y[i]);
+        if (d > worst) {
+          worst = d;
+          worst_x = x[i];
+        }
+      }
+      EXPECT_LE(worst, 2u) << ElementwiseName(sweep.f) << " on ["
+                           << sweep.lo << ", " << sweep.hi << "] at "
+                           << SimdLevelName(level) << ": " << worst
+                           << " ulp at " << worst_x;
+    }
   }
 }
 

@@ -1,16 +1,28 @@
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/telemetry.h"
+#include "core/fair_score.h"
 #include "core/streaming_faction.h"
 #include "data/streams.h"
 #include "data/synthetic.h"
 #include "gtest/gtest.h"
+#include "serve/state_codec.h"
 
 namespace faction {
 namespace {
+
+std::uint64_t Bits(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
 
 StreamingFactionConfig SmallConfig(std::size_t dim = 6) {
   StreamingFactionConfig config;
@@ -167,6 +179,101 @@ TEST(StreamingFactionTest, OodArrivalsQueriedMoreOften) {
   const double ood_rate = static_cast<double>(ood_hits) / ood_total;
   EXPECT_GT(ood_rate, in_rate * 1.5)
       << "in=" << in_rate << " ood=" << ood_rate;
+}
+
+// Feeds the warm-start arrivals, querying every one, so the session has
+// fitted its estimator.
+void WarmUp(StreamingFaction* streaming, const EnvironmentSpec& env,
+            std::size_t arrivals, Rng* rng) {
+  for (std::size_t i = 0; i < arrivals; ++i) {
+    Example e = SampleFromEnvironment(env, 0, rng);
+    ASSERT_TRUE(streaming->ShouldQuery(e).value());
+    ASSERT_TRUE(streaming->ProvideLabel(e).ok());
+  }
+  ASSERT_TRUE(streaming->has_estimator());
+}
+
+// The u a session computes for `e` right after `warm` was captured: the
+// warm-up queries every arrival without observing a score, so the restored
+// normalizer's first observation is this arrival's u, min and max alike.
+double FirstObservedU(const SessionState& warm, const Example& e) {
+  StreamingFaction session(warm.config);
+  EXPECT_TRUE(RestoreSessionState(warm, &session).ok());
+  EXPECT_TRUE(session.ShouldQuery(e).ok());
+  SessionState after;
+  CaptureSessionState(session, &after);
+  EXPECT_EQ(after.norm_count, 1u);
+  EXPECT_EQ(Bits(after.norm_min), Bits(after.norm_max));
+  return after.norm_min;
+}
+
+// Eq. 6's per-arrival u from the batch scorer's log terms.
+double ArrivalU(const FactionScore& s, double lambda) {
+  double u = std::isfinite(s.log_density) ? s.log_density : -1e3;
+  if (std::isfinite(s.log_unfairness)) u -= lambda * s.log_unfairness;
+  return u;
+}
+
+// The per-arrival scorer is the pool sweep on one row: each arrival's u is
+// built, bit for bit, from its row of one batch scoring call over all the
+// arrivals, wherever the row sits in the batch.
+TEST(StreamingFactionTest, PerArrivalScoreMatchesBatchScorerBitwise) {
+  const StreamingFactionConfig config = SmallConfig();
+  StreamingFaction streaming(config);
+  Rng rng(21);
+  const EnvironmentSpec env = SmallEnv(6, &rng);
+  WarmUp(&streaming, env, config.warm_start, &rng);
+  SessionState warm;
+  CaptureSessionState(streaming, &warm);
+  ASSERT_EQ(warm.norm_count, 0u);
+  constexpr std::size_t kArrivals = 37;
+  Matrix xs(kArrivals, 6);
+  std::vector<Example> arrivals;
+  for (std::size_t i = 0; i < kArrivals; ++i) {
+    arrivals.push_back(SampleFromEnvironment(env, i % 2, &rng));
+    std::copy(arrivals[i].x.begin(), arrivals[i].x.end(), xs.row_data(i));
+  }
+  const Matrix z = streaming.model().ExtractFeatures(xs);
+  const Matrix proba = streaming.model().PredictProba(xs);
+  const Result<std::vector<FactionScore>> batch = ComputeFactionScores(
+      *streaming.estimator(), z, proba, config.lambda, /*fair_select=*/true);
+  ASSERT_TRUE(batch.ok());
+  for (std::size_t i = 0; i < kArrivals; ++i) {
+    EXPECT_EQ(Bits(ArrivalU(batch.value()[i], config.lambda)),
+              Bits(FirstObservedU(warm, arrivals[i])))
+        << i;
+  }
+}
+
+// An arrival far outside the data scores -inf log-density and a finite
+// u; the session keeps deciding (no DCHECK abort in the blocked solve).
+TEST(StreamingFactionTest, FarOutArrivalHasMinusInfDensityAndFiniteU) {
+  const StreamingFactionConfig config = SmallConfig();
+  StreamingFaction streaming(config);
+  Rng rng(22);
+  const EnvironmentSpec env = SmallEnv(6, &rng);
+  WarmUp(&streaming, env, config.warm_start, &rng);
+  Example far = SampleFromEnvironment(env, 0, &rng);
+  for (std::size_t j = 0; j < far.x.size(); ++j) {
+    far.x[j] = j % 2 == 0 ? 1e200 : -1e200;
+  }
+  Matrix x(1, far.x.size());
+  std::copy(far.x.begin(), far.x.end(), x.row_data(0));
+  const Result<std::vector<FactionScore>> batch = ComputeFactionScores(
+      *streaming.estimator(), streaming.model().ExtractFeatures(x),
+      streaming.model().PredictProba(x), config.lambda, /*fair_select=*/true);
+  ASSERT_TRUE(batch.ok());
+  EXPECT_EQ(-std::numeric_limits<double>::infinity(),
+            batch.value()[0].log_density);
+
+  ASSERT_TRUE(streaming.ShouldQuery(far).ok());
+  SessionState state;
+  CaptureSessionState(streaming, &state);
+  ASSERT_EQ(state.norm_count, 1u);
+  EXPECT_TRUE(std::isfinite(state.norm_min));
+  EXPECT_EQ(Bits(ArrivalU(batch.value()[0], config.lambda)),
+            Bits(state.norm_min));
+  ASSERT_TRUE(streaming.ShouldQuery(SampleFromEnvironment(env, 0, &rng)).ok());
 }
 
 TEST(StreamingFactionTest, RejectsWrongDimension) {
