@@ -231,8 +231,9 @@ BENCHMARK(BM_PoolScoring);
 
 // One full training pass over an 800-row pool of `input_dim` features with
 // the persistent Workspace the online learner uses: steady-state
-// iterations reuse every batch/gradient buffer.
-void RunTrainStep(benchmark::State& state, std::size_t input_dim) {
+// iterations reuse every batch/gradient buffer. Returns the rows trained
+// per iteration.
+std::size_t RunTrainStep(benchmark::State& state, std::size_t input_dim) {
   const std::size_t n = 800;
   const Dataset pool = MakePool(n, input_dim, 5);
   Rng rng(7);
@@ -252,13 +253,15 @@ void RunTrainStep(benchmark::State& state, std::size_t input_dim) {
         TrainClassifier(&model, pool, tconfig, &rng, &workspace);
     benchmark::DoNotOptimize(report);
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<long>(n));
+  return n;
 }
 
 // Arg: input_dim. 12 is NYSF's feature count, narrower than the avx2 and
 // avx512 GEMM panels; 16 is a whole panel at every tier.
 void BM_TrainStep(benchmark::State& state) {
-  RunTrainStep(state, static_cast<std::size_t>(state.range(0)));
+  const std::size_t n =
+      RunTrainStep(state, static_cast<std::size_t>(state.range(0)));
+  state.SetItemsProcessed(state.iterations() * static_cast<long>(n));
 }
 BENCHMARK(BM_TrainStep)->Arg(12)->Arg(16);
 
@@ -284,13 +287,22 @@ class ScopedSimdLevel {
 // Google Benchmark's mean/median/stddev aggregates, their minimum
 // (`_min`): on a shared host the mean of one repetition spread 20-40%
 // across runs, and interference only adds time, so the fastest repetition
-// is the figure to compare tiers and commits by. The statistic applies
-// to the rate counters too: a `_min` row's items_per_second is the
-// slowest repetition's rate, so read its time columns.
+// is the figure to compare tiers and commits by. The statistic applies to
+// every counter as well, so these rows report no rate (the minimum of the
+// rates is the slowest repetition's) but the time per item: CPU seconds
+// over items, whose minimum is the fastest repetition's, as in the time
+// columns.
 constexpr int kRepetitions = 10;
 
 double MinOf(const std::vector<double>& v) {
   return *std::min_element(v.begin(), v.end());
+}
+
+void SetTimePerItem(benchmark::State& state, std::size_t items) {
+  state.counters["time_per_item"] = benchmark::Counter(
+      static_cast<double>(items),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
 }
 
 void PerTier(benchmark::internal::Benchmark* b) {
@@ -299,8 +311,8 @@ void PerTier(benchmark::internal::Benchmark* b) {
       ->ReportAggregatesOnly(true);
 }
 
-// Square-GEMM throughput of the packed micro-kernel per dispatch tier;
-// items processed = FLOPs, so the reported rate reads as FLOP/s.
+// Square-GEMM cost of the packed micro-kernel per dispatch tier; an item
+// is one FLOP, so time_per_item reads as seconds per FLOP.
 void BM_GemmMicroKernel(benchmark::State& state) {
   const SimdLevel level = static_cast<SimdLevel>(state.range(0));
   ScopedSimdLevel guard(level);
@@ -317,8 +329,7 @@ void BM_GemmMicroKernel(benchmark::State& state) {
     MatMulInto(a, b, &c);
     benchmark::DoNotOptimize(c.data());
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<long>(2 * n * n * n));
+  SetTimePerItem(state, 2 * n * n * n);
   state.SetLabel(SimdLevelName(level));
 }
 BENCHMARK(BM_GemmMicroKernel)->Arg(0)->Arg(1)->Arg(2)->Apply(PerTier);
@@ -347,7 +358,7 @@ void BM_PoolScoringSimd(benchmark::State& state) {
         est.value(), candidates.features(), proba, 0.5, true, &scratch);
     benchmark::DoNotOptimize(scores);
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<long>(n));
+  SetTimePerItem(state, n);
   state.SetLabel(SimdLevelName(level));
 }
 BENCHMARK(BM_PoolScoringSimd)
@@ -356,7 +367,7 @@ BENCHMARK(BM_PoolScoringSimd)
 
 // The mixture sweep's transcendentals per dispatch tier: one call each of
 // vexp, vlog1p and vlog over 7919 elements (one per nysf-8k candidate);
-// items processed = elements.
+// an item is one element.
 void BM_TranscendentalSimd(benchmark::State& state) {
   const SimdLevel level = static_cast<SimdLevel>(state.range(0));
   ScopedSimdLevel guard(level);
@@ -379,10 +390,54 @@ void BM_TranscendentalSimd(benchmark::State& state) {
     kern.vlog(log_in.data(), out.data(), kN);
     benchmark::DoNotOptimize(out.data());
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<long>(3 * kN));
+  SetTimePerItem(state, 3 * kN);
   state.SetLabel(SimdLevelName(level));
 }
 BENCHMARK(BM_TranscendentalSimd)->Arg(0)->Arg(1)->Arg(2)->Apply(PerTier);
+
+// The softmax family per dispatch tier. At 64 rows: one training step's
+// FusedSoftmaxCrossEntropy handing its softmax to AddFairnessPenalty, on
+// the trainer's 64 x 2 batch. At 7919 rows: SoftmaxRowsInto over a
+// nysf-8k candidate pool's 7919 x 2 logits. An item is one row.
+// Args: SIMD level, rows.
+void BM_SoftmaxLossSimd(benchmark::State& state) {
+  const SimdLevel level = static_cast<SimdLevel>(state.range(0));
+  ScopedSimdLevel guard(level);
+  if (!guard.ok()) {
+    state.SkipWithError("SIMD level unsupported on this host");
+    return;
+  }
+  const std::size_t n = static_cast<std::size_t>(state.range(1));
+  Rng rng(53);
+  const Matrix logits = RandomMatrix(n, 2, &rng);
+  std::vector<int> labels(n), sensitive(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    labels[i] = static_cast<int>(i % 2);
+    sensitive[i] = i % 3 == 0 ? -1 : 1;
+  }
+  FairnessPenaltyConfig fairness;
+  fairness.epsilon = 0.0;  // the penalty's gradient runs on every batch
+  Workspace workspace;
+  Matrix dlogits, proba;
+  for (auto _ : state) {
+    if (n <= 64) {
+      benchmark::DoNotOptimize(
+          FusedSoftmaxCrossEntropy(logits, labels, &dlogits, &proba));
+      benchmark::DoNotOptimize(AddFairnessPenalty(
+          proba, labels, sensitive, fairness, &dlogits, &workspace));
+    } else {
+      SoftmaxRowsInto(logits, &proba);
+    }
+    benchmark::DoNotOptimize(proba.data());
+    benchmark::DoNotOptimize(dlogits.data());
+    benchmark::ClobberMemory();
+  }
+  SetTimePerItem(state, n);
+  state.SetLabel(SimdLevelName(level));
+}
+BENCHMARK(BM_SoftmaxLossSimd)
+    ->ArgsProduct({{0, 1, 2}, {64, 7919}})
+    ->Apply(PerTier);
 
 // BM_TrainStep with the dispatch tier pinned: the MLP training pass is
 // GEMM-bound, so this measures the micro-kernel end to end.
@@ -394,7 +449,8 @@ void BM_TrainStepSimd(benchmark::State& state) {
     state.SkipWithError("SIMD level unsupported on this host");
     return;
   }
-  RunTrainStep(state, static_cast<std::size_t>(state.range(1)));
+  SetTimePerItem(state,
+                 RunTrainStep(state, static_cast<std::size_t>(state.range(1))));
   state.SetLabel(SimdLevelName(level));
 }
 BENCHMARK(BM_TrainStepSimd)

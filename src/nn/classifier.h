@@ -27,7 +27,8 @@ class FeatureClassifier {
   virtual std::size_t num_classes() const = 0;
 
   /// Training forward pass: logits (n x num_classes); caches activations
-  /// for Backward.
+  /// for Backward. x must stay alive and unchanged until the matching
+  /// Backward: a first dense layer reads it there without a copy.
   virtual Matrix Forward(const Matrix& x) = 0;
 
   /// Allocation-aware training forward: writes logits into *out (resized,

@@ -225,9 +225,10 @@ Matrix ConvNetClassifier::Forward(const Matrix& x) {
   Matrix h = relu1_.Forward(conv1_->Forward(x));
   h = pool1_->Forward(h);
   h = relu2_.Forward(conv2_->Forward(h));
-  h = pool2_->Forward(h);
-  h = relu3_.Forward(fc_->Forward(h));
-  return head_->Forward(h);
+  // The Linear layers keep pointers to their inputs for Backward.
+  fc_input_ = pool2_->Forward(h);
+  head_input_ = relu3_.Forward(fc_->Forward(fc_input_));
+  return head_->Forward(head_input_);
 }
 
 Matrix ConvNetClassifier::Logits(const Matrix& x) const {

@@ -146,6 +146,10 @@ class ConvNetClassifier : public FeatureClassifier {
   std::unique_ptr<Linear> fc_;  // flattened -> feature_dim
   Relu relu3_;
   std::unique_ptr<Linear> head_;
+  // The inputs of fc_ and head_ from the last Forward, alive until
+  // Backward (Linear does not copy its input).
+  Matrix fc_input_;
+  Matrix head_input_;
 };
 
 }  // namespace faction

@@ -44,7 +44,7 @@ Matrix Linear::Forward(const Matrix& x) {
 void Linear::ForwardInto(const Matrix& x, Matrix* y, Matrix* relu_mask) {
   FACTION_CHECK_EQ(x.cols(), in_dim());
   RefreshSpectralScale();
-  cached_input_ = x;  // vector copy-assign: reuses capacity, no alloc
+  input_ = &x;  // read by BackwardInto; the caller keeps x alive
   GemmEpilogue ep;
   ep.scale = scale_;
   ep.bias = &b_;
@@ -79,11 +79,12 @@ Matrix Linear::Backward(const Matrix& dy) {
 
 void Linear::BackwardInto(const Matrix& dy, Matrix* dx,
                           const Matrix* dx_mask) {
-  FACTION_CHECK_EQ(dy.rows(), cached_input_.rows());
+  FACTION_CHECK(input_ != nullptr);
+  FACTION_CHECK_EQ(dy.rows(), input_->rows());
   FACTION_CHECK_EQ(dy.cols(), out_dim());
   // dW_eff = dy^T x; with W_eff = scale*W (scale treated as constant),
   // dW = scale * dW_eff, accumulated straight into the gradient.
-  MatMulAtAccumulateInto(dy, cached_input_, scale_, &gw_);
+  MatMulAtAccumulateInto(dy, *input_, scale_, &gw_);
   ColSumsInto(dy, &db_scratch_);
   double* gb = gb_.data();
   const double* db = db_scratch_.data();

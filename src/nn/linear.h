@@ -43,12 +43,18 @@ class Linear {
   std::size_t in_dim() const { return w_.cols(); }
   std::size_t out_dim() const { return w_.rows(); }
 
-  /// Forward pass; caches the input for Backward. During training call
-  /// Forward; for pure inference ForwardInference avoids the cache.
+  /// Forward pass; keeps a pointer to the input for Backward. During
+  /// training call Forward; for pure inference ForwardInference keeps
+  /// nothing.
+  ///
+  /// Lifetime rule: the layer does not copy x. The caller keeps x alive
+  /// and unmodified until the matching Backward/BackwardInto returns (a
+  /// network's stored activations and the trainer's batch buffer do).
   Matrix Forward(const Matrix& x);
 
   /// Allocation-free training forward: writes the output into *y (resized,
-  /// capacity retained; must not alias x). Value-identical to Forward.
+  /// capacity retained; must not alias x). Value-identical to Forward, and
+  /// under the same lifetime rule for x.
   /// With a relu_mask the training ReLU is fused in: y = 0 < v ? v : +0.0
   /// (NaN and -0.0 become +0.0), and *relu_mask (resized) holds 1.0 where
   /// the activation passed, else 0.0 — the mask BackwardInto of the layer
@@ -67,7 +73,8 @@ class Linear {
                             bool relu = false) const;
 
   /// Backpropagates dL/dy, accumulating weight gradients, and returns
-  /// dL/dx. Must follow a Forward call with the matching batch.
+  /// dL/dx. Must follow a Forward call with the matching batch, whose
+  /// input is still alive.
   Matrix Backward(const Matrix& dy);
 
   /// Allocation-free variant of Backward: writes dL/dx into *dx (must not
@@ -112,7 +119,7 @@ class Linear {
   Matrix b_;   // (1 x out)
   Matrix gw_;  // gradient accumulator, same shape as w_
   Matrix gb_;  // gradient accumulator, same shape as b_
-  Matrix cached_input_;
+  const Matrix* input_ = nullptr;  // last training Forward's x, not owned
   std::vector<double> db_scratch_;  // column sums of dy, reused across steps
   // Persistent power-iteration state: u doubles as the classic warm-start
   // vector, and PowerIterationInto reuses u/v as working buffers so a

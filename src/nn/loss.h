@@ -21,14 +21,20 @@ class Workspace;
 double SoftmaxCrossEntropy(const Matrix& logits, const std::vector<int>& labels,
                            Matrix* dlogits);
 
-/// Fused log-softmax + cross-entropy + gradient in one pass over the batch:
-/// no intermediate log-probability matrix is materialized, and nothing is
-/// allocated once *dlogits has its capacity. Per-element numerics and the
-/// row order of the loss sum replicate SoftmaxCrossEntropy exactly:
-/// gradient and loss are bitwise equal to the two-pass path.
+/// Fused log-softmax + cross-entropy + gradient: the log-probabilities are
+/// formed in *dlogits and turned into the gradient in place, so no
+/// intermediate matrix is materialized and nothing is allocated once
+/// *dlogits has its capacity. Per-element numerics and the row order of
+/// the loss sum replicate SoftmaxCrossEntropy exactly: gradient and loss
+/// are bitwise equal to the two-pass path. Every exp and log runs batch
+/// wide through the SIMD layer's vexp/vlog (tensor/ops.h).
+///
+/// With a `proba` matrix it also hands out the row softmax it forms on the
+/// way, bitwise SoftmaxRowsInto(logits): the input AddFairnessPenalty
+/// takes.
 double FusedSoftmaxCrossEntropy(const Matrix& logits,
                                 const std::vector<int>& labels,
-                                Matrix* dlogits);
+                                Matrix* dlogits, Matrix* proba = nullptr);
 
 /// Configuration of the fairness regularizer of Eqs. 8-9:
 ///   L_total = L_CE + mu * (L_fair - epsilon),  L_fair = [v(D, theta)]_+.
@@ -44,20 +50,21 @@ struct FairnessPenaltyConfig {
   bool symmetric = true;
 };
 
-/// Evaluates the fairness penalty on a batch and accumulates its gradient
-/// (scaled by mu) into *dlogits, which must already hold the cross-entropy
-/// gradient with matching shape. The score h(x, theta) is the softmax
-/// probability of class 1, so this requires num_classes == 2.
+/// Evaluates the fairness penalty on a batch from its row softmax `proba`
+/// (FusedSoftmaxCrossEntropy's `proba` output, or SoftmaxRowsInto of the
+/// logits) and accumulates its gradient w.r.t. the logits (scaled by mu)
+/// into *dlogits, which must already hold the cross-entropy gradient with
+/// matching shape. The score h(x, theta) is the softmax probability of
+/// class 1, so this requires num_classes == 2.
 ///
 /// Returns the penalty value added to the total loss. Returns an error when
 /// the batch cannot support the notion (e.g. a sensitive group is absent) —
 /// callers typically skip the penalty for that batch.
 ///
-/// When `workspace` is non-null the coefficient vector and the softmax
-/// probability matrix live in arena buffers ("loss.fair_coeffs" /
-/// "loss.fair_proba") and the call is allocation-free once their capacity
-/// is warm; results are bitwise identical either way.
-Result<double> AddFairnessPenalty(const Matrix& logits,
+/// When `workspace` is non-null the coefficient vector lives in the arena
+/// buffer "loss.fair_coeffs" and the call is allocation-free once its
+/// capacity is warm; results are bitwise identical either way.
+Result<double> AddFairnessPenalty(const Matrix& proba,
                                   const std::vector<int>& labels,
                                   const std::vector<int>& sensitive,
                                   const FairnessPenaltyConfig& config,

@@ -19,7 +19,9 @@ bool SgdOptimizer::Step(const std::vector<Matrix*>& params,
   Prepare(params);
   // Hyperparameters and the decay factor live in locals: member reads
   // would be reloaded on every element (they may alias the stores), which
-  // keeps these loops from vectorizing. Same values, same per-element ops.
+  // keeps these loops from vectorizing. One pass per parameter: decay,
+  // momentum, update and range check per element. Without weight decay
+  // the factor is exactly 1.0, and p * 1.0 is p.
   const double lr = lr_;
   const double momentum = momentum_;
   const double decay = 1.0 - lr_ * weight_decay_;
@@ -31,19 +33,16 @@ bool SgdOptimizer::Step(const std::vector<Matrix*>& params,
     double* pd = p.data();
     const double* gd = g.data();
     const std::size_t n = p.size();
-    if (weight_decay_ != 0.0) {
-      for (std::size_t k = 0; k < n; ++k) pd[k] *= decay;
-    }
     if (momentum != 0.0) {
       double* vd = velocity_[i].data();
       for (std::size_t k = 0; k < n; ++k) {
         vd[k] = momentum * vd[k] + gd[k];
-        pd[k] -= lr * vd[k];
+        pd[k] = pd[k] * decay - lr * vd[k];
         in_range &= InRangeBits(pd[k]);
       }
     } else {
       for (std::size_t k = 0; k < n; ++k) {
-        pd[k] -= lr * gd[k];
+        pd[k] = pd[k] * decay - lr * gd[k];
         in_range &= InRangeBits(pd[k]);
       }
     }

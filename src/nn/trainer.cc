@@ -70,6 +70,11 @@ Result<TrainReport> TrainClassifier(FeatureClassifier* model,
                                    model->num_classes());
   Matrix* dlogits = arena.MatrixFor("trainer.dlogits", max_bs,
                                     model->num_classes());
+  // The loss hands the penalty the batch softmax it forms anyway.
+  Matrix* proba = config.use_fairness_penalty
+                      ? arena.MatrixFor("trainer.proba", max_bs,
+                                        model->num_classes())
+                      : nullptr;
   std::vector<int>* y = arena.IntsFor("trainer.y", max_bs);
   std::vector<int>* s = arena.IntsFor("trainer.s", max_bs);
   std::vector<std::size_t>* order = arena.SizesFor("trainer.order", n);
@@ -122,11 +127,12 @@ Result<TrainReport> TrainClassifier(FeatureClassifier* model,
       if (!AllInRange(logits->data(), logits->size())) {
         return diverged("logits");
       }
-      const double ce = FusedSoftmaxCrossEntropy(*logits, *y, dlogits);
+      const double ce =
+          FusedSoftmaxCrossEntropy(*logits, *y, dlogits, proba);
       double penalty = 0.0;
       if (config.use_fairness_penalty) {
         const Result<double> pen = AddFairnessPenalty(
-            *logits, *y, *s, config.fairness, dlogits, &arena);
+            *proba, *y, *s, config.fairness, dlogits, &arena);
         // Batches lacking a sensitive group cannot support the notion; the
         // penalty is simply skipped for them.
         if (pen.ok()) {

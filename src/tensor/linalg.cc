@@ -154,21 +154,25 @@ void PowerIterationInto(const Matrix& w, int iters, Rng* rng,
     u.resize(rows);
     for (auto& x : u) x = rng->Gaussian();
   }
+  // Scales *vec to unit length and returns sum_i vec_new[i] * vec_old[i],
+  // ascending i. A degenerate direction restarts from a unit basis vector.
   auto normalize = [](std::vector<double>* vec) {
     double n2 = 0.0;
     for (double x : *vec) n2 += x * x;
     const double norm = std::sqrt(n2);
-    if (norm < 1e-12) {
-      // Degenerate direction: restart from a unit basis vector.
-      std::fill(vec->begin(), vec->end(), 0.0);
-      (*vec)[0] = 1.0;
-      return;
+    const bool degenerate = norm < 1e-12;
+    double dot = 0.0;
+    for (std::size_t i = 0; i < vec->size(); ++i) {
+      const double old = (*vec)[i];
+      (*vec)[i] = degenerate ? (i == 0 ? 1.0 : 0.0) : old / norm;
+      dot += (*vec)[i] * old;
     }
-    for (double& x : *vec) x /= norm;
+    return dot;
   };
   normalize(&u);
 
   v.assign(cols, 0.0);
+  double sigma = 0.0;
   for (int it = 0; it < iters; ++it) {
     // v = W^T u
     std::fill(v.begin(), v.end(), 0.0);
@@ -178,22 +182,23 @@ void PowerIterationInto(const Matrix& w, int iters, Rng* rng,
       for (std::size_t j = 0; j < cols; ++j) v[j] += row[j] * ui;
     }
     normalize(&v);
-    // u = W v
+    // u = W v, normalized; sigma = u^T (W v) from the same products.
     for (std::size_t i = 0; i < rows; ++i) {
       const double* row = w.row_data(i);
       double acc = 0.0;
       for (std::size_t j = 0; j < cols; ++j) acc += row[j] * v[j];
       u[i] = acc;
     }
-    normalize(&u);
+    sigma = normalize(&u);
   }
-  // sigma = u^T W v
-  double sigma = 0.0;
-  for (std::size_t i = 0; i < rows; ++i) {
-    const double* row = w.row_data(i);
-    double acc = 0.0;
-    for (std::size_t j = 0; j < cols; ++j) acc += row[j] * v[j];
-    sigma += u[i] * acc;
+  if (iters == 0) {
+    // No W v was formed: sigma = u^T W v at v = 0.
+    for (std::size_t i = 0; i < rows; ++i) {
+      const double* row = w.row_data(i);
+      double acc = 0.0;
+      for (std::size_t j = 0; j < cols; ++j) acc += row[j] * v[j];
+      sigma += u[i] * acc;
+    }
   }
   est->sigma = std::fabs(sigma);
 }

@@ -72,7 +72,9 @@ SpectralEstimate PowerIteration(const Matrix& w, const std::vector<double>& u0,
 /// buffers. Warm-starts from est->u when its size matches w.rows()
 /// (otherwise fills it from `rng`), so a persistent SpectralEstimate gives
 /// the classic spectral-normalization warm restart without per-call heap
-/// traffic. Identical arithmetic to PowerIteration.
+/// traffic. Identical arithmetic to PowerIteration. est->sigma is
+/// |u^T W v| over the returned u and v, summed from the W v products the
+/// last iteration formed for u (no extra pass over W).
 void PowerIterationInto(const Matrix& w, int iters, Rng* rng,
                         SpectralEstimate* est);
 

@@ -366,6 +366,40 @@ double SquaredDistance(const std::vector<double>& a,
   return acc;
 }
 
+namespace {
+
+// Sequential std::max scan of a row: the softmax family's shift.
+inline double RowMax(const double* r, std::size_t c) {
+  double mx = r[0];
+  for (std::size_t j = 1; j < c; ++j) mx = std::max(mx, r[j]);
+  return mx;
+}
+
+// out = exp(r - max(r)) per row: one shift pass, then one vexp call over
+// the whole matrix.
+void SoftmaxNumeratorsInto(const Matrix& logits, Matrix* out) {
+  CheckNoAlias(logits, out);
+  const std::size_t c = logits.cols();
+  FACTION_CHECK(c > 0 || logits.rows() == 0);
+  out->ResizeForOverwrite(logits.rows(), c);
+  for (std::size_t i = 0; i < logits.rows(); ++i) {
+    const double* r = logits.row_data(i);
+    double* e = out->row_data(i);
+    const double mx = RowMax(r, c);
+    for (std::size_t j = 0; j < c; ++j) e[j] = r[j] - mx;
+  }
+  ActiveSimd().vexp(out->data(), out->data(), out->size());
+}
+
+}  // namespace
+
+// The softmax family computes e = exp(r - mx), sum = the ascending sum of
+// e, softmax = e / sum and lse = mx + log(sum), log-softmax = r - lse,
+// row by row as scalar code would, but each exp and log goes through the
+// SIMD layer's vexp/vlog over the whole batch at once. Those kernels give
+// every element the same bits at every tier, so the family's results do
+// not depend on the tier or on the host's libm (DESIGN.md §12
+// "Transcendentals").
 Matrix SoftmaxRows(const Matrix& logits) {
   Matrix out;
   SoftmaxRowsInto(logits, &out);
@@ -373,19 +407,12 @@ Matrix SoftmaxRows(const Matrix& logits) {
 }
 
 void SoftmaxRowsInto(const Matrix& logits, Matrix* out) {
-  CheckNoAlias(logits, out);
-  out->ResizeForOverwrite(logits.rows(), logits.cols());
-  std::copy(logits.data(), logits.data() + logits.size(), out->data());
+  SoftmaxNumeratorsInto(logits, out);
   for (std::size_t i = 0; i < out->rows(); ++i) {
-    double* r = out->row_data(i);
-    double mx = r[0];
-    for (std::size_t j = 1; j < out->cols(); ++j) mx = std::max(mx, r[j]);
+    double* e = out->row_data(i);
     double sum = 0.0;
-    for (std::size_t j = 0; j < out->cols(); ++j) {
-      r[j] = std::exp(r[j] - mx);
-      sum += r[j];
-    }
-    for (std::size_t j = 0; j < out->cols(); ++j) r[j] /= sum;
+    for (std::size_t j = 0; j < out->cols(); ++j) sum += e[j];
+    for (std::size_t j = 0; j < out->cols(); ++j) e[j] /= sum;
   }
 }
 
@@ -395,18 +422,35 @@ Matrix LogSoftmaxRows(const Matrix& logits) {
   return out;
 }
 
-void LogSoftmaxRowsInto(const Matrix& logits, Matrix* out) {
+void LogSoftmaxRowsInto(const Matrix& logits, Matrix* out, Matrix* softmax) {
   CheckNoAlias(logits, out);
-  out->ResizeForOverwrite(logits.rows(), logits.cols());
-  std::copy(logits.data(), logits.data() + logits.size(), out->data());
-  for (std::size_t i = 0; i < out->rows(); ++i) {
-    double* r = out->row_data(i);
-    double mx = r[0];
-    for (std::size_t j = 1; j < out->cols(); ++j) mx = std::max(mx, r[j]);
+  const std::size_t n = logits.rows();
+  const std::size_t c = logits.cols();
+  Matrix* e = softmax != nullptr ? softmax : out;
+  FACTION_CHECK(softmax != out);
+  SoftmaxNumeratorsInto(logits, e);
+  out->ResizeForOverwrite(n, c);
+  // Row i's sum goes to out[i], at or before row i's first element, so
+  // when e is out no unread exponential is overwritten.
+  double* sums = out->data();
+  for (std::size_t i = 0; i < n; ++i) {
+    double* er = e->row_data(i);
     double sum = 0.0;
-    for (std::size_t j = 0; j < out->cols(); ++j) sum += std::exp(r[j] - mx);
-    const double lse = mx + std::log(sum);
-    for (std::size_t j = 0; j < out->cols(); ++j) r[j] -= lse;
+    for (std::size_t j = 0; j < c; ++j) sum += er[j];
+    if (softmax != nullptr) {
+      for (std::size_t j = 0; j < c; ++j) er[j] /= sum;
+    }
+    sums[i] = sum;
+  }
+  ActiveSimd().vlog(sums, sums, n);
+  // In descending rows, row i's outputs overwrite only the logs of rows
+  // at or after i, and its own log is read first.
+  for (std::size_t ii = n; ii > 0; --ii) {
+    const std::size_t i = ii - 1;
+    const double* r = logits.row_data(i);
+    const double lse = RowMax(r, c) + sums[i];
+    double* o = out->row_data(i);
+    for (std::size_t j = 0; j < c; ++j) o[j] = r[j] - lse;
   }
 }
 

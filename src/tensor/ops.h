@@ -112,13 +112,23 @@ double Norm2(const std::vector<double>& v);
 double SquaredDistance(const std::vector<double>& a,
                        const std::vector<double>& b);
 
-/// Row-wise softmax of a logits matrix (numerically stable).
+/// Row-wise softmax of a logits matrix (numerically stable): per row
+/// e = exp(r - max(r)), then e / (ascending sum of e). The exponentials run
+/// through the dispatched SimdKernels::vexp over the whole matrix, so the
+/// result is bitwise the same at every SIMD tier (DESIGN.md §12
+/// "Transcendentals").
 Matrix SoftmaxRows(const Matrix& logits);
 void SoftmaxRowsInto(const Matrix& logits, Matrix* out);
 
-/// Row-wise log-softmax of a logits matrix (numerically stable).
+/// Row-wise log-softmax of a logits matrix (numerically stable): per row
+/// r - (max(r) + log(ascending sum of exp(r - max(r)))), through vexp and
+/// vlog as SoftmaxRowsInto. With a `softmax` matrix (not aliasing logits
+/// or out) it also writes the row softmax formed from the same
+/// exponentials, bitwise SoftmaxRowsInto's result. No scratch beyond out
+/// and softmax.
 Matrix LogSoftmaxRows(const Matrix& logits);
-void LogSoftmaxRowsInto(const Matrix& logits, Matrix* out);
+void LogSoftmaxRowsInto(const Matrix& logits, Matrix* out,
+                        Matrix* softmax = nullptr);
 
 /// log(sum(exp(xs))) computed stably with libm; xs must be non-empty.
 // lint-allow(test-only-api): libm reference for the mixture sweep's combines

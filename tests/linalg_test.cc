@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
@@ -109,6 +110,48 @@ TEST(PowerIterationTest, WarmStartConverges) {
   for (int i = 0; i < 60; ++i) est = PowerIteration(w, est.u, 1, &rng);
   const SpectralEstimate cold = PowerIteration(w, {}, 200, &rng);
   EXPECT_NEAR(est.sigma, cold.sigma, 1e-6);
+}
+
+// sigma comes from the W v products the last iteration formed for u. It
+// must be bitwise the three-pass formula |u^T (W v)| over the returned u
+// and v, at 0, 1 and 3 iterations, warm-started, and through the
+// degenerate restart: entries of 1e-14 make W^T u and W v too short to
+// normalize, so v and u restart from e0.
+TEST(PowerIterationTest, SigmaIsThreePassFormulaBitwise) {
+  Rng rng(23);
+  Matrix dense(7, 5), tiny(4, 3);
+  for (std::size_t i = 0; i < dense.size(); ++i) {
+    dense.data()[i] = rng.Gaussian();
+  }
+  for (std::size_t i = 0; i < tiny.size(); ++i) {
+    tiny.data()[i] = 1e-14 * rng.Gaussian();
+  }
+  for (const Matrix* w : {&dense, &tiny}) {
+    for (const int iters : {0, 1, 3}) {
+      SCOPED_TRACE(iters);
+      SpectralEstimate est;
+      est.u.resize(w->rows());
+      for (double& x : est.u) x = rng.Gaussian();
+      Rng iteration_rng(29);
+      PowerIterationInto(*w, iters, &iteration_rng, &est);
+      double sigma = 0.0;
+      for (std::size_t i = 0; i < w->rows(); ++i) {
+        double acc = 0.0;
+        for (std::size_t j = 0; j < w->cols(); ++j) {
+          acc += (*w)(i, j) * est.v[j];
+        }
+        sigma += est.u[i] * acc;
+      }
+      sigma = std::fabs(sigma);
+      EXPECT_EQ(std::memcmp(&sigma, &est.sigma, sizeof sigma), 0)
+          << sigma << " vs " << est.sigma;
+      if (w == &tiny && iters > 0) {
+        EXPECT_EQ(est.u[0], 1.0);
+        EXPECT_EQ(est.v[0], 1.0);
+        EXPECT_GT(est.sigma, 0.0);
+      }
+    }
+  }
 }
 
 TEST(PowerIterationTest, SigmaBoundsSpectralScaling) {

@@ -509,8 +509,8 @@ TEST(LossTest, FairnessPenaltyZeroWhenBalanced) {
   Matrix dlogits(4, 2, 0.0);
   FairnessPenaltyConfig config;
   config.epsilon = 0.0;
-  const Result<double> pen =
-      AddFairnessPenalty(logits, labels, sensitive, config, &dlogits);
+  const Result<double> pen = AddFairnessPenalty(
+      SoftmaxRows(logits), labels, sensitive, config, &dlogits);
   ASSERT_TRUE(pen.ok()) << pen.status().ToString();
   EXPECT_NEAR(pen.value(), 0.0, 1e-9);
   EXPECT_NEAR(FrobeniusNorm2(dlogits), 0.0, 1e-12);
@@ -525,8 +525,8 @@ TEST(LossTest, FairnessPenaltyPositiveWhenGroupFavored) {
   FairnessPenaltyConfig config;
   config.mu = 1.0;
   config.epsilon = 0.0;
-  const Result<double> pen =
-      AddFairnessPenalty(logits, labels, sensitive, config, &dlogits);
+  const Result<double> pen = AddFairnessPenalty(
+      SoftmaxRows(logits), labels, sensitive, config, &dlogits);
   ASSERT_TRUE(pen.ok());
   EXPECT_GT(pen.value(), 0.5);
   EXPECT_GT(FrobeniusNorm2(dlogits), 0.0);
@@ -546,13 +546,13 @@ TEST(LossTest, FairnessPenaltyGradientCheck) {
 
   auto penalty_of = [&](const Matrix& l) {
     Matrix scratch(l.rows(), l.cols(), 0.0);
-    const Result<double> pen =
-        AddFairnessPenalty(l, labels, sensitive, config, &scratch);
+    const Result<double> pen = AddFairnessPenalty(
+        SoftmaxRows(l), labels, sensitive, config, &scratch);
     return pen.value_or(0.0);
   };
   Matrix dlogits(6, 2, 0.0);
-  const Result<double> pen =
-      AddFairnessPenalty(logits, labels, sensitive, config, &dlogits);
+  const Result<double> pen = AddFairnessPenalty(
+      SoftmaxRows(logits), labels, sensitive, config, &dlogits);
   ASSERT_TRUE(pen.ok());
   // Skip the check if the penalty sits exactly at the hinge kink.
   if (std::fabs(penalty_of(logits)) > 1e-6) {
@@ -571,8 +571,8 @@ TEST(LossTest, FairnessPenaltyRequiresBinary) {
   const Matrix logits(2, 3, 0.0);
   Matrix dlogits(2, 3, 0.0);
   FairnessPenaltyConfig config;
-  const Result<double> pen =
-      AddFairnessPenalty(logits, {0, 1}, {1, -1}, config, &dlogits);
+  const Result<double> pen = AddFairnessPenalty(
+      SoftmaxRows(logits), {0, 1}, {1, -1}, config, &dlogits);
   EXPECT_FALSE(pen.ok());
 }
 
@@ -580,8 +580,8 @@ TEST(LossTest, FairnessPenaltySingleGroupFails) {
   const Matrix logits(2, 2, 0.0);
   Matrix dlogits(2, 2, 0.0);
   FairnessPenaltyConfig config;
-  const Result<double> pen =
-      AddFairnessPenalty(logits, {0, 1}, {1, 1}, config, &dlogits);
+  const Result<double> pen = AddFairnessPenalty(
+      SoftmaxRows(logits), {0, 1}, {1, 1}, config, &dlogits);
   EXPECT_FALSE(pen.ok());
 }
 
@@ -595,8 +595,8 @@ TEST(LossTest, LiteralPenaltyIgnoresNegativeV) {
   literal.symmetric = false;
   literal.epsilon = 0.0;
   Matrix d1(4, 2, 0.0);
-  const Result<double> p_lit =
-      AddFairnessPenalty(logits, labels, sensitive, literal, &d1);
+  const Result<double> p_lit = AddFairnessPenalty(
+      SoftmaxRows(logits), labels, sensitive, literal, &d1);
   ASSERT_TRUE(p_lit.ok());
   EXPECT_NEAR(p_lit.value(), 0.0, 1e-9);
 
@@ -604,8 +604,8 @@ TEST(LossTest, LiteralPenaltyIgnoresNegativeV) {
   symmetric.symmetric = true;
   symmetric.epsilon = 0.0;
   Matrix d2(4, 2, 0.0);
-  const Result<double> p_sym =
-      AddFairnessPenalty(logits, labels, sensitive, symmetric, &d2);
+  const Result<double> p_sym = AddFairnessPenalty(
+      SoftmaxRows(logits), labels, sensitive, symmetric, &d2);
   ASSERT_TRUE(p_sym.ok());
   EXPECT_GT(p_sym.value(), 0.1);
 }
@@ -873,6 +873,42 @@ TEST(LossTest, FusedMatchesTwoPassBitwise) {
     ASSERT_EQ(d_ref.cols(), d_fused.cols());
     EXPECT_EQ(std::memcmp(d_ref.data(), d_fused.data(),
                           d_ref.size() * sizeof(double)),
+              0);
+  }
+}
+
+// The softmax the fused loss hands to the fairness penalty is bitwise
+// SoftmaxRowsInto's, and handing it out changes neither loss nor gradient.
+TEST(LossTest, HandedOffSoftmaxMatchesSoftmaxRowsBitwise) {
+  for (const std::size_t c : {2u, 3u, 5u}) {
+    SCOPED_TRACE(c);
+    Rng rng(911 + c);
+    const std::size_t n = 67;
+    Matrix logits(n, c);
+    std::vector<int> labels(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      labels[i] = static_cast<int>(i % c);
+      for (std::size_t j = 0; j < c; ++j) logits(i, j) = 4.0 * rng.Gaussian();
+    }
+    for (std::size_t j = 0; j < c; ++j) {
+      logits(0, j) = j % 2 == 0 ? 0.0 : -0.0;
+      logits(1, j) = j + 1 == c ? 2.5 : -30.0;
+      logits(2, j) = 700.0 - static_cast<double>(j);
+    }
+    Matrix d_plain, d_handed, proba;
+    const double plain = FusedSoftmaxCrossEntropy(logits, labels, &d_plain);
+    const double handed =
+        FusedSoftmaxCrossEntropy(logits, labels, &d_handed, &proba);
+    EXPECT_TRUE(SameBits(plain, handed));
+    ASSERT_EQ(d_plain.size(), d_handed.size());
+    EXPECT_EQ(std::memcmp(d_plain.data(), d_handed.data(),
+                          d_plain.size() * sizeof(double)),
+              0);
+    const Matrix want = SoftmaxRows(logits);
+    ASSERT_EQ(want.rows(), proba.rows());
+    ASSERT_EQ(want.cols(), proba.cols());
+    EXPECT_EQ(std::memcmp(want.data(), proba.data(),
+                          want.size() * sizeof(double)),
               0);
   }
 }

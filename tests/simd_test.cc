@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/parallel.h"
@@ -556,6 +557,73 @@ TEST(SimdLoss, FusedSoftmaxCrossEntropyParityAcrossLevels) {
       EXPECT_EQ(std::memcmp(&loss, &ref_loss, sizeof(double)), 0)
           << SimdLevelName(level);
       ASSERT_TRUE(BitwiseEqual(ref_grad, grad)) << SimdLevelName(level);
+    }
+  }
+}
+
+// Rows that stress the softmax family's shift and special values: signed
+// zero ties, +-inf, NaN and magnitudes near the top of the double range,
+// on top of TrickyMatrix's zeros and denormals.
+Matrix SoftmaxEdgeRows(std::size_t classes, Rng* rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  Matrix m = TrickyMatrix(41, classes, rng);
+  const std::size_t last = classes - 1;
+  for (std::size_t j = 0; j < classes; ++j) {
+    const bool even = j % 2 == 0;
+    m(0, j) = even ? 0.0 : -0.0;
+    m(1, j) = even ? -0.0 : 0.0;
+    m(2, j) = -0.0;
+    m(4, j) = -kInf;
+    m(5, j) = kInf;
+    m(6, j) = even ? kInf : -kInf;
+    m(9, j) = even ? -1e300 : 1e300;
+    m(10, j) = 1e300;
+    m(11, j) = -1e300;
+  }
+  m(3, 0) = kInf;
+  m(7, 0) = kNan;
+  m(8, last) = kNan;
+  m(12, last) = -kInf;
+  m(13, 0) = 1e300;
+  return m;
+}
+
+// The softmax family runs its exp and log through vexp/vlog: softmax,
+// log-softmax, and log-softmax with the softmax handed out must be
+// bitwise the generic tier's at every tier, on every edge row.
+TEST(SimdLoss, SoftmaxFamilyParityAcrossLevels) {
+  Rng rng(405);
+  for (const std::size_t classes : {1u, 2u, 3u, 5u}) {
+    const Matrix logits = SoftmaxEdgeRows(classes, &rng);
+    Matrix soft_ref, log_ref;
+    {
+      ScopedSimdLevel guard(SimdLevel::kGeneric);
+      SoftmaxRowsInto(logits, &soft_ref);
+      LogSoftmaxRowsInto(logits, &log_ref);
+    }
+    for (SimdLevel level : SupportedLevels()) {
+      ScopedSimdLevel guard(level);
+      Matrix soft, logp, fused_log, fused_soft;
+      SoftmaxRowsInto(logits, &soft);
+      LogSoftmaxRowsInto(logits, &logp);
+      LogSoftmaxRowsInto(logits, &fused_log, &fused_soft);
+      const std::string where =
+          std::to_string(classes) + " classes at " + SimdLevelName(level);
+      ASSERT_TRUE(BitwiseEqual(soft_ref, soft)) << "softmax, " << where;
+      ASSERT_TRUE(BitwiseEqual(log_ref, logp)) << "log-softmax, " << where;
+      ASSERT_TRUE(BitwiseEqual(log_ref, fused_log)) << "fused log, " << where;
+      ASSERT_TRUE(BitwiseEqual(soft_ref, fused_soft))
+          << "handed-off softmax, " << where;
+    }
+    // The shift keeps huge rows finite; an infinite maximum is inf - inf.
+    if (classes >= 2) {
+      EXPECT_EQ(soft_ref(9, 1), 1.0 / static_cast<double>(classes / 2));
+      EXPECT_EQ(soft_ref(9, 0), 0.0);
+      EXPECT_EQ(log_ref(9, 0), -2e300);
+      EXPECT_TRUE(std::isnan(soft_ref(5, 0)));
+      EXPECT_TRUE(std::isnan(log_ref(3, 0)));
+      EXPECT_TRUE(std::isnan(soft_ref(7, 1)));
     }
   }
 }

@@ -44,6 +44,12 @@ Rules (each reported as file:line: [rule] message):
                    std::chrono::*_clock) are banned outside common/timer.h
                    — timing flows through faction::Timer so determinism
                    audits have a single choke point.
+  libm-softmax     no libm exp/log (std::exp, ::log, log1p, expm1, ...) in
+                   src/nn/loss.cc or in the functions of src/tensor/ops.cc
+                   whose names contain "Softmax": the softmax family and
+                   the training loss run through the SIMD layer's vexp/vlog,
+                   so their bits do not depend on the host's libm or the
+                   tier (DESIGN.md §12 "Transcendentals").
   test-only-api    a CamelCase class or function declared in a src/ header
                    whose every use outside its declaration and definition
                    is under tests/. perfbench/ counts as a caller (it is
@@ -322,6 +328,39 @@ def check_code_rules(ctx: FileContext, findings: list) -> None:
                     findings.append((rel, lineno, "no-wallclock",
                                      f"{what} banned outside common/timer.h;"
                                      " use faction::Timer"))
+
+
+# libm-softmax: the files it covers, each with the pattern a function name
+# must match to be covered (None: the whole file).
+LIBM_SOFTMAX_SCOPES = {
+    Path("src/nn/loss.cc"): None,
+    Path("src/tensor/ops.cc"): re.compile(r"Softmax"),
+}
+LIBM_CALL_RE = re.compile(
+    r"(?<![\w.>])(?:std\s*::\s*|::\s*)?"
+    r"(?:exp|exp2|expm1|log|log2|log10|log1p)\s*\(")
+# A function definition's first line: code at column 0 naming the function
+# just before its parameter list.
+FUNCTION_HEAD_RE = re.compile(r"^(?!namespace\b)[A-Za-z_][^;{}]*?(\w+)\s*\(")
+
+
+def check_libm_softmax(ctx: FileContext, findings: list) -> None:
+    if ctx.rel not in LIBM_SOFTMAX_SCOPES:
+        return
+    name_re = LIBM_SOFTMAX_SCOPES[ctx.rel]
+    function = ""
+    for lineno, line in enumerate(ctx.code_lines, start=1):
+        head = FUNCTION_HEAD_RE.match(line)
+        if head:
+            function = head.group(1)
+        if name_re is not None and not name_re.search(function):
+            continue
+        m = LIBM_CALL_RE.search(line)
+        if m and not ctx.allowed(lineno, "libm-softmax"):
+            findings.append(
+                (ctx.rel, lineno, "libm-softmax",
+                 f"libm call `{m.group(0).strip()}` in the softmax family; "
+                 f"use ActiveSimd().vexp/vlog over the batch"))
 
 
 def check_serve_hot(ctx: FileContext, findings: list) -> None:
@@ -618,6 +657,7 @@ def run_lint(contexts: list) -> list:
         if ctx.rel.suffix == ".h":
             check_include_guard(ctx, findings)
         check_code_rules(ctx, findings)
+        check_libm_softmax(ctx, findings)
         check_serve_hot(ctx, findings)
         check_serve_float_text(ctx, findings)
         check_hot_allocations(ctx, findings)

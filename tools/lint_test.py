@@ -253,6 +253,60 @@ class ServeFloatText(unittest.TestCase):
             rel="src/serve/fake.h")))
 
 
+class LibmSoftmax(unittest.TestCase):
+    def run_rule(self, text: str, rel: str) -> list:
+        findings = []
+        lint.check_libm_softmax(ctx(text, rel=rel), findings)
+        return findings
+
+    def test_libm_calls_in_loss_flagged(self):
+        for snippet in ("  d[j] = std::exp(r[j] - lse);\n",
+                        "  const double l = std::log(sum);\n",
+                        "  y = ::exp(x);\n",
+                        "  y = log1p(-p);\n",
+                        "  y = std :: expm1 (x);\n"):
+            text = "double F(double x) {\n" + snippet + "}\n"
+            self.assertEqual(["libm-softmax"], [
+                rule for _, _, rule, _ in self.run_rule(
+                    text, "src/nn/loss.cc")], snippet)
+
+    def test_only_softmax_functions_of_ops_flagged(self):
+        text = ("void SoftmaxRowsInto(const Matrix& l, Matrix* out) {\n"
+                "  r[j] = std::exp(r[j] - mx);\n"
+                "}\n"
+                "\n"
+                "double LogSumExp(const std::vector<double>& xs) {\n"
+                "  return mx + std::log(sum);\n"
+                "}\n"
+                "void LogSoftmaxRowsInto(const Matrix& l, Matrix* out,\n"
+                "                        Matrix* softmax) {\n"
+                "  const double lse = mx + std::log(sum);\n"
+                "}\n")
+        findings = self.run_rule(text, "src/tensor/ops.cc")
+        self.assertEqual([2, 10], [line for _, line, _, _ in findings])
+
+    def test_kernels_mentions_and_lookalikes_not_flagged(self):
+        text = ("double F(const Matrix& m) {\n"
+                "  // std::exp(x) is gone\n"
+                "  ActiveSimd().vexp(m.data(), out, n);\n"
+                "  kern.vlog(sums, sums, n);\n"
+                "  const Matrix logp = LogSoftmaxRows(logits);\n"
+                "  return est.log(x) + catalog(3) + explode(1);\n"
+                "}\n")
+        self.assertEqual([], self.run_rule(text, "src/nn/loss.cc"))
+
+    def test_lint_allow_suppresses(self):
+        text = ("double F(double x) {\n"
+                "  return std::exp(x);  // lint-allow(libm-softmax): why\n"
+                "}\n")
+        self.assertEqual([], self.run_rule(text, "src/nn/loss.cc"))
+
+    def test_not_enforced_in_other_files(self):
+        text = "double F(double x) {\n  return std::exp(x);\n}\n"
+        self.assertEqual([], self.run_rule(text, "src/density/gaussian.cc"))
+        self.assertEqual([], self.run_rule(text, "tests/nn_test.cc"))
+
+
 class FfpContract(unittest.TestCase):
     def test_kernel_names_parsed_from_header(self):
         names = lint.simd_kernel_names()
